@@ -1,18 +1,13 @@
-"""Dense complex matrix kernels: Hilbert-Schmidt geometry, a self-contained
-complex Hermitian eigensolver (cyclic Jacobi), defect square roots, operator
-norms and Gram-rank estimation.
+"""Dense complex matrix kernels: Hilbert-Schmidt geometry, the complex
+Hermitian eigendecomposition (LAPACK ``zheevd`` through
+``numpy.linalg.eigh``), defect square roots, operator norms and Gram-rank
+estimation.
 
 All norms written ``||.||_2`` are Hilbert-Schmidt norms taken with the
 *normalized* trace ``tau(x) = tr(x)/n``, so the identity has norm 1 at every
 dimension.  Every function is pure: inputs are never mutated.
-
-The Jacobi sweep kernel exists twice: a compiled Cython extension
-(``unispan._jacobi``) and a pure-Python fallback (``unispan._jacobi_py``)
-with the identical deterministic sweep order.  The compiled one is picked at
-import when present; set ``UNISPAN_FORCE_PURE=1`` to force the fallback.
 """
 
-import os
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -22,27 +17,6 @@ from .errors import DimensionMismatch, NormExceedsOne, NotSelfAdjoint
 EIG_TOL = 1e-12
 CLAMP_TOL = 1e-10
 RANK_TOL = 1e-9
-
-_MAX_SWEEPS = 60
-
-if os.environ.get("UNISPAN_FORCE_PURE", "") not in ("", "0"):
-    from . import _jacobi_py as _kernel
-
-    _BACKEND = "pure"
-else:
-    try:
-        from . import _jacobi as _kernel  # type: ignore[no-redef]
-
-        _BACKEND = "compiled"
-    except ImportError:  # pragma: no cover - depends on build environment
-        from . import _jacobi_py as _kernel  # type: ignore[no-redef]
-
-        _BACKEND = "pure"
-
-
-def backend() -> str:
-    """Name of the active Jacobi kernel: ``"compiled"`` or ``"pure"``."""
-    return _BACKEND
 
 
 def as_matrix(x) -> np.ndarray:
@@ -110,10 +84,10 @@ class HermEig(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(h, input_tol: float = 1e-10, eig_tol: float = EIG_TOL) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
+def hermitian_eig(h, input_tol: float = 1e-10) -> HermEig:
+    """Eigendecomposition of a Hermitian matrix by ``numpy.linalg.eigh``.
 
-    Deterministic for a fixed input (fixed row-major sweep order).  Raises
+    Decomposes the Hermitian part ``(h + h*)/2``.  Raises
     :class:`NotSelfAdjoint` when ``||h - h*||_2`` exceeds
     ``input_tol * max(1, ||h||_2)``.
     """
@@ -121,21 +95,13 @@ def hermitian_eig(h, input_tol: float = 1e-10, eig_tol: float = EIG_TOL) -> Herm
     scale = max(1.0, hs_norm(h))
     if hs_norm(h - h.conj().T) > input_tol * scale:
         raise NotSelfAdjoint("input is not self-adjoint within tolerance")
-    n = h.shape[0]
-    H = np.ascontiguousarray((h + h.conj().T) / 2.0, dtype=np.complex128)
-    V = np.eye(n, dtype=np.complex128)
-    _kernel.jacobi_sweeps(H, V, 0.5 * eig_tol, _MAX_SWEEPS)
-    w = H.diagonal().real.copy()
-    order = np.argsort(w, kind="stable")
-    return HermEig(w[order], np.ascontiguousarray(V[:, order]))
+    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return HermEig(w, v)
 
 
 def operator_norm(x) -> float:
-    """Largest singular value, via the Jacobi eigensolver on ``x* x``."""
-    x = as_matrix(x)
-    xx = x.conj().T @ x
-    w = hermitian_eig(xx, input_tol=1e-6).eigenvalues
-    return float(np.sqrt(max(float(w[-1]), 0.0)))
+    """Largest singular value of ``x``, computed from ``x`` itself (no ``x* x``)."""
+    return float(np.linalg.norm(as_matrix(x), 2))
 
 
 def sqrt_defect(x, input_tol: float = 1e-10, clamp_tol: float = CLAMP_TOL) -> np.ndarray:
@@ -146,10 +112,6 @@ def sqrt_defect(x, input_tol: float = 1e-10, clamp_tol: float = CLAMP_TOL) -> np
     on the boundary of the unit ball) are clamped to zero; inputs with
     operator norm beyond ``1 + clamp_tol`` raise :class:`NormExceedsOne`.
     """
-    x = as_matrix(x)
-    scale = max(1.0, hs_norm(x))
-    if hs_norm(x - x.conj().T) > input_tol * scale:
-        raise NotSelfAdjoint("input is not self-adjoint within tolerance")
     w, v = hermitian_eig(x, input_tol=input_tol)
     top = max(abs(float(w[0])), abs(float(w[-1])))
     if top > 1.0 + clamp_tol:

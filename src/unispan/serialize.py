@@ -114,6 +114,8 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
         raise ParseError(f"{what}: arrays are not rectangular numeric") from None
     if re.ndim != 2 or re.shape != im.shape or re.shape[0] != re.shape[1]:
         raise ParseError(f"{what}: arrays must be square and of equal shape")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ParseError(f"{what}: entries must be finite (no NaN or Infinity)")
     return re + 1j * im
 
 

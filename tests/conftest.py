@@ -15,7 +15,7 @@ def random_hermitian(rng, n):
 
 
 def random_unitary(rng, n):
-    """Haar-ish unitary built from our own eigensolver (deterministic)."""
+    """Haar-ish unitary: the eigenvectors of a random Hermitian matrix."""
     return hermitian_eig(random_hermitian(rng, n)).eigenvectors
 
 

@@ -176,6 +176,29 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"] == "parse"
 
+    def test_non_finite_instance_is_two(self, capsys, tmp_path):
+        for bad_value in (float("nan"), float("inf")):
+            doc = instance_to_json(TypeISubalgebraSpec.masa(2), np.zeros((2, 2)))
+            doc["matrix"]["re"][0][1] = bad_value
+            inst = tmp_path / "non-finite.json"
+            inst.write_text(json.dumps(doc))  # json writes NaN / Infinity tokens
+            code, out, _ = run_cli(capsys, "decompose", "--in", str(inst))
+            assert code == 2
+            assert json.loads(out)["error"] == "parse"
+
+    def test_non_finite_stored_decomposition_is_two(self, capsys, tmp_path):
+        inst = tmp_path / "inst.json"
+        run_cli(capsys, "random-instance", "--class", "c1", "--n", "3",
+                "--seed", "2", "--out", str(inst))
+        dec = tmp_path / "dec.json"
+        run_cli(capsys, "decompose", "--in", str(inst), "--out", str(dec))
+        doc = json.loads(dec.read_text())
+        doc["terms"][0]["unitary"]["im"][0][0] = float("nan")
+        dec.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", "--in", str(dec))
+        assert code == 2
+        assert json.loads(out)["error"] == "parse"
+
     def test_missing_file_is_two(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "--in", "/nonexistent.json")
         assert code == 2

@@ -119,11 +119,14 @@ class TestFourUnitary:
         np.testing.assert_allclose(d.terms[0].unitary, u, atol=1e-12)
 
     def test_nilpotent_budget(self):
+        # x = 1*S + i*Y with S, Y the self-adjoint unitaries below: the
+        # real and imaginary parts are unitaries already, so two terms
         x = np.array([[0, 2], [0, 0]], dtype=complex)
         d = four_unitary(x)
+        y = np.array([[0, -1j], [1j, 0]])
+        assert_terms_equal(d, [(1, S), (1j, y)], atol=1e-14)
         rep = verify_decomposition(None, x, d)
-        assert rep.term_count == 4
-        assert rep.coeff_sum == pytest.approx(2, abs=1e-12)
+        assert rep.coeff_sum == pytest.approx(2, abs=1e-14)
         assert rep.recon_residual <= 1e-14
 
     def test_budget_500_randoms(self, rng):
@@ -580,6 +583,18 @@ class TestTypeOne:
                 assert rep.term_count <= d.term_budget, (name, scale)
                 assert rep.coeff_sum <= d.coeff_budget + 1e-9, (name, scale)
                 assert rep.recon_residual <= 1e-9 * max(1, scale), (name, scale)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e160])
+    def test_relative_recon_at_huge_scale(self, scale):
+        # relative error measured on the unscaled sum, so no norm of the
+        # huge matrices is formed here
+        from unispan.algebra import random_complement_element
+
+        spec = TypeISubalgebraSpec.of_blocks([(2, [2]), (2, [2])])
+        x = random_complement_element(spec, 3)
+        d = type_one_decomp(spec, scale * x)
+        recon = sum((t.coeff / scale) * t.unitary for t in d.terms)
+        assert linalg.hs_norm(recon - x) <= 1e-13 * linalg.hs_norm(x)
 
     def test_unsupported_rules(self):
         with pytest.raises(UnsupportedConfiguration) as exc:

@@ -1,8 +1,12 @@
 """Numeric-core tests.
 
-Oracle policy: everything the Jacobi eigensolver feeds is cross-checked
-against numpy.linalg (eigvalsh / svd / matrix_rank), which shares no code
-with the sweep kernel.
+Oracle policy: ``hermitian_eig`` and ``operator_norm`` are thin wrappers
+over numpy.linalg, so comparing them with eigvalsh / svd / matrix_rank
+only checks the wrapping (symmetrization, ordering, the norm taken on
+``x`` rather than ``x* x``).  The oracle-free checks carry the weight:
+reconstruction ``v diag(w) v* = h`` and orthonormality ``v* v = 1`` over
+1000 random Hermitian matrices, and the defect identity
+``r**2 + h**2 = 1`` with ``h r = r h`` for ``r = sqrt_defect(h)``.
 """
 
 import numpy as np
@@ -62,6 +66,11 @@ class TestOperatorNorm:
 
     def test_diagonal(self):
         assert linalg.operator_norm(np.diag([0.5, -0.5])) == pytest.approx(0.5, abs=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e-100, 1e100, 1e160, 1e200])
+    def test_nilpotent_at_extreme_scales(self, scale):
+        x = scale * np.array([[0, 2], [0, 0]], dtype=complex)
+        assert abs(linalg.operator_norm(x) - 2 * scale) <= 1e-15 * 2 * scale
 
     def test_against_svd_oracle(self, rng):
         for _ in range(50):
@@ -236,25 +245,3 @@ def test_hs_norm_matches_trace_identity(re, im):
     rhs = linalg.normalized_trace(x.conj().T @ x).real
     assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
-
-def test_backends_agree(rng):
-    from unispan import _jacobi_py
-
-    try:
-        from unispan import _jacobi
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    for _ in range(20):
-        n = int(rng.integers(2, 25))
-        h = random_hermitian(rng, n)
-        results = []
-        for kernel in (_jacobi, _jacobi_py):
-            hw = np.ascontiguousarray(h.copy())
-            v = np.eye(n, dtype=np.complex128)
-            kernel.jacobi_sweeps(hw, v, 0.5e-12, 60)
-            w = np.sort(hw.diagonal().real)
-            results.append((w, v))
-            recon = linalg.hs_norm(v @ np.diag(hw.diagonal().real) @ v.conj().T - h)
-            assert recon <= 1e-12 * linalg.hs_norm(h)
-        scale = max(1.0, np.abs(results[0][0]).max())
-        np.testing.assert_allclose(results[0][0], results[1][0], atol=1e-12 * scale)

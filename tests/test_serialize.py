@@ -59,6 +59,11 @@ class TestMatrixRoundTrip:
         with pytest.raises(ParseError):
             matrix_from_json([1, 2])
 
+    def test_non_finite_rejected(self):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ParseError):
+                matrix_from_json({"re": [[1.0]], "im": [[bad]]})
+
 
 class TestSpecRoundTrip:
     def test_plain(self):
