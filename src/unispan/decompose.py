@@ -10,13 +10,17 @@ with a fixed-point-free block pattern, and padding always comes in
 ``(+v, -v)`` pairs so it cancels in the reconstruction without ever leaving
 the complement.
 
+:func:`type_one_decomp` is the one entry point for every supported spec:
+it decomposes inside each atom, completes those terms across the other
+atoms, and carries the cross-atom part on block permutations.
+
 :func:`verify_decomposition` is the independent check; it recomputes the
 sum directly and shares nothing with the construction beyond the numeric
 kernels.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -583,125 +587,6 @@ def amplify_entry(entry_decomp: Decomposition, k: int, position, v_pad) -> Decom
 # the class-by-class complement decompositions
 
 
-def _require_membership(spec, x, in_tol):
-    resid = algebra.membership_residual(spec, x)
-    if resid > in_tol * max(1.0, hs_norm(x)):
-        raise NotInComplement(
-            f"conditional expectation has norm {resid:.3e}; project the input first"
-        )
-
-
-def _standard_form(spec, x):
-    w = spec.conjugation
-    if w is None:
-        return spec, x, None
-    return replace(spec, conjugation=None), w.conj().T @ x @ w, w
-
-
-def _atom_compressions(x, atoms):
-    comps = {}
-    for a in atoms:
-        comps[(a.block, a.atom)] = x[np.ix_(a.indices, a.indices)]
-    return comps
-
-
-def _cross_part(x, atoms, comps):
-    out = x.copy()
-    for a in atoms:
-        out[np.ix_(a.indices, a.indices)] -= comps[(a.block, a.atom)]
-    return out
-
-
-def _completion_raw(atom, corner_terms, rest_witness, stage):
-    out = []
-    for c, w, _, _ in corner_terms:
-        for sign in (1.0, -1.0):
-            u = sign * rest_witness.copy()
-            u[np.ix_(atom.indices, atom.indices)] = w
-            out.append((c / 2.0, u, Provenance.ATOMIC, stage))
-    return out
-
-
-def _abelian_raw(cls: SpecClass, x):
-    atoms = cls.atoms
-    n = cls.n
-    comps = _atom_compressions(x, atoms)
-    terms = []
-    for a in atoms:
-        if a.m < 2:
-            continue
-        comp = comps[(a.block, a.atom)]
-        if not np.any(comp):
-            continue
-        corner_terms = _scalar_case_raw(comp)
-        if not corner_terms:
-            continue
-        rest = [b for b in atoms if b is not a]
-        pad = _witness_on(n, rest)
-        if pad is None:
-            raise UnsupportedConfiguration(
-                "isolated-even-atom",
-                "no complement unitary exists on the remaining atoms",
-            )
-        terms.extend(
-            _completion_raw(a, corner_terms, pad, f"atom-completion({a.atom})")
-        )
-    cross = _cross_part(x, atoms, comps)
-    if np.any(cross):
-        g = math.gcd(*[a.m for a in atoms]) if len(atoms) > 1 else atoms[0].m
-        pieces = []
-        for a in atoms:
-            for start in range(0, a.m, g):
-                pieces.append(a.indices[start : start + g])
-        terms.extend(_zero_piece_raw(cross, pieces, GENERAL))
-    return terms
-
-
-def _abelian_budgets(cls: SpecClass):
-    even = sum(1 for a in cls.atoms if a.m >= 2)
-    g = math.gcd(*[a.m for a in cls.atoms]) if len(cls.atoms) > 1 else cls.atoms[0].m
-    pieces = cls.n // g
-    return (
-        2 * _SCALAR_TERM_BOUND * even + 8 * pieces * (pieces - 1),
-        _SCALAR_COEFF_FACTOR * even + 2.0 * pieces * (pieces - 1),
-    )
-
-
-def atomic_abelian_decomp(spec: TypeISubalgebraSpec, x, in_tol: float = 1e-9) -> Decomposition:
-    """Decompose against an atomic abelian subalgebra (masa or even atoms).
-
-    Even-rank atoms get the trace-zero scalar construction on their
-    compression, completed to full-space unitaries with complement
-    witnesses on the remaining atoms; cross-atom parts ride on
-    zero-piece-diagonal block permutations at the gcd piece size.
-    """
-    x = as_matrix(x)
-    cls = algebra.validate_spec(spec, x.shape[0])
-    if cls.kind not in (ClassKind.C1_MASA, ClassKind.C3_ATOMIC_ABELIAN):
-        raise UnsupportedConfiguration(
-            cls.reason or "not-atomic-abelian", cls.detail
-        )
-    _require_membership(spec, x, in_tol)
-    std_spec, x_std, w = _standard_form(spec, x)
-    std_cls = algebra.validate_spec(std_spec, x.shape[0])
-    raw = _abelian_raw(std_cls, x_std)
-    if w is not None:
-        raw = _conjugate_terms(raw, w)
-    tb, cf = _abelian_budgets(std_cls)
-    return _assemble(spec, x, raw, term_budget=tb,
-                     coeff_budget=cf * max(1.0, operator_norm(x)))
-
-
-def abelian_decomp(spec: TypeISubalgebraSpec, x, in_tol: float = 1e-9) -> Decomposition:
-    """Decompose against an abelian subalgebra.
-
-    Finite abelian algebras are atomic, so this dispatches to
-    :func:`atomic_abelian_decomp`; it exists as a named stage so the mixed
-    multiplicity-1 / even-atom case is individually addressable.
-    """
-    return atomic_abelian_decomp(spec, x, in_tol=in_tol)
-
-
 def _single_block_raw(k, m, x):
     """Factor-entrywise decomposition inside one atom ``M_k (x) C*1_m``."""
     terms = []
@@ -719,58 +604,57 @@ def _single_block_raw(k, m, x):
 
 
 def _type_one_raw(cls: SpecClass, x):
-    if cls.kind in (ClassKind.C1_MASA, ClassKind.C3_ATOMIC_ABELIAN):
-        return _abelian_raw(cls, x)
+    """The construction behind :func:`type_one_decomp`, in standard position.
+
+    Pieces of size ``gcd`` of the atom dimensions tile every atom: c1/c3
+    atoms have ``k = 1`` and c4 atoms one common dimension.
+    """
     atoms = cls.atoms
-    n = cls.n
     if cls.kind is ClassKind.C2_SINGLE_ATOM:
-        a = atoms[0]
-        return _single_block_raw(a.k, a.m, x)
-    # C4: homogeneous atoms, within-atom content then atom-level cross terms
-    comps = _atom_compressions(x, atoms)
+        return _single_block_raw(atoms[0].k, atoms[0].m, x)
     terms = []
+    cross = x.copy()
     for a in atoms:
-        if a.m < 2:
-            continue
-        comp = comps[(a.block, a.atom)]
-        if not np.any(comp):
+        block = np.ix_(a.indices, a.indices)
+        comp = x[block]
+        cross[block] = 0.0
+        if a.m < 2 or not np.any(comp):
             continue
         atom_terms = _single_block_raw(a.k, a.m, comp)
         if not atom_terms:
             continue
-        rest = [b for b in atoms if b is not a]
-        pad = _witness_on(n, rest)
-        if pad is None:
+        pad = _witness_on(cls.n, [b for b in atoms if b is not a])
+        if pad is None:  # pragma: no cover - validate_spec rejects these layouts
             raise UnsupportedConfiguration(
                 "no-padding-partner",
                 "no complement unitary exists on the remaining atoms",
             )
-        terms.extend(
-            _completion_raw(a, atom_terms, pad,
-                            f"atom-completion({a.block},{a.atom})")
-        )
-    cross = _cross_part(x, atoms, comps)
+        stage = f"atom-completion({a.block},{a.atom})"
+        for c, w, _, _ in atom_terms:
+            for sign in (1.0, -1.0):
+                u = sign * pad
+                u[block] = w
+                terms.append((c / 2.0, u, Provenance.ATOMIC, stage))
     if np.any(cross):
-        pieces = [a.indices for a in atoms]
+        g = math.gcd(*[a.dim for a in atoms])
+        pieces = [a.indices[s : s + g] for a in atoms for s in range(0, a.dim, g)]
         terms.extend(_zero_piece_raw(cross, pieces, GENERAL))
     return terms
 
 
 def _type_one_budgets(cls: SpecClass):
-    if cls.kind in (ClassKind.C1_MASA, ClassKind.C3_ATOMIC_ABELIAN):
-        return _abelian_budgets(cls)
-    if cls.kind is ClassKind.C2_SINGLE_ATOM:
-        k = cls.atoms[0].k
-        if k == 1:
-            return _SCALAR_TERM_BOUND, _SCALAR_COEFF_FACTOR
-        return 2 * _SCALAR_TERM_BOUND * k * k, _SCALAR_COEFF_FACTOR * k * k
-    d = len(cls.atoms)
-    tb = 8 * d * (d - 1)
-    cf = 2.0 * d * (d - 1)
+    """Static ``(term, coefficient-per-unit-norm)`` bounds of
+    :func:`_type_one_raw`: ``p`` gcd pieces cost ``8p(p-1)`` terms and
+    ``2p(p-1)`` coefficient mass, each even atom its inner bound (doubled by
+    the completion pairs unless it is the only atom) and ``18 k**2``."""
+    p = cls.n // math.gcd(*[a.dim for a in cls.atoms])
+    pairs = 1 if cls.kind is ClassKind.C2_SINGLE_ATOM else 2
+    tb = 8 * p * (p - 1)
+    cf = 2.0 * p * (p - 1)
     for a in cls.atoms:
         if a.m >= 2:
             inner = _SCALAR_TERM_BOUND if a.k == 1 else 2 * _SCALAR_TERM_BOUND * a.k**2
-            tb += 2 * inner
+            tb += pairs * inner
             cf += _SCALAR_COEFF_FACTOR * a.k**2
     return tb, cf
 
@@ -778,24 +662,29 @@ def _type_one_budgets(cls: SpecClass):
 def type_one_decomp(spec: TypeISubalgebraSpec, x, in_tol: float = 1e-9) -> Decomposition:
     """Decompose a complement element against any supported type I spec.
 
-    Master dispatcher: masa and atomic abelian specs go through the
-    abelian path, a single even atom through the factor-entrywise scalar
-    construction, and homogeneous multi-atom specs combine per-atom
-    constructions (padded across atoms in cancelling pairs) with atom-level
-    block permutations for the cross parts.  A conjugation, when present,
-    is applied at the boundary.
+    One path for every class: a single even atom (c2) takes the
+    factor-entrywise scalar construction directly; masa, atomic abelian and
+    homogeneous multi-atom specs (c1, c3, c4) decompose inside each even
+    atom, complete those terms across the other atoms in cancelling pairs
+    (stage ``atom-completion(block,atom)``) and carry the cross-atom part on
+    block permutations over pieces of size ``gcd`` of the atom dimensions.
+    A conjugation, when present, is applied at the boundary.
     """
     x = as_matrix(x)
     cls = algebra.validate_spec(spec, x.shape[0])
     if not cls.supported:
         raise UnsupportedConfiguration(cls.reason or "unsupported", cls.detail)
-    _require_membership(spec, x, in_tol)
-    std_spec, x_std, w = _standard_form(spec, x)
-    std_cls = algebra.validate_spec(std_spec, x.shape[0])
-    raw = _type_one_raw(std_cls, x_std)
-    if w is not None:
-        raw = _conjugate_terms(raw, w)
-    tb, cf = _type_one_budgets(std_cls)
+    resid = algebra.membership_residual(spec, x)
+    if resid > in_tol * max(1.0, hs_norm(x)):
+        raise NotInComplement(
+            f"conditional expectation has norm {resid:.3e}; project the input first"
+        )
+    w = spec.conjugation
+    if w is None:
+        raw = _type_one_raw(cls, x)
+    else:
+        raw = _conjugate_terms(_type_one_raw(cls, w.conj().T @ x @ w), w)
+    tb, cf = _type_one_budgets(cls)
     return _assemble(spec, x, raw, term_budget=tb,
                      coeff_budget=cf * max(1.0, operator_norm(x)))
 

@@ -8,6 +8,7 @@ All norms written ``||.||_2`` are Hilbert-Schmidt norms taken with the
 dimension.  Every function is pure: inputs are never mutated.
 """
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -48,9 +49,23 @@ def hs_inner(x, y) -> complex:
 
 
 def hs_norm(x) -> float:
-    """Hilbert-Schmidt norm induced by :func:`hs_inner`."""
-    x = as_matrix(x)
-    return float(np.sqrt(np.sum(np.abs(x) ** 2) / x.shape[0]))
+    """Hilbert-Schmidt norm induced by :func:`hs_inner`.
+
+    Entries are scaled by the power of two that brings the largest modulus
+    into ``[1/2, 1)`` before squaring, so no square overflows and the
+    largest ones do not underflow at any finite scale.  The scaling is
+    exact, so wherever the unscaled sum neither overflows nor underflows
+    the result is bit-identical to it.
+    A zero, NaN or infinite largest modulus is returned unchanged.
+    """
+    a = np.abs(as_matrix(x))
+    top = float(a.max())
+    if top == 0.0 or not math.isfinite(top):
+        return top
+    # subnormal maxima scale like the smallest normal one: 2**1021 is exact
+    e = max(math.frexp(top)[1], -1021)
+    a *= math.ldexp(1.0, -e)
+    return math.ldexp(float(np.sqrt(np.sum(a * a) / a.shape[0])), e)
 
 
 def adjoint(x) -> np.ndarray:

@@ -201,15 +201,20 @@ def report_to_json(rep: VerificationReport) -> dict:
 
 def report_from_json(obj) -> VerificationReport:
     try:
-        return VerificationReport(
+        rep = VerificationReport(
             recon_residual=float(obj["recon_residual"]),
             max_unitarity_residual=float(obj["max_unitarity_residual"]),
             max_membership_residual=float(obj["max_membership_residual"]),
             term_count=int(obj["term_count"]),
             coeff_sum=float(obj["coeff_sum"]),
         )
-    except (TypeError, KeyError, ValueError):
+    except (TypeError, KeyError, ValueError, OverflowError):
         raise ParseError("report: malformed verification report") from None
+    # an infinite stored value would match any recomputed one in reverify
+    if not all(map(math.isfinite, (rep.recon_residual, rep.max_unitarity_residual,
+                                   rep.max_membership_residual, rep.coeff_sum))):
+        raise ParseError("report: residuals and coefficient sum must be finite")
+    return rep
 
 
 def decomposition_to_json(d: Decomposition, report: Optional[VerificationReport] = None) -> dict:
@@ -234,20 +239,36 @@ def decomposition_to_json(d: Decomposition, report: Optional[VerificationReport]
     return doc
 
 
+def _finite(value, what: str) -> float:
+    """``value`` as a finite float; :class:`ParseError` for anything else."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            out = float(value)
+        except OverflowError:
+            out = math.inf
+        if math.isfinite(out):
+            return out
+    raise ParseError(f"decomposition: {what} must be a finite number")
+
+
 def decomposition_from_json(obj):
     """Parse a decomposition file into ``(decomposition, stored_report)``."""
     if not isinstance(obj, dict) or "terms" not in obj or "target" not in obj:
         raise ParseError("decomposition: missing 'terms' or 'target'")
+    if not isinstance(obj["terms"], list):
+        raise ParseError("decomposition: 'terms' must be a list")
     spec = spec_from_json(obj["spec"]) if obj.get("spec") is not None else None
     target = matrix_from_json(obj["target"], "target")
     terms = []
     for i, t in enumerate(obj["terms"]):
         try:
-            coeff = complex(float(t["coeff"]["re"]), float(t["coeff"]["im"]))
+            re, im = t["coeff"]["re"], t["coeff"]["im"]
             prov = Provenance(t["provenance"])
             stage = str(t.get("stage", ""))
         except (TypeError, KeyError, ValueError):
             raise ParseError(f"decomposition: malformed term {i}") from None
+        coeff = complex(_finite(re, f"term {i} coefficient"),
+                        _finite(im, f"term {i} coefficient"))
         u = matrix_from_json(t["unitary"], f"term {i} unitary")
         if u.shape != target.shape:
             raise ParseError(f"decomposition: term {i} dimension mismatch")
@@ -258,8 +279,9 @@ def decomposition_from_json(obj):
         spec,
         target,
         tuple(terms),
-        term_budget=int(budget) if budget is not None else None,
-        coeff_budget=float(coeff_budget) if coeff_budget is not None else None,
+        term_budget=int(_finite(budget, "'term_budget'")) if budget is not None else None,
+        coeff_budget=(_finite(coeff_budget, "'coeff_budget'")
+                      if coeff_budget is not None else None),
     )
     report = report_from_json(obj["report"]) if "report" in obj else None
     return d, report

@@ -4,6 +4,7 @@ stdout is valid JSON."""
 import json
 
 import numpy as np
+import pytest
 
 from unispan import cli
 from unispan.algebra import TypeISubalgebraSpec, conditional_expectation
@@ -195,6 +196,32 @@ class TestExitCodes:
         doc = json.loads(dec.read_text())
         doc["terms"][0]["unitary"]["im"][0][0] = float("nan")
         dec.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", "--in", str(dec))
+        assert code == 2
+        assert json.loads(out)["error"] == "parse"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["terms"][0]["coeff"].update(re=float("nan")),
+            lambda doc: doc.update(term_budget="x"),
+            lambda doc: doc.update(terms=5),
+            lambda doc: doc.update(coeff_budget=float("nan")),
+            lambda doc: doc["report"].update(coeff_sum=float("inf")),
+            lambda doc: doc["report"].update(term_count=float("inf")),
+        ],
+        ids=["nan-coeff", "string-term-budget", "non-list-terms", "nan-coeff-budget",
+             "inf-report-coeff-sum", "inf-report-term-count"],
+    )
+    def test_malformed_stored_decomposition_is_two(self, capsys, tmp_path, edit):
+        inst = tmp_path / "inst.json"
+        run_cli(capsys, "random-instance", "--class", "c1", "--n", "3",
+                "--seed", "2", "--out", str(inst))
+        dec = tmp_path / "dec.json"
+        run_cli(capsys, "decompose", "--in", str(inst), "--out", str(dec))
+        doc = json.loads(dec.read_text())
+        edit(doc)
+        dec.write_text(json.dumps(doc))  # json writes NaN tokens
         code, out, _ = run_cli(capsys, "verify", "--in", str(dec))
         assert code == 2
         assert json.loads(out)["error"] == "parse"

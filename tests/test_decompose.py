@@ -22,9 +22,7 @@ from unispan.decompose import (
     Decomposition,
     Provenance,
     UnitaryTerm,
-    abelian_decomp,
     amplify_entry,
-    atomic_abelian_decomp,
     canonical_trace_zero_unitary,
     four_unitary,
     lex_derangement,
@@ -447,7 +445,7 @@ class TestAtomicAbelian:
     def test_two_even_atoms_exact(self):
         spec = TypeISubalgebraSpec.atoms((2, 2))
         x = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
-        d = atomic_abelian_decomp(spec, x)
+        d = type_one_decomp(spec, x)
         assert_terms_equal(
             d,
             [(0.5, np.diag([1.0, -1, 1, -1])), (0.5, np.diag([1.0, -1, -1, 1]))],
@@ -469,31 +467,35 @@ class TestAtomicAbelian:
         spec = TypeISubalgebraSpec.atoms((2, 4))
         for seed in range(5):
             x = random_complement_element(spec, seed)
-            d = atomic_abelian_decomp(spec, x)
+            d = type_one_decomp(spec, x)
             rep = verify_decomposition(spec, x, d)
             assert rep.recon_residual <= 1e-10
             assert rep.max_unitarity_residual <= 1e-10
             assert rep.max_membership_residual <= 1e-10
 
-    def test_abelian_dispatch_identity(self, rng):
-        from unispan.algebra import random_complement_element
-
-        spec = TypeISubalgebraSpec.atoms((1, 1, 2))
-        x = random_complement_element(spec, 9)
-        a = atomic_abelian_decomp(spec, x)
-        b = abelian_decomp(spec, x)
-        assert term_map(a) == term_map(b)
-
     def test_rejects_algebra_elements(self):
         spec = TypeISubalgebraSpec.atoms((2, 2))
         with pytest.raises(NotInComplement):
-            abelian_decomp(spec, np.diag([1.0, 1.0, -1.0, -1.0]))
+            type_one_decomp(spec, np.diag([1.0, 1.0, -1.0, -1.0]))
 
     def test_rejects_unsupported(self, rng):
         spec = TypeISubalgebraSpec.atoms((3, 3))
         with pytest.raises(UnsupportedConfiguration) as exc:
-            atomic_abelian_decomp(spec, np.zeros((6, 6)))
+            type_one_decomp(spec, np.zeros((6, 6)))
         assert exc.value.rule == "odd-atom-rank"
+
+    def test_one_dimensional_masa_is_empty(self):
+        d = type_one_decomp(TypeISubalgebraSpec.masa(1), [[0]])
+        assert d.terms == ()
+        assert (d.term_budget, d.coeff_budget) == (0, 0.0)
+
+    def test_completion_stages_name_block_and_atom(self):
+        from unispan.algebra import random_complement_element
+
+        spec = TypeISubalgebraSpec.of_blocks([(1, [2]), (1, [2])])
+        d = type_one_decomp(spec, random_complement_element(spec, 1))
+        stages = {t.stage for t in d.terms if t.provenance is Provenance.ATOMIC}
+        assert stages == {"atom-completion(0,0)", "atom-completion(1,0)"}
 
 
 class TestTypeOne:

@@ -56,6 +56,12 @@ class TestHSInner:
             linalg.hs_inner(np.eye(2), np.eye(3))
 
 
+class TestHSNorm:
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+    def test_identity_at_extreme_scales(self, scale):
+        assert abs(linalg.hs_norm(scale * np.eye(2)) - scale) <= 1e-15 * scale
+
+
 class TestOperatorNorm:
     def test_identity(self):
         assert linalg.operator_norm(np.eye(4)) == pytest.approx(1, abs=1e-12)
@@ -132,6 +138,11 @@ class TestHermitianEig:
     def test_rejects_non_selfadjoint(self):
         with pytest.raises(NotSelfAdjoint):
             linalg.hermitian_eig([[0, 1], [0, 0]])
+
+    def test_rejects_non_selfadjoint_at_huge_scale(self):
+        # the gate's norms must not overflow to inf > tol * inf
+        with pytest.raises(NotSelfAdjoint):
+            linalg.hermitian_eig(1e160 * np.array([[0, 1], [0, 0]]))
 
 
 class TestSqrtDefect:
