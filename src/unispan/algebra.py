@@ -251,19 +251,24 @@ def validate_spec(spec: TypeISubalgebraSpec, n: int) -> SpecClass:
 def _expect_standard(spec: TypeISubalgebraSpec, x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     for a in atom_layouts(spec):
-        sub = x[np.ix_(a.indices, a.indices)].reshape(a.k, a.m, a.k, a.m)
-        partial = np.einsum("atbt->ab", sub) / a.m
-        out[np.ix_(a.indices, a.indices)] = np.kron(partial, np.eye(a.m))
+        rows, cols = a.indices[:, None], a.indices
+        sub = x[..., rows, cols].reshape(x.shape[:-2] + (a.k, a.m, a.k, a.m))
+        partial = np.einsum("...atbt->...ab", sub) / a.m
+        out[..., rows, cols] = np.kron(partial, np.eye(a.m))
     return out
 
 
 def conditional_expectation(spec: TypeISubalgebraSpec, x) -> np.ndarray:
-    """Trace-preserving conditional expectation of ``x`` onto the subalgebra."""
-    x = as_matrix(x)
-    if x.shape[0] != spec.dimension:
-        raise DimensionMismatch(
-            f"matrix is {x.shape[0]}x{x.shape[0]}, spec covers {spec.dimension}"
-        )
+    """Trace-preserving conditional expectation of ``x`` onto the subalgebra.
+
+    ``x`` is one ``n x n`` matrix or a stack of shape ``(..., n, n)``; a
+    stack maps matrix by matrix, with the same result as one call per
+    matrix.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    n = spec.dimension
+    if x.ndim < 2 or x.shape[-2:] != (n, n):
+        raise DimensionMismatch(f"expected shape (..., {n}, {n}), got {x.shape}")
     w = spec.conjugation
     if w is None:
         return _expect_standard(spec, x)
@@ -272,7 +277,7 @@ def conditional_expectation(spec: TypeISubalgebraSpec, x) -> np.ndarray:
 
 def complement_project(spec: TypeISubalgebraSpec, x) -> np.ndarray:
     """Orthogonal projection onto the complement: ``x - E(x)``."""
-    x = as_matrix(x)
+    x = np.asarray(x, dtype=np.complex128)
     return x - conditional_expectation(spec, x)
 
 
@@ -291,17 +296,13 @@ def complement_basis(spec: TypeISubalgebraSpec, rank_tol: float = RANK_TOL) -> l
     """
     n = spec.dimension
     basis = []
-    for i in range(n):
-        for j in range(n):
-            unit = np.zeros((n, n), dtype=np.complex128)
-            unit[i, j] = 1.0
-            v = complement_project(spec, unit)
-            for _ in range(2):
-                for b in basis:
-                    v = v - hs_inner(v, b) * b
-            norm = hs_norm(v)
-            if norm > rank_tol:
-                basis.append(v / norm)
+    for v in complement_project(spec, np.eye(n * n).reshape(n * n, n, n)):
+        for _ in range(2):
+            for b in basis:
+                v = v - hs_inner(v, b) * b
+        norm = hs_norm(v)
+        if norm > rank_tol:
+            basis.append(v / norm)
     expected = n * n - algebra_dimension(spec)
     if len(basis) != expected:
         raise ArithmeticError(

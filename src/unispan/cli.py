@@ -8,6 +8,7 @@ or usage errors, 3 unsupported subalgebra configuration.
 """
 
 import argparse
+import math
 import sys
 
 from . import algebra, selftest
@@ -112,6 +113,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="-", help="output file ('-' for stdout)")
 
 
+def _check_tolerances(args) -> None:
+    for flag, value in (("--tol", args.tol), ("--rank-tol", args.rank_tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ParseError(f"{flag} must be finite and > 0, got {value}")
+
+
 def _cmd_decompose(args) -> int:
     spec, matrix, _ = instance_from_json(canonical_loads(_read_text(args.infile)))
     doc, ok = run_decompose(spec, matrix, recon_tol=args.tol, term_tol=args.tol / 10)
@@ -163,6 +170,8 @@ def _cmd_random_instance(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if not selftest.spec_grid(args.max_n):
+        raise ParseError(f"--max-n {args.max_n} leaves no grid spec")
     results = selftest.run_selftest(
         seed=args.seed,
         max_n=args.max_n,
@@ -230,6 +239,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_tolerances(args)
         return args.fn(args)
     except UnsupportedConfiguration as exc:
         doc = {"error": "unsupported", "rule": exc.rule, "detail": exc.detail}
@@ -240,7 +250,7 @@ def main(argv=None) -> int:
         sys.stdout.write(canonical_dumps({"error": "parse", "detail": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except UnispanError as exc:
+    except (UnispanError, ArithmeticError) as exc:
         sys.stdout.write(canonical_dumps({"error": "failed", "detail": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL

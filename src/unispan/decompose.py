@@ -761,6 +761,11 @@ def masa_quadrant_decomp(x, in_tol: float = 1e-10) -> Decomposition:
 # independent verification
 
 
+def _max_hs_norm(stack) -> float:
+    """Largest per-matrix ``hs_norm`` of a stack; 0.0 for an empty stack."""
+    return max([0.0, *map(hs_norm, stack)])
+
+
 def verify_decomposition(spec, x, d: Decomposition) -> VerificationReport:
     """Recompute the sum and all residuals of a decomposition from scratch.
 
@@ -768,23 +773,20 @@ def verify_decomposition(spec, x, d: Decomposition) -> VerificationReport:
     checked through the conditional expectation.
     """
     x = as_matrix(x)
-    total = np.zeros_like(x)
-    max_unit = 0.0
+    us = [as_matrix(t.unitary) for t in d.terms]
+    if any(u.shape != x.shape for u in us):
+        raise DimensionMismatch("term dimension differs from the target")
+    us = np.array(us, dtype=np.complex128).reshape((len(us),) + x.shape)
+    coeffs = np.array([t.coeff for t in d.terms], dtype=np.complex128)
+    recon = hs_norm(np.sum(coeffs[:, None, None] * us, axis=0) - x)
+    max_unit = _max_hs_norm(np.swapaxes(us.conj(), -1, -2) @ us - np.eye(x.shape[0]))
     max_member = 0.0
-    coeff_sum = 0.0
-    for t in d.terms:
-        u = as_matrix(t.unitary)
-        if u.shape != x.shape:
-            raise DimensionMismatch("term dimension differs from the target")
-        total = total + t.coeff * u
-        max_unit = max(max_unit, unitarity_residual(u))
-        if spec is not None:
-            max_member = max(max_member, algebra.membership_residual(spec, u))
-        coeff_sum += abs(t.coeff)
+    if spec is not None:
+        max_member = _max_hs_norm(algebra.conditional_expectation(spec, us))
     return VerificationReport(
-        recon_residual=hs_norm(total - x),
+        recon_residual=recon,
         max_unitarity_residual=max_unit,
         max_membership_residual=max_member,
         term_count=len(d.terms),
-        coeff_sum=coeff_sum,
+        coeff_sum=d.coeff_sum,
     )

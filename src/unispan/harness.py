@@ -17,8 +17,8 @@ from .decompose import (
     verify_decomposition,
 )
 from .errors import UnsupportedConfiguration
-from .linalg import RANK_TOL, gram_rank, hs_norm
-from .serialize import decomposition_to_json, instance_to_json, spec_to_json
+from .linalg import RANK_TOL, as_matrix, gram_rank, hs_norm
+from .serialize import decomposition_to_json, instance_to_json, report_to_json, spec_to_json
 
 
 def report_within(rep: VerificationReport, recon_tol: float, term_tol: float) -> bool:
@@ -37,8 +37,9 @@ def run_decompose(spec: TypeISubalgebraSpec, matrix,
     (terms, verification report, projection residual) and ``ok`` says
     whether every residual is within tolerance.
     """
-    x = algebra.complement_project(spec, matrix)
-    projection_residual = algebra.membership_residual(spec, matrix)
+    e = algebra.conditional_expectation(spec, matrix)
+    x = as_matrix(matrix) - e
+    projection_residual = hs_norm(e)
     d = type_one_decomp(spec, x, in_tol=1e-6)
     rep = verify_decomposition(spec, x, d)
     ok = report_within(rep, recon_tol, term_tol)
@@ -72,17 +73,7 @@ class SpanCertificate:
             "gram_rank": self.gram_rank,
             "expected_rank": self.expected_rank,
             "pass": self.passed,
-            "residual_summary": {
-                "recon_residual": float(self.residual_summary.recon_residual),
-                "max_unitarity_residual": float(
-                    self.residual_summary.max_unitarity_residual
-                ),
-                "max_membership_residual": float(
-                    self.residual_summary.max_membership_residual
-                ),
-                "term_count": int(self.residual_summary.term_count),
-                "coeff_sum": float(self.residual_summary.coeff_sum),
-            },
+            "residual_summary": report_to_json(self.residual_summary),
         }
 
 

@@ -68,24 +68,11 @@ def hs_norm(x) -> float:
     return math.ldexp(float(np.sqrt(np.sum(a * a) / a.shape[0])), e)
 
 
-def adjoint(x) -> np.ndarray:
-    return as_matrix(x).conj().T
-
-
-def is_selfadjoint(x, tol: float = 1e-10) -> bool:
-    x = as_matrix(x)
-    return hs_norm(x - x.conj().T) <= tol
-
-
 def unitarity_residual(x) -> float:
     """``||x* x - 1||_2``; zero exactly when ``x`` is unitary."""
     x = as_matrix(x)
     n = x.shape[0]
     return hs_norm(x.conj().T @ x - np.eye(n))
-
-
-def is_unitary(x, tol: float = 1e-10) -> bool:
-    return unitarity_residual(x) <= tol
 
 
 class HermEig(NamedTuple):

@@ -196,6 +196,24 @@ class TestConditionalExpectation:
         a = random_algebra_element(spec, 3)
         assert linalg.hs_norm(conditional_expectation(spec, a) - a) <= 1e-12
 
+    def test_stack_matches_per_matrix(self, rng):
+        for spec in (
+            TypeISubalgebraSpec.of_blocks([(2, [2]), (2, [2])]),
+            TypeISubalgebraSpec.of_blocks([(1, [2, 4])], conjugation=random_unitary(rng, 6)),
+        ):
+            n = spec.dimension
+            xs = random_complex(rng, (2, 3, n, n))
+            stacked = conditional_expectation(spec, xs)
+            assert stacked.shape == xs.shape
+            for i, j in np.ndindex(2, 3):
+                assert np.array_equal(stacked[i, j], conditional_expectation(spec, xs[i, j]))
+
+    def test_shape_mismatch_raises(self):
+        spec = TypeISubalgebraSpec.masa(3)
+        for x in (np.zeros((4, 4)), np.zeros((2, 3, 4)), np.zeros(3)):
+            with pytest.raises(DimensionMismatch):
+                conditional_expectation(spec, x)
+
     def test_entrywise_factor_units(self, rng):
         # For a factor block, a single factor-cell embedding lies in the
         # complement exactly when the embedded entry is trace-free on every

@@ -226,6 +226,25 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"] == "parse"
 
+    @pytest.mark.parametrize("argv", [
+        ("spancert", "--class", "c1", "--n", "3", "--rank-tol", "-1"),
+        ("spancert", "--class", "c1", "--n", "3", "--rank-tol", "nan"),
+        ("spancert", "--class", "c1", "--n", "3", "--tol", "0"),
+        ("spancert", "--class", "c1", "--n", "3", "--tol", "inf"),
+        ("selftest", "--max-n", "1"),
+    ])
+    def test_bad_tolerance_or_empty_grid_is_two(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == "parse"
+
+    def test_arithmetic_failure_is_one(self, capsys):
+        # a rank tolerance above every projected unit leaves the basis short
+        code, out, _ = run_cli(capsys, "spancert", "--class", "c1", "--n", "3",
+                               "--rank-tol", "10")
+        assert code == 1
+        assert json.loads(out)["error"] == "failed"
+
     def test_missing_file_is_two(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "--in", "/nonexistent.json")
         assert code == 2

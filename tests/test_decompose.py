@@ -22,6 +22,7 @@ from unispan.decompose import (
     Decomposition,
     Provenance,
     UnitaryTerm,
+    VerificationReport,
     amplify_entry,
     canonical_trace_zero_unitary,
     four_unitary,
@@ -39,6 +40,7 @@ from unispan.decompose import (
 from unispan.errors import (
     BadPosition,
     DiagonalNotZero,
+    DimensionMismatch,
     NotDivisibleBy4,
     NotInComplement,
     NotTraceZero,
@@ -625,9 +627,24 @@ class TestVerify:
 
     def test_empty_decomposition_of_zero(self):
         d = Decomposition(None, np.zeros((2, 2), dtype=complex), ())
-        rep = verify_decomposition(None, np.zeros((2, 2)), d)
+        for spec in (None, TypeISubalgebraSpec.masa(2)):
+            rep = verify_decomposition(spec, np.zeros((2, 2)), d)
+            assert rep == VerificationReport(0.0, 0.0, 0.0, 0, 0.0)
+
+    def test_flags_term_inside_algebra(self):
+        d = hand_decomposition([(0.5, S), (0.5, T), (1.0, np.eye(2))])
+        rep = verify_decomposition(TypeISubalgebraSpec.masa(2), d.target, d)
+        assert rep.max_membership_residual == 1.0
         assert rep.recon_residual == 0
-        assert rep.term_count == 0
+
+    def test_term_shape_differs_from_target(self):
+        d = Decomposition(
+            None,
+            np.zeros((2, 2), dtype=complex),
+            (UnitaryTerm(1.0, np.eye(3, dtype=complex), Provenance.MASTER),),
+        )
+        with pytest.raises(DimensionMismatch):
+            verify_decomposition(None, np.zeros((2, 2)), d)
 
 
 class TestFaultInjection:

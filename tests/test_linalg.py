@@ -184,19 +184,6 @@ class TestSqrtDefect:
             linalg.sqrt_defect([[0, 1], [0, 0]])
 
 
-class TestPredicates:
-    def test_selfadjoint(self, rng):
-        h = random_hermitian(rng, 4)
-        assert linalg.is_selfadjoint(h)
-        assert not linalg.is_selfadjoint(h + 1e-6 * 1j * np.eye(4))
-        assert linalg.is_selfadjoint(h + 1e-6 * 1j * np.eye(4), tol=1e-3)
-
-    def test_unitary(self, rng):
-        u = random_unitary(rng, 4)
-        assert linalg.is_unitary(u)
-        assert not linalg.is_unitary(0.999 * u)
-
-
 class TestUnitarityResidual:
     def test_identity(self):
         assert linalg.unitarity_residual(np.eye(3)) == 0
