@@ -24,7 +24,6 @@ from .decompose import (
     amplify_entry,
     four_unitary,
     masa_quadrant_decomp,
-    scalar_case_decomp,
     selfadjoint_corner_dilation,
     two_unitary_selfadjoint,
     type_one_decomp,
@@ -72,7 +71,6 @@ __all__ = [
     "normalized_trace",
     "operator_norm",
     "random_algebra_element",
-    "scalar_case_decomp",
     "selfadjoint_corner_dilation",
     "sqrt_defect",
     "trace",

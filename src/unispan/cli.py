@@ -56,6 +56,14 @@ def _emit(doc, out: str) -> None:
         write_atomic(out, text)
 
 
+def _build_spec(make, *values) -> TypeISubalgebraSpec:
+    """Construct a spec from flag values; a rejected size is a parse error."""
+    try:
+        return make(*values)
+    except UnispanError as exc:
+        raise ParseError(f"spec: {exc}") from None
+
+
 def _spec_from_args(args) -> TypeISubalgebraSpec:
     if getattr(args, "spec", None):
         obj = canonical_loads(_read_text(args.spec))
@@ -70,16 +78,17 @@ def _spec_from_args(args) -> TypeISubalgebraSpec:
                 pairs.append((int(k), [int(m)]))
         except ValueError:
             raise ParseError(f"cannot parse --blocks {args.blocks!r}") from None
-        return TypeISubalgebraSpec.of_blocks(pairs)
+        return _build_spec(TypeISubalgebraSpec.of_blocks, pairs)
     cls = getattr(args, "cls", None)
     if cls == "c1":
         if args.n is None:
             raise ParseError("--class c1 needs --n")
-        return TypeISubalgebraSpec.masa(args.n)
+        return _build_spec(TypeISubalgebraSpec.masa, args.n)
     if cls == "c2":
         if args.m is None:
             raise ParseError("--class c2 needs --m (and optionally --k)")
-        return TypeISubalgebraSpec.of_blocks([(args.k or 1, [args.m])])
+        k = 1 if args.k is None else args.k
+        return _build_spec(TypeISubalgebraSpec.of_blocks, [(k, [args.m])])
     if cls == "c3":
         if not args.atoms:
             raise ParseError("--class c3 needs --atoms, e.g. --atoms 2,4")
@@ -87,7 +96,7 @@ def _spec_from_args(args) -> TypeISubalgebraSpec:
             ranks = [int(r) for r in args.atoms.split(",")]
         except ValueError:
             raise ParseError(f"cannot parse --atoms {args.atoms!r}") from None
-        return TypeISubalgebraSpec.atoms(ranks)
+        return _build_spec(TypeISubalgebraSpec.atoms, ranks)
     if cls == "c4":
         raise ParseError("--class c4 needs --blocks, e.g. --blocks 2x2,1x4")
     raise ParseError("no subalgebra given: use --spec FILE, --class ... or --blocks ...")
@@ -170,8 +179,6 @@ def _cmd_random_instance(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    if not selftest.spec_grid(args.max_n):
-        raise ParseError(f"--max-n {args.max_n} leaves no grid spec")
     results = selftest.run_selftest(
         seed=args.seed,
         max_n=args.max_n,

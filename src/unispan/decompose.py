@@ -56,9 +56,6 @@ RECON_TOL = 1e-9
 MERGE_TOL = 1e-12
 FAST_PATH_TOL = 1e-12
 
-GENERAL = "general"
-TRACE_ZERO = "trace_zero"
-
 _FAULT_INJECTION = False
 
 
@@ -137,43 +134,42 @@ def _freeze(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _phase_canonical(u):
-    """Split ``u = phase * uc`` with the phase pinned at the first entry of
-    dominant modulus, so matrices equal up to a scalar phase share ``uc``."""
-    flat = u.ravel()
-    mags = np.abs(flat)
-    mx = float(mags.max())
-    if mx == 0.0:
-        return None, None
-    pivot = int(np.argmax(mags >= 0.5 * mx))
-    phase = flat[pivot] / abs(flat[pivot])
-    return phase, u * np.conj(phase)
-
-
-def _merge_raw(terms, merge_tol=MERGE_TOL):
+def _merge_raw(terms):
     """Merge terms whose unitaries agree up to a scalar phase.
 
-    Each cluster keeps the first term's unitary verbatim; later matches fold
-    their relative phase into the coefficient, so ``(c, -u)`` merges with
-    ``(-c, u)``.  Coefficients that cancel to noise are dropped.
+    Each unitary's phase is pinned at its first entry of dominant modulus;
+    a term joins the earliest cluster whose phase-canonical form is within
+    ``MERGE_TOL`` of its own in every entry.  A cluster keeps its first
+    term's unitary verbatim and later members fold their relative phase
+    into the coefficient, so ``(c, -u)`` merges with ``(-c, u)``.  Zero
+    unitaries and coefficients that cancel to noise are dropped.
     """
-    reps = []  # [summed coeff, verbatim unitary, phase, canonical, prov, stage]
-    for coeff, u, prov, stage in terms:
-        phase, uc = _phase_canonical(u)
-        if phase is None:
-            continue
-        for rep in reps:
-            if uc.shape == rep[3].shape and np.max(np.abs(uc - rep[3])) <= merge_tol:
-                rep[0] += coeff * phase / rep[2]
-                break
-        else:
-            reps.append([coeff, u, phase, uc, prov, stage])
-    if not reps:
+    if not terms:
         return []
-    top = max(abs(r[0]) for r in reps)
+    flat = np.array([u for _, u, _, _ in terms]).reshape(len(terms), -1)
+    mags = np.abs(flat)
+    peaks = mags.max(axis=1)
+    pivots = np.argmax(mags >= 0.5 * peaks[:, None], axis=1)
+    canon = np.empty_like(flat)  # phase-canonical rows of the clusters
+    reps = []  # [summed coeff, verbatim unitary, phase, prov, stage]
+    for (coeff, u, prov, stage), row, peak, pivot in zip(terms, flat, peaks, pivots):
+        if peak == 0.0:
+            continue
+        phase = row[pivot] / abs(row[pivot])
+        uc = row * np.conj(phase)
+        hits = np.flatnonzero(
+            np.max(np.abs(uc - canon[: len(reps)]), axis=1) <= MERGE_TOL
+        )
+        if hits.size:
+            rep = reps[hits[0]]
+            rep[0] += coeff * phase / rep[2]
+        else:
+            canon[len(reps)] = uc
+            reps.append([coeff, u, phase, prov, stage])
+    top = max((abs(r[0]) for r in reps), default=0.0)
     if top == 0.0:
         return []
-    return [(c, u, p, s) for c, u, _, _, p, s in reps if abs(c) > 1e-15 * top]
+    return [(c, u, p, s) for c, u, _, p, s in reps if abs(c) > 1e-15 * top]
 
 
 def _assemble(spec, target, raw_terms, merge=True, term_budget=None, coeff_budget=None):
@@ -309,22 +305,15 @@ def _normalize_pieces(n, pieces):
     return arrs, g
 
 
-def _zero_piece_raw(x, pieces, entry_mode, check_tol=1e-12):
+def _zero_piece_raw(x, pieces):
     n = x.shape[0]
     arrs, g = _normalize_pieces(n, pieces)
     count = len(arrs)
     scale = max(1.0, float(np.max(np.abs(x))))
     for a in arrs:
-        if np.max(np.abs(x[np.ix_(a, a)])) > check_tol * scale:
+        if np.max(np.abs(x[np.ix_(a, a)])) > 1e-12 * scale:
             raise PieceDiagonalNotZero("a piece-diagonal block is not zero")
-    if entry_mode not in (GENERAL, TRACE_ZERO):
-        raise UnispanError(f"unknown entry mode {entry_mode!r}")
-    if entry_mode == TRACE_ZERO:
-        pad = canonical_trace_zero_unitary(g) if g >= 2 else None
-        if pad is None:
-            raise OddDimension("trace-zero mode needs pieces of size >= 2")
-    else:
-        pad = np.eye(g, dtype=np.complex128)
+    pad = np.eye(g, dtype=np.complex128)
     terms = []
     for alpha in range(count):
         for beta in range(count):
@@ -333,10 +322,7 @@ def _zero_piece_raw(x, pieces, entry_mode, check_tol=1e-12):
             block = x[np.ix_(arrs[alpha], arrs[beta])]
             if not np.any(block):
                 continue
-            if entry_mode == GENERAL:
-                entry_terms = _four_unitary_raw(block)
-            else:
-                entry_terms = _scalar_case_raw(block)
+            entry_terms = _four_unitary_raw(block)
             if not entry_terms:
                 continue
             sigma = lex_derangement(count, alpha, beta)
@@ -353,31 +339,27 @@ def _zero_piece_raw(x, pieces, entry_mode, check_tol=1e-12):
     return terms
 
 
-def zero_piece_diagonal_decomp(x, pieces, entry_mode: str = GENERAL) -> Decomposition:
+def zero_piece_diagonal_decomp(x, pieces) -> Decomposition:
     """Decompose a matrix whose piece-diagonal blocks vanish.
 
     ``pieces`` partitions (part of) the index set into equal-size groups.
-    Every nonzero block entry is split (four-unitary in ``"general"`` mode,
-    trace-zero scalar construction in ``"trace_zero"`` mode) and each piece
-    is carried around a fixed-point-free block permutation, in a ``+/-``
-    pair that cancels everywhere except at the target entry.  All produced
-    unitaries are generalized block permutations with zero piece-diagonal.
+    Every nonzero off-diagonal block is split by :func:`four_unitary` and
+    each of its unitaries is carried around a fixed-point-free block
+    permutation, padded with identity blocks in a ``+/-`` pair that cancels
+    everywhere except at the target block.  All produced unitaries are
+    generalized block permutations with zero piece-diagonal; ``p`` pieces
+    cost at most ``8p(p-1)`` terms and ``2||x|| p(p-1)`` coefficient mass.
     """
     x = as_matrix(x)
     arrs, _ = _normalize_pieces(x.shape[0], pieces)
-    raw = _zero_piece_raw(x, arrs, entry_mode)
+    raw = _zero_piece_raw(x, arrs)
     count = len(arrs)
-    per_entry = 8 if entry_mode == GENERAL else 2 * _SCALAR_TERM_BOUND
-    if entry_mode == GENERAL:
-        scale = 2.0 * operator_norm(x)
-    else:
-        scale = _SCALAR_COEFF_FACTOR * max(1.0, operator_norm(x))
     return _assemble(
         None,
         x,
         raw,
-        term_budget=per_entry * count * (count - 1),
-        coeff_budget=scale * count * (count - 1),
+        term_budget=8 * count * (count - 1),
+        coeff_budget=2.0 * operator_norm(x) * count * (count - 1),
     )
 
 
@@ -406,12 +388,12 @@ def selfadjoint_corner_dilation(y):
     return u1, u2, u3
 
 
-def _scalar_case_raw(x, trace_tol=1e-9):
+def _scalar_case_raw(x):
     m = x.shape[0]
     if m % 2 != 0:
         raise OddDimension(f"dimension {m} is odd; the split needs an even one")
     scale = max(1.0, hs_norm(x))
-    if abs(normalized_trace(x)) > trace_tol * scale:
+    if abs(normalized_trace(x)) > 1e-9 * scale:
         raise NotTraceZero("input trace is not zero within tolerance")
     if not np.any(x):
         return []
@@ -450,27 +432,9 @@ def _scalar_case_raw(x, trace_tol=1e-9):
     offdiag[g:, :g] = x21
     if np.any(offdiag):
         terms.extend(
-            _zero_piece_raw(offdiag, [range(g), range(g, m)], GENERAL)
+            _zero_piece_raw(offdiag, [range(g), range(g, m)])
         )
     return terms
-
-
-def scalar_case_decomp(x) -> Decomposition:
-    """Decompose a trace-zero matrix against the scalars ``C*1_m``, ``m`` even.
-
-    All returned unitaries have zero trace, so they lie in the complement
-    of ``C*1_m``.  The diagonal corner rides on two explicit dilations and
-    the remainder on zero-diagonal block permutations.
-    """
-    x = as_matrix(x)
-    raw = _scalar_case_raw(x)
-    return _assemble(
-        TypeISubalgebraSpec.scalar(x.shape[0]),
-        x,
-        raw,
-        term_budget=_SCALAR_TERM_BOUND,
-        coeff_budget=_SCALAR_COEFF_FACTOR * max(1.0, operator_norm(x)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +602,7 @@ def _type_one_raw(cls: SpecClass, x):
     if np.any(cross):
         g = math.gcd(*[a.dim for a in atoms])
         pieces = [a.indices[s : s + g] for a in atoms for s in range(0, a.dim, g)]
-        terms.extend(_zero_piece_raw(cross, pieces, GENERAL))
+        terms.extend(_zero_piece_raw(cross, pieces))
     return terms
 
 
@@ -751,7 +715,7 @@ def masa_quadrant_decomp(x, in_tol: float = 1e-10) -> Decomposition:
             terms.append((mult * s / 2.0, u1, Provenance.DILATION, f"quadrant-{tag}"))
             terms.append((mult * s / 2.0, u2, Provenance.DILATION, f"quadrant-{tag}"))
     if np.any(remainder):
-        terms.extend(_zero_piece_raw(remainder, quads, GENERAL))
+        terms.extend(_zero_piece_raw(remainder, quads))
     spec = TypeISubalgebraSpec.masa(n)
     return _assemble(spec, x, terms, term_budget=8 + 8 * 4 * 3,
                      coeff_budget=148.0 * max(1.0, operator_norm(x)))

@@ -20,6 +20,7 @@ from .decompose import (
     type_one_decomp,
     verify_decomposition,
 )
+from .errors import ParseError
 from .harness import random_hermitian, report_within, run_spancert
 from .serialize import canonical_dumps, canonical_loads, instance_to_json
 
@@ -268,8 +269,16 @@ ALL_SUITES = [
 
 def run_selftest(seed: int = 0, max_n: Optional[int] = None, trials: int = 200,
                  mutate: bool = False, log=None) -> List[SuiteResult]:
-    """Run every suite over the grid; failures are reported, not raised."""
+    """Run every suite over the grid; failures are reported, not raised.
+
+    Raises :class:`ParseError` when ``max_n`` leaves no grid spec or
+    ``trials`` is below 1.
+    """
     grid = spec_grid(max_n)
+    if not grid:
+        raise ParseError(f"max_n {max_n} leaves no grid spec")
+    if trials < 1:
+        raise ParseError(f"trials must be >= 1, got {trials}")
     decompose.set_fault_injection(mutate)
     try:
         results = []

@@ -8,6 +8,8 @@ import pytest
 
 from unispan import cli
 from unispan.algebra import TypeISubalgebraSpec, conditional_expectation
+from unispan.errors import ParseError
+from unispan.selftest import run_selftest
 from unispan.serialize import canonical_dumps, instance_to_json, matrix_from_json
 
 
@@ -232,6 +234,13 @@ class TestExitCodes:
         ("spancert", "--class", "c1", "--n", "3", "--tol", "0"),
         ("spancert", "--class", "c1", "--n", "3", "--tol", "inf"),
         ("selftest", "--max-n", "1"),
+        ("selftest", "--max-n", "2", "--trials", "0"),
+        ("selftest", "--max-n", "2", "--trials", "-3"),
+        ("random-instance", "--class", "c1", "--n", "0"),
+        ("random-instance", "--class", "c2", "--m", "0"),
+        ("random-instance", "--class", "c2", "--k", "0", "--m", "2"),
+        ("random-instance", "--blocks", "0x2"),
+        ("random-instance", "--class", "c3", "--atoms", "2,0"),
     ])
     def test_bad_tolerance_or_empty_grid_is_two(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
@@ -277,3 +286,10 @@ class TestSelftest:
         assert code == 1
         doc = json.loads(out)
         assert any(not s["pass"] for s in doc["suites"])
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_n": 1}, {"max_n": 2, "trials": 0}, {"max_n": 2, "trials": -3},
+    ])
+    def test_empty_grid_or_no_trials_is_parse_error(self, kwargs):
+        with pytest.raises(ParseError):
+            run_selftest(**kwargs)

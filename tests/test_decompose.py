@@ -18,7 +18,7 @@ from conftest import e_unit, random_complex, random_hermitian, random_unitary
 from unispan import linalg
 from unispan.algebra import TypeISubalgebraSpec, membership_residual
 from unispan.decompose import (
-    TRACE_ZERO,
+    MERGE_TOL,
     Decomposition,
     Provenance,
     UnitaryTerm,
@@ -28,7 +28,6 @@ from unispan.decompose import (
     four_unitary,
     lex_derangement,
     masa_quadrant_decomp,
-    scalar_case_decomp,
     selfadjoint_corner_dilation,
     set_fault_injection,
     two_unitary_selfadjoint,
@@ -36,6 +35,7 @@ from unispan.decompose import (
     verify_decomposition,
     witness_unitary,
     zero_piece_diagonal_decomp,
+    _merge_raw,
 )
 from unispan.errors import (
     BadPosition,
@@ -43,8 +43,6 @@ from unispan.errors import (
     DimensionMismatch,
     NotDivisibleBy4,
     NotInComplement,
-    NotTraceZero,
-    OddDimension,
     PaddingNotUnitary,
     PieceDiagonalNotZero,
     SinglePiece,
@@ -206,20 +204,6 @@ class TestZeroPieceDiagonal:
         assert rep.recon_residual <= 1e-14
         assert rep.max_unitarity_residual <= 1e-13
 
-    def test_trace_zero_mode_blocks_are_trace_free(self, rng):
-        g = 2
-        x = np.zeros((4, 4), dtype=complex)
-        b = random_complex(rng, (g, g))
-        b -= np.trace(b) / g * np.eye(g)
-        x[:g, g:] = b
-        d = zero_piece_diagonal_decomp(x, [range(g), range(g, 2 * g)], TRACE_ZERO)
-        rep = verify_decomposition(None, x, d)
-        assert rep.recon_residual <= 1e-13
-        for t in d.terms:
-            for rows in (slice(0, g), slice(g, 2 * g)):
-                for cols in (slice(0, g), slice(g, 2 * g)):
-                    assert abs(np.trace(t.unitary[rows, cols])) <= 1e-12
-
     def test_random_many_pieces(self, rng):
         for count, g in ((3, 1), (4, 2), (5, 1)):
             n = count * g
@@ -243,6 +227,30 @@ class TestZeroPieceDiagonal:
             zero_piece_diagonal_decomp(np.eye(2), [[0], [1]])
 
 
+class TestMerge:
+    def test_merge_rule(self):
+        a = np.diag([1.0, -1.0]).astype(complex)
+        b = np.diag([1.0, -1.0 + 1.5 * MERGE_TOL]).astype(complex)
+        c = np.diag([1.0, -1.0 + 0.75 * MERGE_TOL]).astype(complex)  # near a and b
+        w = 1j * S
+        m = Provenance.MASTER
+        raw = [
+            (1.0, a, m, "a"),
+            (0.25, b, m, "b"),
+            (0.5, c, m, "c"),
+            (-0.75, w, m, "w"),
+            (5.0, np.zeros((2, 2), dtype=complex), m, "zero"),
+            (1.0, T, m, "t"),
+            (0.75, -w, m, "-w"),
+            (1.0, -T, m, "-t"),
+        ]
+        out = _merge_raw(raw)
+        assert [(coeff, stage) for coeff, _, _, stage in out] == [
+            (1.5, "a"), (0.25, "b"), (-1.5, "w")
+        ]
+        assert out[0][1] is a and out[1][1] is b and out[2][1] is w
+
+
 class TestCornerDilation:
     def test_dilation_identity_random(self, rng):
         for _ in range(50):
@@ -263,15 +271,20 @@ class TestCornerDilation:
             assert abs(np.trace(u2)) <= 1e-12
 
 
+def scalar_decomp(x):
+    """The single-even-atom construction against the scalars ``C*1_m``."""
+    return type_one_decomp(TypeISubalgebraSpec.scalar(len(x)), x)
+
+
 class TestScalarCase:
     def test_trace_zero_unitary_fast_path(self):
         x = np.diag([1.0, -1.0])
-        d = scalar_case_decomp(x)
+        d = scalar_decomp(x)
         assert_terms_equal(d, [(1.0, x)])
 
     def test_worked_two_by_two(self):
         x = np.array([[1, 2], [3, -1]], dtype=complex)
-        d = scalar_case_decomp(x)
+        d = scalar_decomp(x)
         assert_terms_equal(
             d, [(1.0, np.diag([1.0, -1.0])), (2.5, S), (-0.5, T)]
         )
@@ -282,7 +295,7 @@ class TestScalarCase:
         for _ in range(10):
             x = random_complex(rng, (4, 4))
             x -= np.trace(x) / 4 * np.eye(4)
-            d = scalar_case_decomp(x)
+            d = scalar_decomp(x)
             rep = verify_decomposition(spec, x, d)
             assert rep.recon_residual <= 1e-10
             assert rep.max_unitarity_residual <= 1e-12
@@ -291,10 +304,11 @@ class TestScalarCase:
                 assert abs(np.trace(t.unitary)) <= 1e-10 * 4
 
     def test_errors(self):
-        with pytest.raises(NotTraceZero):
-            scalar_case_decomp(np.eye(2))
-        with pytest.raises(OddDimension):
-            scalar_case_decomp(np.diag([1.0, 1.0, -2.0]))
+        with pytest.raises(NotInComplement):
+            scalar_decomp(np.eye(2))
+        with pytest.raises(UnsupportedConfiguration) as exc:
+            scalar_decomp(np.diag([1.0, 1.0, -2.0]))
+        assert exc.value.rule == "odd-atom-rank"
 
 
 class TestMasaQuadrant:
@@ -510,11 +524,6 @@ class TestTypeOne:
             [(0.5, np.diag([1.0, -1, 1, -1])), (0.5, np.diag([1.0, -1, -1, 1]))],
         )
 
-    def test_scalar_dispatch_identity(self):
-        spec = TypeISubalgebraSpec.scalar(2)
-        x = np.array([[1, 2], [3, -1]], dtype=complex)
-        assert term_map(type_one_decomp(spec, x)) == term_map(scalar_case_decomp(x))
-
     def test_two_block_masa_consistency(self, rng):
         from unispan.algebra import random_complement_element
 
@@ -654,7 +663,7 @@ class TestFaultInjection:
         x -= np.trace(x) / 4 * np.eye(4)
         set_fault_injection(True)
         try:
-            d = scalar_case_decomp(x)
+            d = scalar_decomp(x)
         finally:
             set_fault_injection(False)
         rep = verify_decomposition(spec, x, d)
