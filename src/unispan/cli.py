@@ -64,7 +64,37 @@ def _build_spec(make, *values) -> TypeISubalgebraSpec:
         raise ParseError(f"spec: {exc}") from None
 
 
+# the spec flags each spec source reads; any other spec flag given is an error
+_SPEC_FLAGS = {"spec": "--spec", "cls": "--class", "n": "--n", "k": "--k",
+               "m": "--m", "atoms": "--atoms", "blocks": "--blocks"}
+_SOURCE_FLAGS = {
+    "--spec": {"spec"},
+    "--class c1": {"cls", "n"},
+    "--class c2": {"cls", "k", "m"},
+    "--class c3": {"cls", "atoms"},
+    "--class c4": {"cls", "blocks"},
+    "--blocks": {"blocks"},
+}
+
+
+def _check_spec_flags(args) -> None:
+    """Reject spec flags that the chosen spec source would silently drop."""
+    if args.spec is not None:
+        source = "--spec"
+    elif args.cls is not None:
+        source = f"--class {args.cls}"
+    elif args.blocks is not None:
+        source = "--blocks"
+    else:
+        return
+    extra = [flag for dest, flag in _SPEC_FLAGS.items()
+             if getattr(args, dest) is not None and dest not in _SOURCE_FLAGS[source]]
+    if extra:
+        raise ParseError(f"{', '.join(extra)} cannot be combined with {source}")
+
+
 def _spec_from_args(args) -> TypeISubalgebraSpec:
+    _check_spec_flags(args)
     if getattr(args, "spec", None):
         obj = canonical_loads(_read_text(args.spec))
         if isinstance(obj, dict) and "blocks" not in obj and "spec" in obj:

@@ -351,9 +351,9 @@ def zero_piece_diagonal_decomp(x, pieces) -> Decomposition:
     cost at most ``8p(p-1)`` terms and ``2||x|| p(p-1)`` coefficient mass.
     """
     x = as_matrix(x)
-    arrs, _ = _normalize_pieces(x.shape[0], pieces)
-    raw = _zero_piece_raw(x, arrs)
-    count = len(arrs)
+    pieces = list(pieces)
+    raw = _zero_piece_raw(x, pieces)
+    count = len(pieces)
     return _assemble(
         None,
         x,

@@ -2,6 +2,7 @@
 stdout is valid JSON."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +94,20 @@ class TestDecomposePipeline:
                 "--seed", "4", "--out", str(inst))
         code, _, _ = run_cli(capsys, "decompose", "--in", str(inst), "--tol", "1e-30")
         assert code == 1
+
+
+class TestGoldenStdout:
+    def test_decompose_masa3_dyadic(self, capsys, tmp_path):
+        # 1x1 blocks with real or imaginary dyadic entries: every split is the
+        # unitary-multiple fast path and every sum is exact, so the bytes
+        # depend on no eigensolver or rounding of the host.
+        x = np.array([[0, 0.5, -0.25j], [0.75, 0, 0], [0, 0.125j, 0]])
+        inst = tmp_path / "masa3.json"
+        inst.write_text(canonical_dumps(instance_to_json(TypeISubalgebraSpec.masa(3), x)))
+        code, out, _ = run_cli(capsys, "decompose", "--in", str(inst))
+        assert code == 0
+        golden = Path(__file__).with_name("golden_decompose_masa3.json")
+        assert out == golden.read_text()
 
 
 class TestConjugatedSpecPipeline:
@@ -246,6 +261,43 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 2
         assert json.loads(out)["error"] == "parse"
+
+    @pytest.mark.parametrize("argv", [
+        ("--class", "c2", "--m", "2", "--n", "9"),
+        ("--class", "c3", "--atoms", "2,2", "--n", "4"),
+        ("--class", "c1", "--n", "3", "--m", "2"),
+        ("--class", "c1", "--n", "3", "--k", "2"),
+        ("--class", "c3", "--atoms", "2,2", "--m", "2"),
+        ("--class", "c3", "--atoms", "2,2", "--k", "2"),
+        ("--class", "c1", "--n", "3", "--atoms", "2,2"),
+        ("--class", "c2", "--m", "2", "--atoms", "2,2"),
+        ("--class", "c1", "--n", "3", "--blocks", "2x2"),
+        ("--class", "c2", "--m", "2", "--blocks", "2x2"),
+        ("--class", "c3", "--atoms", "2,2", "--blocks", "2x2"),
+        ("--spec", "SPEC", "--class", "c1"),
+        ("--spec", "SPEC", "--n", "4"),
+        ("--spec", "SPEC", "--k", "2"),
+        ("--spec", "SPEC", "--m", "2"),
+        ("--spec", "SPEC", "--atoms", "2,2"),
+        ("--spec", "SPEC", "--blocks", "2x2"),
+    ], ids=" ".join)
+    def test_spec_flag_foreign_to_its_source_is_two(self, capsys, tmp_path, argv):
+        spec = tmp_path / "spec.json"
+        spec.write_text(canonical_dumps({"blocks": [{"k": 1, "atom_mults": [1, 1]}]}))
+        argv = [str(spec) if a == "SPEC" else a for a in argv]
+        code, out, _ = run_cli(capsys, "random-instance", *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == "parse"
+
+    @pytest.mark.parametrize("argv", [
+        ("--class", "c4", "--blocks", "2x2,1x4"),
+        ("--blocks", "2x2"),
+        ("--class", "c2", "--k", "2", "--m", "2"),
+    ])
+    def test_spec_flags_of_their_source_are_accepted(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "random-instance", *argv)
+        assert code == 0
+        assert "error" not in json.loads(out)
 
     def test_arithmetic_failure_is_one(self, capsys):
         # a rank tolerance above every projected unit leaves the basis short

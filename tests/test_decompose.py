@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import e_unit, random_complex, random_hermitian, random_unitary
-from unispan import linalg
+from unispan import decompose, linalg
 from unispan.algebra import TypeISubalgebraSpec, membership_residual
 from unispan.decompose import (
     MERGE_TOL,
@@ -225,6 +225,28 @@ class TestZeroPieceDiagonal:
             zero_piece_diagonal_decomp(np.zeros((2, 2)), [range(2)])
         with pytest.raises(PieceDiagonalNotZero):
             zero_piece_diagonal_decomp(np.eye(2), [[0], [1]])
+        with pytest.raises(DimensionMismatch):
+            zero_piece_diagonal_decomp(np.zeros((4, 4)), [[0, 1], [2]])
+        with pytest.raises(DimensionMismatch):
+            zero_piece_diagonal_decomp(np.zeros((4, 4)), [[0, 1], [1, 2]])
+        with pytest.raises(DimensionMismatch):
+            zero_piece_diagonal_decomp(np.zeros((4, 4)), [[0, 1], [3, 4]])
+
+    def test_pieces_validated_once_and_generators_accepted(self, rng, monkeypatch):
+        calls = []
+        real = decompose._normalize_pieces
+
+        def counting(n, pieces):
+            calls.append(n)
+            return real(n, pieces)
+
+        monkeypatch.setattr(decompose, "_normalize_pieces", counting)
+        x = random_complex(rng, (4, 4))
+        x[:2, :2] = x[2:, 2:] = 0
+        d = zero_piece_diagonal_decomp(x, (iter(p) for p in (range(2), range(2, 4))))
+        assert calls == [4]
+        assert d.term_budget == 16
+        assert verify_decomposition(None, x, d).recon_residual <= 1e-14
 
 
 class TestMerge:

@@ -1,6 +1,9 @@
 """Canonical JSON serialization tests: exact float round trips and
 bit-identical re-serialization."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,8 @@ from conftest import random_complex
 from unispan.algebra import TypeISubalgebraSpec, random_complement_element
 from unispan.decompose import type_one_decomp, verify_decomposition
 from unispan.errors import ParseError, UnispanError
+from unispan.harness import run_decompose, run_random_instance, run_spancert
+from unispan.selftest import spec_grid
 from unispan.serialize import (
     canonical_dumps,
     canonical_loads,
@@ -122,3 +127,104 @@ class TestDocumentRoundTrips:
         assert rep2.term_count == stored.term_count
         assert abs(rep2.max_unitarity_residual - stored.max_unitarity_residual) <= 1e-12
         assert abs(rep2.max_membership_residual - stored.max_membership_residual) <= 1e-12
+
+
+# The emitter as it was before the float-list fast path, kept verbatim as
+# the byte-level reference for it.
+
+
+def _ref_fmt_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise UnispanError(f"cannot serialize non-finite value {x!r}")
+    s = f"{x:.17g}"
+    if not any(c in s for c in ".eE"):
+        s += ".0"
+    return s
+
+
+def _ref_emit(obj, out) -> None:
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=True))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_ref_fmt_float(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                out.append(",")
+            out.append(json.dumps(str(k), ensure_ascii=True))
+            out.append(":")
+            _ref_emit(v, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(",")
+            _ref_emit(v, out)
+        out.append("]")
+    else:
+        raise UnispanError(f"cannot serialize {type(obj).__name__}")
+
+
+def _ref_dumps(obj) -> str:
+    out = []
+    _ref_emit(obj, out)
+    out.append("\n")
+    return "".join(out)
+
+
+class TestFastPathByteIdentity:
+    @pytest.mark.parametrize("doc", [
+        [0.0, -0.0, -0.0, 0.0],
+        [-0.0, 0.0, -0.0],
+        [1e16, 1e17, -3.0, 5e-324, 1.7976931348623157e308, 1 / 3],
+        [1 / 3, -1 / 3, 1 / 3, 0.0, 1 / 3, -0.0],
+        [],
+        [[0.0, -0.0], [-0.0, 0.0], [1e16, -0.0]],
+        [1, 2.0],
+        [True, 1.0],
+        [np.float64(-0.0), 0.0],
+        [2.0, np.float64(2.0), -0.0, np.float64(0.0)],
+        ({"a": [0.0, -0.0]}, [-0.0, 0.0], (1.0, -0.0)),
+    ], ids=repr)
+    def test_hand_made_lists(self, doc):
+        assert canonical_dumps(doc) == _ref_dumps(doc)
+
+    @pytest.mark.parametrize("doc", [
+        [1.0, float("nan")],
+        [float("inf"), float("inf")],
+        [[0.5], [1.0, float("-inf")]],
+    ], ids=repr)
+    def test_non_finite_rejected(self, doc):
+        with pytest.raises(UnispanError):
+            canonical_dumps(doc)
+
+    @pytest.mark.parametrize("name,spec", spec_grid(), ids=[n for n, _ in spec_grid()])
+    def test_grid_decompositions(self, name, spec):
+        x = random_complement_element(spec, 1)
+        for scale in (1.0, 1e-3, 2.0**-40):
+            doc, ok = run_decompose(spec, scale * x)
+            assert ok
+            assert canonical_dumps(doc) == _ref_dumps(doc), (name, scale)
+
+    def test_conjugated_decomposition(self, rng):
+        w = np.linalg.qr(random_complex(rng, (4, 4)))[0]
+        spec = TypeISubalgebraSpec.of_blocks([(2, [2])], conjugation=w)
+        doc, ok = run_decompose(spec, random_complement_element(spec, 2))
+        assert ok
+        assert doc["spec"]["conjugation"]["re"]
+        assert canonical_dumps(doc) == _ref_dumps(doc)
+
+    def test_instance_and_span_certificate(self):
+        spec = TypeISubalgebraSpec.atoms((2, 4))
+        for doc in (run_random_instance(spec, 3), run_spancert(spec).to_json()):
+            assert canonical_dumps(doc) == _ref_dumps(doc)
