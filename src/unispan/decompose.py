@@ -7,8 +7,8 @@ unitary and itself lies in the complement.  The constructions are exact
 block formulas: self-adjoint contractions are completed to unitaries with a
 defect square root, off-diagonal blocks ride on generalized permutations
 with a fixed-point-free block pattern, and padding always comes in
-``(+v, -v)`` pairs so it cancels in the reconstruction without ever leaving
-the complement.
+``(+v, -v)`` pairs, all built by :func:`_padded_pairs`, so it cancels in
+the reconstruction without ever leaving the complement.
 
 :func:`type_one_decomp` is the one entry point for every supported spec:
 it decomposes inside each atom, completes those terms across the other
@@ -60,11 +60,11 @@ _FAULT_INJECTION = False
 
 
 def set_fault_injection(enabled: bool) -> None:
-    """Break the cancellation sign of the block-permutation pairs.
+    """Break the cancellation sign of every padding pair.
 
-    Mutation hook for testing the test suites: with the fault active the
-    padding no longer cancels, so reconstructions (and complement
-    membership) must fail visibly.
+    Mutation hook for testing the test suites: with the fault active
+    :func:`_padded_pairs` gives both members of every padding pair the sign
+    ``+1``, so no padding cancels and reconstructions must fail visibly.
     """
     global _FAULT_INJECTION
     _FAULT_INJECTION = bool(enabled)
@@ -181,6 +181,23 @@ def _assemble(spec, target, raw_terms, merge=True, term_budget=None, coeff_budge
     return Decomposition(spec, _freeze(target), terms, term_budget, coeff_budget)
 
 
+def _padded_pairs(entry_terms, n, target, pads, prov, stage):
+    """Turn each entry term ``(c, w)`` into two ``n x n`` terms of coefficient
+    ``c/2``: zero but for ``sign * block`` at every ``(index, block)`` of
+    ``pads`` and ``w`` at ``target``, with signs ``+1`` and ``-1`` so the pads
+    cancel.  Every ``(+v, -v)`` padding pair is built here."""
+    signs = (1.0, 1.0) if _FAULT_INJECTION else (1.0, -1.0)
+    terms = []
+    for c, w, _, _ in entry_terms:
+        for sign in signs:
+            u = np.zeros((n, n), dtype=np.complex128)
+            for index, block in pads:
+                u[index] = sign * block
+            u[target] = w
+            terms.append((c / 2.0, u, prov, stage))
+    return terms
+
+
 def _conjugate_terms(raw_terms, w):
     wh = w.conj().T
     return [(c, w @ u @ wh, p, s) for c, u, p, s in raw_terms]
@@ -210,6 +227,13 @@ def two_unitary_selfadjoint(x) -> Decomposition:
                      coeff_budget=1.0)
 
 
+def _selfadjoint_parts(z):
+    """``(part, mult, tag)`` for the real and imaginary self-adjoint parts
+    of ``z = h + i*k``: ``(h, 1, "real")`` and ``(k, 1j, "imag")``."""
+    return (((z + z.conj().T) / 2.0, 1.0, "real"),
+            ((z - z.conj().T) / 2.0j, 1.0j, "imag"))
+
+
 def _four_unitary_raw(x, stage="selfadjoint-split"):
     if not np.any(x):
         return []
@@ -220,9 +244,7 @@ def _four_unitary_raw(x, stage="selfadjoint-split"):
     if unitarity_residual(cand) <= FAST_PATH_TOL:
         return [(s, cand, Provenance.FOUR_UNITARY, "unitary-multiple")]
     terms = []
-    h = (x + x.conj().T) / 2.0
-    k = (x - x.conj().T) / 2.0j
-    for part, mult, tag in ((h, 1.0, "real"), (k, 1.0j, "imag")):
+    for part, mult, tag in _selfadjoint_parts(x):
         sp = operator_norm(part)
         if sp == 0.0:
             continue
@@ -319,23 +341,15 @@ def _zero_piece_raw(x, pieces):
         for beta in range(count):
             if alpha == beta:
                 continue
-            block = x[np.ix_(arrs[alpha], arrs[beta])]
-            if not np.any(block):
-                continue
-            entry_terms = _four_unitary_raw(block)
+            target = np.ix_(arrs[alpha], arrs[beta])
+            entry_terms = _four_unitary_raw(x[target])
             if not entry_terms:
                 continue
             sigma = lex_derangement(count, alpha, beta)
-            stage = f"cross-block({alpha},{beta})"
-            signs = (1.0, 1.0) if _FAULT_INJECTION else (1.0, -1.0)
-            for c, w, _, _ in entry_terms:
-                for sign in signs:
-                    u = np.zeros((n, n), dtype=np.complex128)
-                    u[np.ix_(arrs[alpha], arrs[beta])] = w
-                    for gamma in range(count):
-                        if gamma != alpha:
-                            u[np.ix_(arrs[gamma], arrs[sigma[gamma]])] = sign * pad
-                    terms.append((c / 2.0, u, Provenance.ZERO_DIAG, stage))
+            pads = [(np.ix_(arrs[gamma], arrs[sigma[gamma]]), pad)
+                    for gamma in range(count) if gamma != alpha]
+            terms.extend(_padded_pairs(entry_terms, n, target, pads, Provenance.ZERO_DIAG,
+                                       f"cross-block({alpha},{beta})"))
     return terms
 
 
@@ -412,9 +426,7 @@ def _scalar_case_raw(x):
     z = x11 + x22
     terms = []
     corner = np.zeros((g, g), dtype=np.complex128)
-    h = (z + z.conj().T) / 2.0
-    k = (z - z.conj().T) / 2.0j
-    for part, mult, tag in ((h, 1.0, "real"), (k, 1.0j, "imag")):
+    for part, mult, tag in _selfadjoint_parts(z):
         if not np.any(part):
             continue
         sp = max(1.0, operator_norm(part))
@@ -492,33 +504,22 @@ def witness_unitary(spec: TypeISubalgebraSpec) -> np.ndarray:
 
 def _amplify_raw(entry_terms, k, s0, t0, pad):
     g = pad.shape[0]
-    left = np.eye(k)
-    left[[0, s0]] = left[[s0, 0]]
-    right = np.eye(k)
-    right[:, [0, t0]] = right[:, [t0, 0]]
-    lift_l = np.kron(left, np.eye(g))
-    lift_r = np.kron(right, np.eye(g))
-    out = []
-    for c, u, _, stage in entry_terms:
-        for sign in (1.0, -1.0):
-            blocks = [u] + [sign * pad] * (k - 1)
-            d = np.zeros((k * g, k * g), dtype=np.complex128)
-            for i, b in enumerate(blocks):
-                d[i * g : (i + 1) * g, i * g : (i + 1) * g] = b
-            out.append(
-                (c / 2.0, lift_l @ d @ lift_r, Provenance.AMPLIFY,
-                 f"entry-move({s0 + 1},{t0 + 1})")
-            )
-    return out
+    rows, cols = list(range(k)), list(range(k))
+    rows[0], rows[s0] = s0, 0
+    cols[0], cols[t0] = t0, 0
+    at = [np.s_[r * g : (r + 1) * g, c * g : (c + 1) * g] for r, c in zip(rows, cols)]
+    return _padded_pairs(entry_terms, k * g, at[0], [(i, pad) for i in at[1:]],
+                         Provenance.AMPLIFY, f"entry-move({s0 + 1},{t0 + 1})")
 
 
 def amplify_entry(entry_decomp: Decomposition, k: int, position, v_pad) -> Decomposition:
     """Lift a corner decomposition to the ``(s, t)`` slot of a ``k x k`` grid.
 
     Every corner unitary ``u`` becomes the pair ``u (+) v_pad (+) ...`` and
-    ``u (+) (-v_pad) (+) ...`` on the diagonal, moved to slot ``(s, t)``
-    (1-based) with scalar permutation matrices.  The pair averages to the
-    single-entry embedding while each summand stays unitary.
+    ``u (+) (-v_pad) (+) ...``, its blocks placed by index so that ``u``
+    lands in slot ``(s, t)`` (1-based) and the pads fill one block of every
+    other row and column.  The pair averages to the single-entry embedding
+    while each summand stays unitary.
     """
     s, t = position
     if not (1 <= s <= k and 1 <= t <= k):
@@ -593,12 +594,8 @@ def _type_one_raw(cls: SpecClass, x):
                 "no-padding-partner",
                 "no complement unitary exists on the remaining atoms",
             )
-        stage = f"atom-completion({a.block},{a.atom})"
-        for c, w, _, _ in atom_terms:
-            for sign in (1.0, -1.0):
-                u = sign * pad
-                u[block] = w
-                terms.append((c / 2.0, u, Provenance.ATOMIC, stage))
+        terms.extend(_padded_pairs(atom_terms, cls.n, block, [(Ellipsis, pad)],
+                                   Provenance.ATOMIC, f"atom-completion({a.block},{a.atom})"))
     if np.any(cross):
         g = math.gcd(*[a.dim for a in atoms])
         pieces = [a.indices[s : s + g] for a in atoms for s in range(0, a.dim, g)]
@@ -691,10 +688,7 @@ def masa_quadrant_decomp(x, in_tol: float = 1e-10) -> Decomposition:
     for pair in pairs:
         za = diag_blocks[pair[0][0]]
         zb = diag_blocks[pair[1][0]]
-        for mult, tag, pa, pb in (
-            (1.0, "real", (za + za.conj().T) / 2, (zb + zb.conj().T) / 2),
-            (1.0j, "imag", (za - za.conj().T) / 2j, (zb - zb.conj().T) / 2j),
-        ):
+        for (pa, mult, tag), (pb, _, _) in zip(*map(_selfadjoint_parts, (za, zb))):
             if not (np.any(pa) or np.any(pb)):
                 continue
             s = max(1.0, operator_norm(pa), operator_norm(pb))

@@ -150,17 +150,25 @@ def spec_to_json(spec: TypeISubalgebraSpec) -> dict:
     return doc
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is a JSON integer (not a bool, string or float)."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer")
+    return value
+
+
 def spec_from_json(obj) -> TypeISubalgebraSpec:
-    if not isinstance(obj, dict) or "blocks" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("blocks"), list):
         raise ParseError("spec: expected an object with a 'blocks' list")
     blocks = []
     for b in obj["blocks"]:
         if not isinstance(b, dict) or "k" not in b or "atom_mults" not in b:
             raise ParseError("spec: each block needs 'k' and 'atom_mults'")
         try:
-            blocks.append((int(b["k"]), [int(m) for m in b["atom_mults"]]))
-        except (TypeError, ValueError):
-            raise ParseError("spec: block fields must be integers") from None
+            blocks.append((_integer(b["k"], "spec: 'k'"),
+                           [_integer(m, "spec: atom_mults entry") for m in b["atom_mults"]]))
+        except TypeError:
+            raise ParseError("spec: 'atom_mults' must be a list") from None
     conj = obj.get("conjugation")
     w = matrix_from_json(conj, "conjugation") if conj is not None else None
     try:
@@ -192,15 +200,13 @@ def instance_from_json(obj):
             raise ParseError(f"instance: missing field '{key}'")
     spec = spec_from_json(obj["spec"])
     matrix = matrix_from_json(obj["matrix"])
-    n = obj["n"]
-    if not isinstance(n, int) or n != matrix.shape[0]:
+    n = _integer(obj["n"], "instance: 'n'")
+    if n != matrix.shape[0]:
         raise ParseError("instance: 'n' disagrees with the matrix shape")
     if spec.dimension != n:
         raise ParseError("instance: spec dimension sum disagrees with 'n'")
     seed = obj.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise ParseError("instance: 'seed' must be an integer")
-    return spec, matrix, seed
+    return spec, matrix, None if seed is None else _integer(seed, "instance: 'seed'")
 
 
 # --- decompositions --------------------------------------------------------
@@ -222,7 +228,7 @@ def report_from_json(obj) -> VerificationReport:
             recon_residual=float(obj["recon_residual"]),
             max_unitarity_residual=float(obj["max_unitarity_residual"]),
             max_membership_residual=float(obj["max_membership_residual"]),
-            term_count=int(obj["term_count"]),
+            term_count=_integer(obj["term_count"], "report: 'term_count'"),
             coeff_sum=float(obj["coeff_sum"]),
         )
     except (TypeError, KeyError, ValueError, OverflowError):
@@ -296,7 +302,7 @@ def decomposition_from_json(obj):
         spec,
         target,
         tuple(terms),
-        term_budget=int(_finite(budget, "'term_budget'")) if budget is not None else None,
+        term_budget=None if budget is None else _integer(budget, "decomposition: term_budget"),
         coeff_budget=(_finite(coeff_budget, "'coeff_budget'")
                       if coeff_budget is not None else None),
     )

@@ -109,6 +109,22 @@ class TestGoldenStdout:
         golden = Path(__file__).with_name("golden_decompose_masa3.json")
         assert out == golden.read_text()
 
+    def test_decompose_c3_1_1_2_dyadic(self, capsys, tmp_path):
+        # C*1_1 (+) C*1_1 (+) C*1_2 in M_4 with dyadic real or imaginary
+        # entries and ||x|| < 1: the even atom's terms are completed across
+        # the two points (atom-completion) and the rest rides on block
+        # permutations (cross-block), all in exact arithmetic, so the file
+        # pins the bytes of both padding pairs, zero signs included.
+        x = np.array([[0, 0.375, -0.25j, 0.125], [0.25j, 0, 0, -0.375],
+                      [0, 0.125, 0.25, 0.5j], [-0.125j, 0, 0, -0.25]])
+        inst = tmp_path / "c3.json"
+        spec = TypeISubalgebraSpec.atoms((1, 1, 2))
+        inst.write_text(canonical_dumps(instance_to_json(spec, x)))
+        code, out, _ = run_cli(capsys, "decompose", "--in", str(inst))
+        assert code == 0
+        golden = Path(__file__).with_name("golden_decompose_c3_1_1_2.json")
+        assert out == golden.read_text()
+
 
 class TestConjugatedSpecPipeline:
     def test_general_position_decompose_and_spancert(self, capsys, tmp_path):
@@ -226,9 +242,12 @@ class TestExitCodes:
             lambda doc: doc.update(coeff_budget=float("nan")),
             lambda doc: doc["report"].update(coeff_sum=float("inf")),
             lambda doc: doc["report"].update(term_count=float("inf")),
+            lambda doc: doc.update(term_budget=doc["term_budget"] + 0.5),
+            lambda doc: doc["report"].update(term_count=doc["report"]["term_count"] + 0.5),
         ],
         ids=["nan-coeff", "string-term-budget", "non-list-terms", "nan-coeff-budget",
-             "inf-report-coeff-sum", "inf-report-term-count"],
+             "inf-report-coeff-sum", "inf-report-term-count", "fractional-term-budget",
+             "fractional-report-term-count"],
     )
     def test_malformed_stored_decomposition_is_two(self, capsys, tmp_path, edit):
         inst = tmp_path / "inst.json"
@@ -240,6 +259,30 @@ class TestExitCodes:
         edit(doc)
         dec.write_text(json.dumps(doc))  # json writes NaN tokens
         code, out, _ = run_cli(capsys, "verify", "--in", str(dec))
+        assert code == 2
+        assert json.loads(out)["error"] == "parse"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["spec"]["blocks"][0].update(k="1"),
+            lambda doc: doc["spec"]["blocks"][0].update(k=True),
+            lambda doc: doc["spec"]["blocks"][0].update(atom_mults=[1, 1, 1.9]),
+            lambda doc: doc["spec"].update(blocks=3),
+            lambda doc: doc.update(seed=True),
+            lambda doc: doc.update(instance_to_json(TypeISubalgebraSpec.masa(1),
+                                                    np.zeros((1, 1))), n=True),
+        ],
+        ids=["string-k", "bool-k", "fractional-atom-mult", "non-list-blocks", "bool-seed",
+             "bool-n"],
+    )
+    def test_malformed_instance_is_two(self, capsys, tmp_path, edit):
+        doc = instance_to_json(TypeISubalgebraSpec.masa(3), np.array(
+            [[0, 0.5, 0], [0.25, 0, 0], [0, 0, 0]]))
+        edit(doc)
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "decompose", "--in", str(inst))
         assert code == 2
         assert json.loads(out)["error"] == "parse"
 

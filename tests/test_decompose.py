@@ -6,6 +6,7 @@ Exact expected term lists come from hand arithmetic; combinatorial helpers
 are checked against brute-force enumeration.
 """
 
+import inspect
 import itertools
 
 import numpy as np
@@ -15,10 +16,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import e_unit, random_complex, random_hermitian, random_unitary
-from unispan import decompose, linalg
+from unispan import algebra, decompose, linalg
 from unispan.algebra import TypeISubalgebraSpec, membership_residual
 from unispan.decompose import (
     MERGE_TOL,
+    RECON_TOL,
+    TERM_TOL,
     Decomposition,
     Provenance,
     UnitaryTerm,
@@ -35,8 +38,8 @@ from unispan.decompose import (
     verify_decomposition,
     witness_unitary,
     zero_piece_diagonal_decomp,
-    _merge_raw,
 )
+from unispan.selftest import expectation_axioms_suite, spec_grid
 from unispan.errors import (
     BadPosition,
     DiagonalNotZero,
@@ -265,10 +268,12 @@ class TestMerge:
             (1.0, T, m, "t"),
             (0.75, -w, m, "-w"),
             (1.0, -T, m, "-t"),
+            (0.5, np.eye(2, dtype=complex), m, "e"),
+            (0.25, 1j * np.eye(2), m, "ie"),  # folds in with its phase i
         ]
-        out = _merge_raw(raw)
+        out = decompose._merge_raw(raw)
         assert [(coeff, stage) for coeff, _, _, stage in out] == [
-            (1.5, "a"), (0.25, "b"), (-1.5, "w")
+            (1.5, "a"), (0.25, "b"), (-1.5, "w"), (0.5 + 0.25j, "e")
         ]
         assert out[0][1] is a and out[1][1] is b and out[2][1] is w
 
@@ -692,3 +697,107 @@ class TestFaultInjection:
         assert (
             rep.recon_residual > 1e-10 or rep.max_unitarity_residual > 1e-10
         ), "fault injection must be detectable"
+
+
+# ---------------------------------------------------------------------------
+# fault matrix: one fault at a time, and the check that rejects it
+
+
+def mutate(monkeypatch, module, func, old, new):
+    """Patch ``func`` in ``module`` with a one-token edit of its source."""
+    src = inspect.getsource(func)
+    assert src.count(old) == 1, f"{old!r} must occur once in {func.__name__}"
+    ns = {}
+    exec(src.replace(old, new), vars(module), ns)
+    monkeypatch.setattr(module, func.__name__, ns[func.__name__])
+
+
+def failing_gates(spec, x, d):
+    """Names of the verifier gates that ``d`` fails."""
+    rep = verify_decomposition(spec, x, d)
+    return {name for name, value, tol in (
+        ("recon", rep.recon_residual, RECON_TOL),
+        ("unitarity", rep.max_unitarity_residual, TERM_TOL),
+        ("membership", rep.max_membership_residual, TERM_TOL),
+    ) if value > tol}
+
+
+def traceless(rng, m):
+    x = random_complex(rng, (m, m))
+    return x - np.trace(x) / m * np.eye(m)
+
+
+def cross_block_case(rng):
+    x = random_complex(rng, (4, 4))
+    x[:2, :2] = x[2:, 2:] = 0
+    return None, x, lambda: zero_piece_diagonal_decomp(x, [[0, 1], [2, 3]])
+
+
+def entry_move_case(rng):
+    u = random_unitary(rng, 2)
+    x = np.zeros((6, 6), dtype=complex)
+    x[2:4, 4:6] = u
+    pad = canonical_trace_zero_unitary(2)
+    return None, x, lambda: amplify_entry(hand_decomposition([(1.0, u)]), 3, (2, 3), pad)
+
+
+def atom_completion_case(rng):
+    # diagonal atom blocks decompose without inner padding, so only the
+    # completion pairs can carry the fault
+    spec = TypeISubalgebraSpec.atoms((2, 2))
+    a, b = random_complex(rng, 2)
+    x = np.diag([a, -a, b, -b])
+    return spec, x, lambda: type_one_decomp(spec, x)
+
+
+class TestFaultMatrix:
+    @pytest.mark.parametrize("family, case", [
+        ("cross-block", cross_block_case),
+        ("entry-move", entry_move_case),
+        ("atom-completion", atom_completion_case),
+    ], ids=["cross-block", "entry-move", "atom-completion"])
+    def test_padding_sign(self, rng, family, case):
+        spec, x, build = case(rng)
+        assert failing_gates(spec, x, build()) == set()
+        set_fault_injection(True)
+        try:
+            d = build()
+        finally:
+            set_fault_injection(False)
+        assert {t.stage.split("(")[0] for t in d.terms} == {family}
+        assert failing_gates(spec, x, d) == {"recon"}
+
+    def test_dilation_defect_sign(self, rng, monkeypatch):
+        mutate(monkeypatch, decompose, selfadjoint_corner_dilation, "[r, -y]", "[-r, -y]")
+        # at m = 4 the dilated parts are 2 x 2 and trace-free, so after
+        # normalization their defect r vanishes; m = 6 keeps it nonzero
+        x = traceless(rng, 6)
+        gates = failing_gates(TypeISubalgebraSpec.scalar(6), x, scalar_decomp(x))
+        assert gates == {"recon", "unitarity"}
+
+    def test_balanced_pair_sign(self, rng, monkeypatch):
+        mutate(monkeypatch, decompose, decompose._scalar_case_raw, "[[-u,", "[[u,")
+        x = traceless(rng, 4)
+        gates = failing_gates(TypeISubalgebraSpec.scalar(4), x, scalar_decomp(x))
+        assert gates == {"recon", "membership"}
+
+    def test_merge_phase_fold(self, monkeypatch):
+        mutate(monkeypatch, decompose, decompose._merge_raw,
+               "coeff * phase / rep[2]", "coeff * rep[2] / phase")
+        # the two cross blocks of a self-adjoint x ride on unitaries that
+        # agree up to the phase of x[0, 1]
+        spec = TypeISubalgebraSpec.masa(2)
+        x = np.array([[0, 0.5 + 0.25j], [0.5 - 0.25j, 0]])
+        assert failing_gates(spec, x, type_one_decomp(spec, x)) == {"recon"}
+        with pytest.raises(AssertionError):
+            TestMerge().test_merge_rule()
+
+    def test_expectation_without_trace_normalization(self, rng, monkeypatch):
+        mutate(monkeypatch, algebra, algebra._expect_standard, " / a.m", "")
+        # complement elements have zero partial traces, so the verifier's
+        # membership gate cannot see the fault; the axioms suite does
+        spec = TypeISubalgebraSpec.scalar(4)
+        x = traceless(rng, 4)
+        assert failing_gates(spec, x, scalar_decomp(x)) == set()
+        result = expectation_axioms_suite(spec_grid(max_n=4), 0, 8)
+        assert not result.passed and "idempotent" in result.detail
