@@ -22,7 +22,8 @@ kernels.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -91,28 +92,49 @@ class UnitaryTerm:
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """An ordered list of unitary terms summing to ``target``.
+    """An ordered list of unitary terms summing to ``target``, held as stacks.
 
-    ``term_budget`` and ``coeff_budget`` carry the statically computed
-    bounds of the construction that produced the terms (``None`` for
-    hand-assembled instances).
+    ``coeffs`` has shape ``(T,)`` and ``unitaries`` shape ``(T, n, n)``, both
+    read-only; ``provenance`` and ``stages`` are parallel tuples.  ``terms``
+    is the same list as :class:`UnitaryTerm` views.  ``term_budget`` and
+    ``coeff_budget`` carry the statically computed bounds of the
+    construction that produced the terms (``None`` for hand-assembled
+    instances).
     """
 
     spec: Optional[TypeISubalgebraSpec]
     target: np.ndarray
-    terms: Tuple[UnitaryTerm, ...]
+    coeffs: np.ndarray
+    unitaries: np.ndarray
+    provenance: Tuple[Provenance, ...]
+    stages: Tuple[str, ...]
     term_budget: Optional[int] = None
     coeff_budget: Optional[float] = None
 
+    def __post_init__(self):
+        for name in ("target", "coeffs", "unitaries"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        for name in ("provenance", "stages"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        count = len(self.coeffs)
+        if (self.coeffs.ndim != 1 or self.unitaries.ndim != 3 or len(self.unitaries) != count
+                or len(self.provenance) != count or len(self.stages) != count):
+            raise DimensionMismatch("term stacks and tuples differ in length")
+
+    @cached_property
+    def terms(self) -> Tuple[UnitaryTerm, ...]:
+        return tuple(map(UnitaryTerm, self.coeffs.tolist(), self.unitaries,
+                         self.provenance, self.stages))
+
     def reconstruction(self) -> np.ndarray:
         out = np.zeros_like(self.target)
-        for t in self.terms:
-            out = out + t.coeff * t.unitary
+        for c, u in zip(self.coeffs.tolist(), self.unitaries):
+            out = out + c * u
         return out
 
     @property
     def coeff_sum(self) -> float:
-        return float(sum(abs(t.coeff) for t in self.terms))
+        return float(sum(map(abs, self.coeffs.tolist())))
 
 
 @dataclass(frozen=True)
@@ -128,13 +150,58 @@ class VerificationReport:
 # term-list plumbing
 
 
-def _freeze(m: np.ndarray) -> np.ndarray:
-    m = np.ascontiguousarray(m, dtype=np.complex128)
-    m.setflags(write=False)
-    return m
+def _freeze(a) -> np.ndarray:
+    """A read-only, C-contiguous complex128 view of ``a`` (copied only when
+    ``a`` is not already such an array)."""
+    a = np.ascontiguousarray(a, dtype=np.complex128).view()
+    a.setflags(write=False)
+    return a
 
 
-def _merge_raw(terms):
+class _Terms(NamedTuple):
+    """Raw terms as parallel stacks: ``coeffs (T,)``, ``unitaries (T, n, n)``."""
+
+    coeffs: np.ndarray
+    unitaries: np.ndarray
+    provenance: tuple
+    stages: tuple
+
+
+def _stack(n, items=()) -> _Terms:
+    """Stack ``(coeff, unitary, provenance, stage)`` tuples of ``n x n`` terms."""
+    return _Terms(
+        np.array([c for c, _, _, _ in items], dtype=np.complex128),
+        np.array([u for _, u, _, _ in items], dtype=np.complex128).reshape(len(items), n, n),
+        tuple(p for _, _, p, _ in items),
+        tuple(s for _, _, _, s in items),
+    )
+
+
+def _cat(n, parts) -> _Terms:
+    """Concatenate term stacks of ``n x n`` unitaries in order."""
+    parts = [p for p in parts if len(p.coeffs)]
+    if not parts:
+        return _stack(n)
+    if len(parts) == 1:
+        return parts[0]
+    return _Terms(
+        np.concatenate([p.coeffs for p in parts]),
+        np.concatenate([p.unitaries for p in parts]),
+        sum((p.provenance for p in parts), ()),
+        sum((p.stages for p in parts), ()),
+    )
+
+
+@lru_cache(maxsize=32)
+def _merge_key_weights(size: int) -> np.ndarray:
+    """Fixed seeded weights in ``[1, 2)`` for the real and imaginary parts of
+    ``size`` complex entries, interleaved like ``complex128.view(float64)``."""
+    weights = np.random.default_rng(0x6D657267).uniform(1.0, 2.0, 2 * size)
+    weights.setflags(write=False)
+    return weights
+
+
+def _merge_raw(coeffs, unitaries):
     """Merge terms whose unitaries agree up to a scalar phase.
 
     Each unitary's phase is pinned at its first entry of dominant modulus;
@@ -142,65 +209,95 @@ def _merge_raw(terms):
     ``MERGE_TOL`` of its own in every entry.  A cluster keeps its first
     term's unitary verbatim and later members fold their relative phase
     into the coefficient, so ``(c, -u)`` merges with ``(-c, u)``.  Zero
-    unitaries and coefficients that cancel to noise are dropped.
+    unitaries and coefficients that cancel to noise are dropped.  Returns
+    the cluster coefficients and the index of each cluster's first term.
+
+    Only terms that can join a cluster are compared.  The key ``k`` of a
+    phase-canonical row is a weighted sum of its real and imaginary parts
+    with fixed weights in ``[1, 2)``; two rows within ``MERGE_TOL`` in every
+    entry have keys less than ``4 n**2 MERGE_TOL`` apart.  The window
+    ``8 n**2 MERGE_TOL + 1e-12 max|k|`` leaves room for rounding in the
+    keys.  A term with no other key inside the window is its own cluster,
+    and any other term is compared only with the clusters whose key is
+    inside its window.  (Keys of the moduli ``|u_j|`` would not separate a
+    ``(+v, -v)`` padding pair, whose members have equal moduli.)
     """
-    if not terms:
-        return []
-    flat = np.array([u for _, u, _, _ in terms]).reshape(len(terms), -1)
+    count, n, _ = unitaries.shape
+    flat = unitaries.reshape(count, n * n)
     mags = np.abs(flat)
-    peaks = mags.max(axis=1)
-    pivots = np.argmax(mags >= 0.5 * peaks[:, None], axis=1)
-    canon = np.empty_like(flat)  # phase-canonical rows of the clusters
-    reps = []  # [summed coeff, verbatim unitary, phase, prov, stage]
-    for (coeff, u, prov, stage), row, peak, pivot in zip(terms, flat, peaks, pivots):
-        if peak == 0.0:
-            continue
-        phase = row[pivot] / abs(row[pivot])
-        uc = row * np.conj(phase)
-        hits = np.flatnonzero(
-            np.max(np.abs(uc - canon[: len(reps)]), axis=1) <= MERGE_TOL
-        )
-        if hits.size:
-            rep = reps[hits[0]]
-            rep[0] += coeff * phase / rep[2]
-        else:
-            canon[len(reps)] = uc
-            reps.append([coeff, u, phase, prov, stage])
-    top = max((abs(r[0]) for r in reps), default=0.0)
-    if top == 0.0:
-        return []
-    return [(c, u, p, s) for c, u, _, p, s in reps if abs(c) > 1e-15 * top]
+    peaks = mags.max(axis=1, initial=0.0)
+    live = np.flatnonzero(peaks)  # the terms that are not zero unitaries
+    lead = flat[live, np.argmax(mags[live] >= 0.5 * peaks[live, None], axis=1)]
+    # np.hypot rounds like the scalar abs(), so every phase and canonical
+    # row is bit-identical to the one a term-by-term loop computes
+    phases = lead / np.hypot(lead.real, lead.imag)
+    canon = flat[live] * np.conj(phases)[:, None]
+    keys = canon.view(np.float64) @ _merge_key_weights(n * n)
+    window = 8 * n * n * MERGE_TOL + 1e-12 * np.abs(keys).max(initial=0.0)
+    order = np.argsort(keys)
+    close = keys[order[1:]] - keys[order[:-1]] <= window
+    summed = coeffs[live]  # indexed by position in ``live`` from here on
+    if close.any():
+        paired = np.zeros(len(live), dtype=bool)
+        paired[order[:-1][close]] = True
+        paired[order[1:][close]] = True
+        first = np.ones(len(live), dtype=bool)  # False once a term joins a cluster
+        heads = np.empty(len(live), dtype=np.intp)  # the paired terms' cluster heads
+        reps = []  # [summed coeff, position, phase] per cluster of paired terms
+        for pos in np.flatnonzero(paired).tolist():
+            coeff, phase = summed[pos], phases[pos]
+            near = np.flatnonzero(np.abs(keys[heads[: len(reps)]] - keys[pos]) <= window)
+            hits = near[np.max(np.abs(canon[pos] - canon[heads[near]]), axis=1) <= MERGE_TOL]
+            if hits.size:
+                rep = reps[hits[0]]
+                rep[0] += coeff * phase / rep[2]
+                first[pos] = False
+            else:
+                heads[len(reps)] = pos
+                reps.append([coeff, pos, phase])
+        for coeff, pos, _ in reps:
+            summed[pos] = coeff
+        live, summed = live[first], summed[first]
+    mags = np.hypot(summed.real, summed.imag)
+    big = mags > 1e-15 * mags.max(initial=0.0)
+    return summed[big], live[big]
 
 
-def _assemble(spec, target, raw_terms, merge=True, term_budget=None, coeff_budget=None):
-    if merge:
-        raw_terms = _merge_raw(raw_terms)
-    terms = tuple(
-        UnitaryTerm(complex(c), _freeze(u), p, s) for c, u, p, s in raw_terms
-    )
-    return Decomposition(spec, _freeze(target), terms, term_budget, coeff_budget)
+def _assemble(spec, target, raw, merge=True, term_budget=None, coeff_budget=None):
+    if not merge:
+        return Decomposition(spec, target, *raw, term_budget, coeff_budget)
+    coeffs, kept = _merge_raw(raw.coeffs, raw.unitaries)
+    if len(kept) == len(raw.coeffs):  # nothing merged or dropped
+        unitaries, provenance, stages = raw.unitaries, raw.provenance, raw.stages
+    else:
+        unitaries = raw.unitaries[kept]
+        provenance = tuple(raw.provenance[i] for i in kept.tolist())
+        stages = tuple(raw.stages[i] for i in kept.tolist())
+    return Decomposition(spec, target, coeffs, unitaries, provenance, stages,
+                         term_budget, coeff_budget)
 
 
-def _padded_pairs(entry_terms, n, target, pads, prov, stage):
-    """Turn each entry term ``(c, w)`` into two ``n x n`` terms of coefficient
-    ``c/2``: zero but for ``sign * block`` at every ``(index, block)`` of
-    ``pads`` and ``w`` at ``target``, with signs ``+1`` and ``-1`` so the pads
-    cancel.  Every ``(+v, -v)`` padding pair is built here."""
+def _padded_pairs(entry, n, target, pads, prov, stage):
+    """Turn each entry term ``(c, w)`` of the stack ``entry`` into two
+    ``n x n`` terms of coefficient ``c/2``: zero but for ``sign * block`` at
+    every ``(index, block)`` of ``pads`` and ``w`` at ``target``, with signs
+    ``+1`` and ``-1`` so the pads cancel.  An index addresses one block, the
+    whole matrix (``()``), or a stack of blocks (index arrays with a leading
+    axis, matched by a leading axis of ``block``).  Every ``(+v, -v)``
+    padding pair is built here, all pairs of one call in one ``(2E, n, n)``
+    stack with one assignment per pad and one for the targets."""
     signs = (1.0, 1.0) if _FAULT_INJECTION else (1.0, -1.0)
-    terms = []
-    for c, w, _, _ in entry_terms:
-        for sign in signs:
-            u = np.zeros((n, n), dtype=np.complex128)
-            for index, block in pads:
-                u[index] = sign * block
-            u[target] = w
-            terms.append((c / 2.0, u, prov, stage))
-    return terms
+    count = len(entry.coeffs)
+    u = np.zeros((count, 2, n, n), dtype=np.complex128)
+    for index, block in pads:
+        u[(Ellipsis,) + index] = [sign * block for sign in signs]
+    u[(Ellipsis,) + target] = entry.unitaries[:, None]
+    return _Terms(np.repeat(entry.coeffs / 2.0, 2), u.reshape(2 * count, n, n),
+                  (prov,) * (2 * count), (stage,) * (2 * count))
 
 
-def _conjugate_terms(raw_terms, w):
-    wh = w.conj().T
-    return [(c, w @ u @ wh, p, s) for c, u, p, s in raw_terms]
+def _conjugate_terms(raw, w):
+    return raw._replace(unitaries=w @ raw.unitaries @ w.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +307,10 @@ def _conjugate_terms(raw_terms, w):
 def _two_unitary_raw(x, stage="selfadjoint-pair"):
     r = sqrt_defect(x)
     u = x + 1j * r
-    return [
+    return _stack(x.shape[0], [
         (0.5, u, Provenance.FOUR_UNITARY, stage),
         (0.5, u.conj().T, Provenance.FOUR_UNITARY, stage),
-    ]
+    ])
 
 
 def two_unitary_selfadjoint(x) -> Decomposition:
@@ -235,22 +332,23 @@ def _selfadjoint_parts(z):
 
 
 def _four_unitary_raw(x, stage="selfadjoint-split"):
+    n = x.shape[0]
     if not np.any(x):
-        return []
+        return _stack(n)
     s = operator_norm(x)
     if s == 0.0:
-        return []
+        return _stack(n)
     cand = x / s
     if unitarity_residual(cand) <= FAST_PATH_TOL:
-        return [(s, cand, Provenance.FOUR_UNITARY, "unitary-multiple")]
-    terms = []
+        return _stack(n, [(s, cand, Provenance.FOUR_UNITARY, "unitary-multiple")])
+    parts = []
     for part, mult, tag in _selfadjoint_parts(x):
         sp = operator_norm(part)
         if sp == 0.0:
             continue
-        for c, u, p, _ in _two_unitary_raw(part / sp):
-            terms.append((mult * sp * c, u, p, f"{stage}-{tag}"))
-    return terms
+        two = _two_unitary_raw(part / sp, f"{stage}-{tag}")
+        parts.append(two._replace(coeffs=mult * sp * two.coeffs))
+    return _cat(n, parts)
 
 
 def four_unitary(x) -> Decomposition:
@@ -315,42 +413,46 @@ def lex_derangement(count: int, alpha: int, beta: int) -> list:
 
 
 def _normalize_pieces(n, pieces):
+    """The pieces as rows of a ``(count, g)`` index array."""
     arrs = [np.asarray(list(p), dtype=np.intp) for p in pieces]
     if len(arrs) < 2:
         raise SinglePiece(f"got {len(arrs)} piece(s), need at least 2")
     g = len(arrs[0])
     if any(len(a) != g for a in arrs) or g < 1:
         raise DimensionMismatch("pieces must have equal positive size")
-    flat = np.concatenate(arrs)
+    rows = np.stack(arrs)
+    flat = rows.ravel()
     if len(np.unique(flat)) != len(flat) or flat.min() < 0 or flat.max() >= n:
         raise DimensionMismatch("pieces must be disjoint index sets inside [0, n)")
-    return arrs, g
+    return rows
 
 
 def _zero_piece_raw(x, pieces):
     n = x.shape[0]
-    arrs, g = _normalize_pieces(n, pieces)
-    count = len(arrs)
+    rows = _normalize_pieces(n, pieces)
+    count, g = rows.shape
+    # index pairs (rows[a][:, None], rows[b][None, :]) address block (a, b),
+    # and stacked ones address one block per row of a piece list
     scale = max(1.0, float(np.max(np.abs(x))))
-    for a in arrs:
-        if np.max(np.abs(x[np.ix_(a, a)])) > 1e-12 * scale:
-            raise PieceDiagonalNotZero("a piece-diagonal block is not zero")
-    pad = np.eye(g, dtype=np.complex128)
-    terms = []
+    if np.max(np.abs(x[rows[:, :, None], rows[:, None, :]])) > 1e-12 * scale:
+        raise PieceDiagonalNotZero("a piece-diagonal block is not zero")
+    pad = np.eye(g, dtype=np.complex128)[None]
+    parts = []
     for alpha in range(count):
+        others = np.arange(count) != alpha
         for beta in range(count):
             if alpha == beta:
                 continue
-            target = np.ix_(arrs[alpha], arrs[beta])
-            entry_terms = _four_unitary_raw(x[target])
-            if not entry_terms:
+            target = (rows[alpha, :, None], rows[beta, None, :])
+            block = x[target]
+            if not np.any(block):
                 continue
-            sigma = lex_derangement(count, alpha, beta)
-            pads = [(np.ix_(arrs[gamma], arrs[sigma[gamma]]), pad)
-                    for gamma in range(count) if gamma != alpha]
-            terms.extend(_padded_pairs(entry_terms, n, target, pads, Provenance.ZERO_DIAG,
+            entry = _four_unitary_raw(block)
+            sigma = np.array(lex_derangement(count, alpha, beta))
+            pads = [((rows[others, :, None], rows[sigma[others], None, :]), pad)]
+            parts.append(_padded_pairs(entry, n, target, pads, Provenance.ZERO_DIAG,
                                        f"cross-block({alpha},{beta})"))
-    return terms
+    return _cat(n, parts)
 
 
 def zero_piece_diagonal_decomp(x, pieces) -> Decomposition:
@@ -410,14 +512,14 @@ def _scalar_case_raw(x):
     if abs(normalized_trace(x)) > 1e-9 * scale:
         raise NotTraceZero("input trace is not zero within tolerance")
     if not np.any(x):
-        return []
+        return _stack(m)
     s = operator_norm(x)
     cand = x / s
     if (
         unitarity_residual(cand) <= FAST_PATH_TOL
         and abs(normalized_trace(cand)) <= FAST_PATH_TOL
     ):
-        return [(s, cand, Provenance.FOUR_UNITARY, "unitary-multiple")]
+        return _stack(m, [(s, cand, Provenance.FOUR_UNITARY, "unitary-multiple")])
     g = m // 2
     x11 = x[:g, :g]
     x12 = x[:g, g:]
@@ -434,19 +536,19 @@ def _scalar_case_raw(x):
         terms.append((mult * sp / 2.0, u1, Provenance.DILATION, f"diag-dilation-{tag}"))
         terms.append((mult * sp / 2.0, u2, Provenance.DILATION, f"diag-dilation-{tag}"))
         corner = corner - mult * sp * u3[:g, g:]
-    for c, u, _, _ in _four_unitary_raw(x22, stage="balanced"):
+    balanced = _four_unitary_raw(x22, stage="balanced")
+    for c, u in zip(balanced.coeffs, balanced.unitaries):
         lifted = np.block(
             [[-u, np.zeros_like(u)], [np.zeros_like(u), u]]
         )
         terms.append((c, lifted, Provenance.FOUR_UNITARY, "balanced-pair"))
+    parts = [_stack(m, terms)]
     offdiag = np.zeros_like(x)
     offdiag[:g, g:] = x12 + corner
     offdiag[g:, :g] = x21
     if np.any(offdiag):
-        terms.extend(
-            _zero_piece_raw(offdiag, [range(g), range(g, m)])
-        )
-    return terms
+        parts.append(_zero_piece_raw(offdiag, [range(g), range(g, m)]))
+    return _cat(m, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +604,13 @@ def witness_unitary(spec: TypeISubalgebraSpec) -> np.ndarray:
 # amplification (placing a corner decomposition into a k x k block grid)
 
 
-def _amplify_raw(entry_terms, k, s0, t0, pad):
+def _amplify_raw(entry, k, s0, t0, pad):
     g = pad.shape[0]
     rows, cols = list(range(k)), list(range(k))
     rows[0], rows[s0] = s0, 0
     cols[0], cols[t0] = t0, 0
     at = [np.s_[r * g : (r + 1) * g, c * g : (c + 1) * g] for r, c in zip(rows, cols)]
-    return _padded_pairs(entry_terms, k * g, at[0], [(i, pad) for i in at[1:]],
+    return _padded_pairs(entry, k * g, at[0], [(i, pad) for i in at[1:]],
                          Provenance.AMPLIFY, f"entry-move({s0 + 1},{t0 + 1})")
 
 
@@ -528,22 +630,20 @@ def amplify_entry(entry_decomp: Decomposition, k: int, position, v_pad) -> Decom
     if unitarity_residual(pad) > 1e-8:
         raise PaddingNotUnitary("padding matrix is not unitary")
     g = pad.shape[0]
-    raw_in = []
-    for term in entry_decomp.terms:
-        u = term.unitary
-        if u.shape[0] != g:
-            raise DimensionMismatch("entry unitaries and padding differ in size")
-        if unitarity_residual(u) > 1e-8:
-            raise PaddingNotUnitary("an entry term is not unitary")
-        raw_in.append((term.coeff, u, term.provenance, term.stage))
-    raw = _amplify_raw(raw_in, k, s - 1, t - 1, pad)
+    entry = entry_decomp.unitaries
+    if entry.shape[1:] != pad.shape:
+        raise DimensionMismatch("entry unitaries and padding differ in size")
+    if any(unitarity_residual(u) > 1e-8 for u in entry):
+        raise PaddingNotUnitary("an entry term is not unitary")
+    raw = _amplify_raw(_Terms(entry_decomp.coeffs, entry, entry_decomp.provenance,
+                              entry_decomp.stages), k, s - 1, t - 1, pad)
     target = np.zeros((k * g, k * g), dtype=np.complex128)
     target[(s - 1) * g : s * g, (t - 1) * g : t * g] = entry_decomp.reconstruction()
     return _assemble(
         None,
         target,
         raw,
-        term_budget=2 * len(entry_decomp.terms),
+        term_budget=2 * len(entry),
         coeff_budget=entry_decomp.coeff_sum,
     )
 
@@ -554,18 +654,17 @@ def amplify_entry(entry_decomp: Decomposition, k: int, position, v_pad) -> Decom
 
 def _single_block_raw(k, m, x):
     """Factor-entrywise decomposition inside one atom ``M_k (x) C*1_m``."""
-    terms = []
     if k == 1:
         return _scalar_case_raw(x)
     pad = canonical_trace_zero_unitary(m)
+    parts = []
     for s0 in range(k):
         for t0 in range(k):
             entry = x[s0 * m : (s0 + 1) * m, t0 * m : (t0 + 1) * m]
             if not np.any(entry):
                 continue
-            corner = _scalar_case_raw(entry)
-            terms.extend(_amplify_raw(corner, k, s0, t0, pad))
-    return terms
+            parts.append(_amplify_raw(_scalar_case_raw(entry), k, s0, t0, pad))
+    return _cat(k * m, parts)
 
 
 def _type_one_raw(cls: SpecClass, x):
@@ -577,7 +676,7 @@ def _type_one_raw(cls: SpecClass, x):
     atoms = cls.atoms
     if cls.kind is ClassKind.C2_SINGLE_ATOM:
         return _single_block_raw(atoms[0].k, atoms[0].m, x)
-    terms = []
+    parts = []
     cross = x.copy()
     for a in atoms:
         block = np.ix_(a.indices, a.indices)
@@ -586,7 +685,7 @@ def _type_one_raw(cls: SpecClass, x):
         if a.m < 2 or not np.any(comp):
             continue
         atom_terms = _single_block_raw(a.k, a.m, comp)
-        if not atom_terms:
+        if not len(atom_terms.coeffs):
             continue
         pad = _witness_on(cls.n, [b for b in atoms if b is not a])
         if pad is None:  # pragma: no cover - validate_spec rejects these layouts
@@ -594,13 +693,13 @@ def _type_one_raw(cls: SpecClass, x):
                 "no-padding-partner",
                 "no complement unitary exists on the remaining atoms",
             )
-        terms.extend(_padded_pairs(atom_terms, cls.n, block, [(Ellipsis, pad)],
+        parts.append(_padded_pairs(atom_terms, cls.n, block, [((), pad)],
                                    Provenance.ATOMIC, f"atom-completion({a.block},{a.atom})"))
     if np.any(cross):
         g = math.gcd(*[a.dim for a in atoms])
         pieces = [a.indices[s : s + g] for a in atoms for s in range(0, a.dim, g)]
-        terms.extend(_zero_piece_raw(cross, pieces))
-    return terms
+        parts.append(_zero_piece_raw(cross, pieces))
+    return _cat(cls.n, parts)
 
 
 def _type_one_budgets(cls: SpecClass):
@@ -708,10 +807,11 @@ def masa_quadrant_decomp(x, in_tol: float = 1e-10) -> Decomposition:
                 remainder[np.ix_(quads[slot], quads[col2])] -= mult * s * r
             terms.append((mult * s / 2.0, u1, Provenance.DILATION, f"quadrant-{tag}"))
             terms.append((mult * s / 2.0, u2, Provenance.DILATION, f"quadrant-{tag}"))
+    raw = _stack(n, terms)
     if np.any(remainder):
-        terms.extend(_zero_piece_raw(remainder, quads))
+        raw = _cat(n, [raw, _zero_piece_raw(remainder, quads)])
     spec = TypeISubalgebraSpec.masa(n)
-    return _assemble(spec, x, terms, term_budget=8 + 8 * 4 * 3,
+    return _assemble(spec, x, raw, term_budget=8 + 8 * 4 * 3,
                      coeff_budget=148.0 * max(1.0, operator_norm(x)))
 
 
@@ -721,7 +821,7 @@ def masa_quadrant_decomp(x, in_tol: float = 1e-10) -> Decomposition:
 
 def _max_hs_norm(stack) -> float:
     """Largest per-matrix ``hs_norm`` of a stack; 0.0 for an empty stack."""
-    return max([0.0, *map(hs_norm, stack)])
+    return float(hs_norm(stack).max(initial=0.0))
 
 
 def verify_decomposition(spec, x, d: Decomposition) -> VerificationReport:
@@ -731,12 +831,10 @@ def verify_decomposition(spec, x, d: Decomposition) -> VerificationReport:
     checked through the conditional expectation.
     """
     x = as_matrix(x)
-    us = [as_matrix(t.unitary) for t in d.terms]
-    if any(u.shape != x.shape for u in us):
+    us = d.unitaries
+    if us.shape[1:] != x.shape:
         raise DimensionMismatch("term dimension differs from the target")
-    us = np.array(us, dtype=np.complex128).reshape((len(us),) + x.shape)
-    coeffs = np.array([t.coeff for t in d.terms], dtype=np.complex128)
-    recon = hs_norm(np.sum(coeffs[:, None, None] * us, axis=0) - x)
+    recon = hs_norm(np.sum(d.coeffs[:, None, None] * us, axis=0) - x)
     max_unit = _max_hs_norm(np.swapaxes(us.conj(), -1, -2) @ us - np.eye(x.shape[0]))
     max_member = 0.0
     if spec is not None:
@@ -745,6 +843,6 @@ def verify_decomposition(spec, x, d: Decomposition) -> VerificationReport:
         recon_residual=recon,
         max_unitarity_residual=max_unit,
         max_membership_residual=max_member,
-        term_count=len(d.terms),
+        term_count=len(us),
         coeff_sum=d.coeff_sum,
     )

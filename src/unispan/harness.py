@@ -87,14 +87,14 @@ def run_spancert(spec: TypeISubalgebraSpec, rank_tol: float = RANK_TOL,
         raise UnsupportedConfiguration(cls.reason or "unsupported", cls.detail)
     basis = complement_basis(spec, rank_tol=rank_tol)
     expected = n * n - algebra_dimension(spec)
-    pool = []
+    stacks = [np.empty((0, n, n), dtype=np.complex128)]
     worst = VerificationReport(0.0, 0.0, 0.0, 0, 0.0)
     ok = True
     for b in basis:
         d = type_one_decomp(spec, b, in_tol=1e-8)
         rep = verify_decomposition(spec, b, d)
         ok = ok and report_within(rep, recon_tol, term_tol)
-        pool.extend(t.unitary for t in d.terms)
+        stacks.append(d.unitaries)
         worst = VerificationReport(
             max(worst.recon_residual, rep.recon_residual),
             max(worst.max_unitarity_residual, rep.max_unitarity_residual),
@@ -102,7 +102,8 @@ def run_spancert(spec: TypeISubalgebraSpec, rank_tol: float = RANK_TOL,
             worst.term_count + rep.term_count,
             max(worst.coeff_sum, rep.coeff_sum),
         )
-    rank = gram_rank(pool, rank_tol=rank_tol) if pool else 0
+    pool = np.concatenate(stacks)
+    rank = gram_rank(pool, rank_tol=rank_tol) if len(pool) else 0
     passed = ok and rank == expected
     return SpanCertificate(
         spec, len(basis), len(pool), rank, expected, passed, worst

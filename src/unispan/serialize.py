@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import TypeISubalgebraSpec
-from .decompose import Decomposition, Provenance, UnitaryTerm, VerificationReport
+from .decompose import Decomposition, Provenance, VerificationReport
 from .errors import ParseError, UnispanError
 
 # --- canonical emitter -----------------------------------------------------
@@ -241,18 +241,20 @@ def report_from_json(obj) -> VerificationReport:
 
 
 def decomposition_to_json(d: Decomposition, report: Optional[VerificationReport] = None) -> dict:
+    columns = (d.coeffs.real.tolist(), d.coeffs.imag.tolist(), d.provenance, d.stages,
+               d.unitaries.real.tolist(), d.unitaries.imag.tolist())
     doc = {
         "n": int(d.target.shape[0]),
         "spec": spec_to_json(d.spec) if d.spec is not None else None,
         "target": matrix_to_json(d.target),
         "terms": [
             {
-                "coeff": {"re": float(t.coeff.real), "im": float(t.coeff.imag)},
-                "provenance": t.provenance.value,
-                "stage": t.stage,
-                "unitary": matrix_to_json(t.unitary),
+                "coeff": {"re": c_re, "im": c_im},
+                "provenance": prov.value,
+                "stage": stage,
+                "unitary": {"re": u_re, "im": u_im},
             }
-            for t in d.terms
+            for c_re, c_im, prov, stage, u_re, u_im in zip(*columns)
         ],
         "term_budget": d.term_budget,
         "coeff_budget": float(d.coeff_budget) if d.coeff_budget is not None else None,
@@ -274,6 +276,56 @@ def _finite(value, what: str) -> float:
     raise ParseError(f"decomposition: {what} must be a finite number")
 
 
+def _terms_one_by_one(items, target):
+    """Term stacks parsed and checked term by term; errors name their term."""
+    coeffs, unitaries, provenance, stages = [], [], [], []
+    for i, t in enumerate(items):
+        try:
+            re, im = t["coeff"]["re"], t["coeff"]["im"]
+            prov = Provenance(t["provenance"])
+            stage = str(t.get("stage", ""))
+        except (TypeError, KeyError, ValueError):
+            raise ParseError(f"decomposition: malformed term {i}") from None
+        coeffs.append(complex(_finite(re, f"term {i} coefficient"),
+                              _finite(im, f"term {i} coefficient")))
+        u = matrix_from_json(t["unitary"], f"term {i} unitary")
+        if u.shape != target.shape:
+            raise ParseError(f"decomposition: term {i} dimension mismatch")
+        unitaries.append(u)
+        provenance.append(prov)
+        stages.append(stage)
+    unitaries = np.array(unitaries, dtype=np.complex128).reshape((len(items),) + target.shape)
+    return np.array(coeffs, dtype=np.complex128), unitaries, provenance, stages
+
+
+def _terms_from_json(items, target):
+    """``(coeffs, unitaries, provenance, stages)`` of a term list.
+
+    A list of well-formed terms with float coefficients converts in one
+    array conversion per field.  Anything else is parsed term by term, which
+    accepts the same inputs and reports an error against its term.
+    """
+    try:
+        coeffs = [(t["coeff"]["re"], t["coeff"]["im"]) for t in items]
+        re = np.array([t["unitary"]["re"] for t in items], dtype=np.float64)
+        im = np.array([t["unitary"]["im"] for t in items], dtype=np.float64)
+        provenance = [Provenance(t["provenance"]) for t in items]
+        stages = [str(t.get("stage", "")) for t in items]
+    except (TypeError, KeyError, ValueError, AttributeError, OverflowError):
+        return _terms_one_by_one(items, target)
+    shape = (len(items),) + target.shape
+    if (not items or re.shape != shape or im.shape != shape
+            or not all(type(v) is float for pair in coeffs for v in pair)):
+        return _terms_one_by_one(items, target)
+    # exact: the pairs are reinterpreted as complex values, keeping every bit
+    coeffs = np.array(coeffs, dtype=np.float64).view(np.complex128).reshape(len(items))
+    if not (np.isfinite(coeffs).all() and np.isfinite(re).all() and np.isfinite(im).all()):
+        return _terms_one_by_one(items, target)
+    unitaries = 1j * im
+    unitaries += re  # re + 1j * im, without a second complex temporary
+    return coeffs, unitaries, provenance, stages
+
+
 def decomposition_from_json(obj):
     """Parse a decomposition file into ``(decomposition, stored_report)``."""
     if not isinstance(obj, dict) or "terms" not in obj or "target" not in obj:
@@ -282,26 +334,12 @@ def decomposition_from_json(obj):
         raise ParseError("decomposition: 'terms' must be a list")
     spec = spec_from_json(obj["spec"]) if obj.get("spec") is not None else None
     target = matrix_from_json(obj["target"], "target")
-    terms = []
-    for i, t in enumerate(obj["terms"]):
-        try:
-            re, im = t["coeff"]["re"], t["coeff"]["im"]
-            prov = Provenance(t["provenance"])
-            stage = str(t.get("stage", ""))
-        except (TypeError, KeyError, ValueError):
-            raise ParseError(f"decomposition: malformed term {i}") from None
-        coeff = complex(_finite(re, f"term {i} coefficient"),
-                        _finite(im, f"term {i} coefficient"))
-        u = matrix_from_json(t["unitary"], f"term {i} unitary")
-        if u.shape != target.shape:
-            raise ParseError(f"decomposition: term {i} dimension mismatch")
-        terms.append(UnitaryTerm(coeff, u, prov, stage))
     budget = obj.get("term_budget")
     coeff_budget = obj.get("coeff_budget")
     d = Decomposition(
         spec,
         target,
-        tuple(terms),
+        *_terms_from_json(obj["terms"], target),
         term_budget=None if budget is None else _integer(budget, "decomposition: term_budget"),
         coeff_budget=(_finite(coeff_budget, "'coeff_budget'")
                       if coeff_budget is not None else None),

@@ -263,6 +263,33 @@ class TestExitCodes:
         assert json.loads(out)["error"] == "parse"
 
     @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            (lambda doc: doc["terms"][3]["unitary"]["re"][1].pop(),
+             "term 3 unitary: arrays are not rectangular numeric"),
+            (lambda doc: doc["terms"][2]["unitary"]["im"][0].__setitem__(1, float("nan")),
+             "term 2 unitary: entries must be finite (no NaN or Infinity)"),
+            (lambda doc: doc["terms"][1].update(unitary={"re": [[0.0, 1.0], [1.0, 0.0]],
+                                                         "im": [[0.0, 0.0], [0.0, 0.0]]}),
+             "decomposition: term 1 dimension mismatch"),
+        ],
+        ids=["ragged-term-3", "nan-term-2", "wrong-size-term-1"],
+    )
+    def test_bad_stored_term_is_named(self, capsys, tmp_path, edit, detail):
+        inst = tmp_path / "inst.json"
+        run_cli(capsys, "random-instance", "--class", "c1", "--n", "3",
+                "--seed", "2", "--out", str(inst))
+        dec = tmp_path / "dec.json"
+        run_cli(capsys, "decompose", "--in", str(inst), "--out", str(dec))
+        doc = json.loads(dec.read_text())
+        assert len(doc["terms"]) > 3
+        edit(doc)
+        dec.write_text(json.dumps(doc))  # json writes NaN tokens
+        code, out, _ = run_cli(capsys, "verify", "--in", str(dec))
+        assert code == 2
+        assert json.loads(out) == {"error": "parse", "detail": detail}
+
+    @pytest.mark.parametrize(
         "edit",
         [
             lambda doc: doc["spec"]["blocks"][0].update(k="1"),

@@ -24,7 +24,6 @@ from unispan.decompose import (
     TERM_TOL,
     Decomposition,
     Provenance,
-    UnitaryTerm,
     VerificationReport,
     amplify_entry,
     canonical_trace_zero_unitary,
@@ -40,6 +39,12 @@ from unispan.decompose import (
     zero_piece_diagonal_decomp,
 )
 from unispan.selftest import expectation_axioms_suite, spec_grid
+from unispan.serialize import (
+    canonical_dumps,
+    canonical_loads,
+    decomposition_from_json,
+    decomposition_to_json,
+)
 from unispan.errors import (
     BadPosition,
     DiagonalNotZero,
@@ -252,7 +257,90 @@ class TestZeroPieceDiagonal:
         assert verify_decomposition(None, x, d).recon_residual <= 1e-14
 
 
+def merge_input(raw):
+    """``_merge_raw``'s arguments for a list of ``(coeff, unitary, prov, stage)``."""
+    return (np.array([c for c, _, _, _ in raw], dtype=complex),
+            np.array([u for _, u, _, _ in raw], dtype=complex))
+
+
+def reference_merge(terms):
+    """The merge that compares every term with every earlier cluster, kept
+    as the reference for the keyed ``_merge_raw``.  Returns
+    ``(summed coeff, index of the cluster's first term)`` per cluster."""
+    if not terms:
+        return []
+    flat = np.array([u for _, u, _, _ in terms]).reshape(len(terms), -1)
+    mags = np.abs(flat)
+    peaks = mags.max(axis=1)
+    pivots = np.argmax(mags >= 0.5 * peaks[:, None], axis=1)
+    canon = np.empty_like(flat)  # phase-canonical rows of the clusters
+    reps = []  # [summed coeff, index of the verbatim unitary, phase]
+    for i, ((coeff, _, _, _), row, peak, pivot) in enumerate(zip(terms, flat, peaks, pivots)):
+        if peak == 0.0:
+            continue
+        phase = row[pivot] / abs(row[pivot])
+        uc = row * np.conj(phase)
+        hits = np.flatnonzero(
+            np.max(np.abs(uc - canon[: len(reps)]), axis=1) <= MERGE_TOL
+        )
+        if hits.size:
+            rep = reps[hits[0]]
+            rep[0] += coeff * phase / rep[2]
+        else:
+            canon[len(reps)] = uc
+            reps.append([coeff, i, phase])
+    top = max((abs(r[0]) for r in reps), default=0.0)
+    if top == 0.0:
+        return []
+    return [(c, i) for c, i, _ in reps if abs(c) > 1e-15 * top]
+
+
+def merge_case(rng):
+    """A shuffled raw term list built to stress the merge: ``(+v, -v)``
+    padding pairs, unit-modulus multiples, zero unitaries, cancelling
+    coefficients and perturbations on both sides of ``MERGE_TOL``."""
+    n = int(rng.integers(1, 5))
+    m = Provenance.MASTER
+    bases = [random_unitary(rng, n) for _ in range(3)]
+    bases.append(np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], n))
+    raw = []
+    for _ in range(int(rng.integers(1, 30))):
+        u = bases[int(rng.integers(len(bases)))].astype(complex)
+        c = complex(*rng.standard_normal(2))
+        kind = int(rng.integers(6))
+        if kind == 0:  # a padding pair: the same unitary with a block negated
+            v = u.copy()
+            v[: n // 2 + 1] *= -1.0
+            raw += [(c, u.copy(), m, "pad+"), (c, v, m, "pad-")]
+        elif kind == 1:
+            raw.append((c, np.exp(1j * rng.uniform(0, 2 * np.pi)) * u, m, "phase"))
+        elif kind == 2:
+            raw.append((c, np.zeros((n, n), dtype=complex), m, "zero"))
+        elif kind == 3:  # cancels the first term of this unitary up to rounding
+            theta = rng.uniform(0, 2 * np.pi)
+            raw += [(c, u.copy(), m, "c"),
+                    (-c * np.exp(-1j * theta), np.exp(1j * theta) * u, m, "-c")]
+        elif kind == 4:
+            v = u.copy()
+            v[rng.integers(n), rng.integers(n)] += rng.choice([0.5, 0.99, 1.01, 1.5]) * MERGE_TOL
+            raw.append((c, v, m, "perturbed"))
+        else:
+            raw.append((c, u.copy(), m, "plain"))
+    return [raw[i] for i in rng.permutation(len(raw))]
+
+
 class TestMerge:
+    def test_keyed_merge_matches_reference(self, rng):
+        merged = 0
+        for _ in range(300):
+            raw = merge_case(rng)
+            coeffs, kept = decompose._merge_raw(*merge_input(raw))
+            ref = reference_merge(raw)
+            assert kept.tolist() == [i for _, i in ref]
+            assert coeffs.tobytes() == np.array([c for c, _ in ref], dtype=complex).tobytes()
+            merged += len(raw) - len(ref)
+        assert merged > 300  # the lists do merge, so the clusters are exercised
+
     def test_merge_rule(self):
         a = np.diag([1.0, -1.0]).astype(complex)
         b = np.diag([1.0, -1.0 + 1.5 * MERGE_TOL]).astype(complex)
@@ -271,11 +359,12 @@ class TestMerge:
             (0.5, np.eye(2, dtype=complex), m, "e"),
             (0.25, 1j * np.eye(2), m, "ie"),  # folds in with its phase i
         ]
-        out = decompose._merge_raw(raw)
-        assert [(coeff, stage) for coeff, _, _, stage in out] == [
+        coeffs, kept = decompose._merge_raw(*merge_input(raw))
+        assert [(c, raw[i][3]) for c, i in zip(coeffs.tolist(), kept.tolist())] == [
             (1.5, "a"), (0.25, "b"), (-1.5, "w"), (0.5 + 0.25j, "e")
         ]
-        assert out[0][1] is a and out[1][1] is b and out[2][1] is w
+        # each cluster keeps its first term's unitary verbatim: a, b and w
+        assert kept.tolist()[:3] == [0, 1, 3]
 
 
 class TestCornerDilation:
@@ -416,10 +505,10 @@ def hand_decomposition(terms):
     return Decomposition(
         None,
         target,
-        tuple(
-            UnitaryTerm(complex(c), np.asarray(u, dtype=complex), Provenance.MASTER)
-            for c, u in terms
-        ),
+        [c for c, _ in terms],
+        [np.asarray(u, dtype=complex) for _, u in terms],
+        (Provenance.MASTER,) * len(terms),
+        ("",) * len(terms),
     )
 
 
@@ -662,7 +751,7 @@ class TestVerify:
         assert rep.max_unitarity_residual == pytest.approx(1 - 0.999**2, rel=1e-3)
 
     def test_empty_decomposition_of_zero(self):
-        d = Decomposition(None, np.zeros((2, 2), dtype=complex), ())
+        d = Decomposition(None, np.zeros((2, 2), dtype=complex), [], np.zeros((0, 2, 2)), (), ())
         for spec in (None, TypeISubalgebraSpec.masa(2)):
             rep = verify_decomposition(spec, np.zeros((2, 2)), d)
             assert rep == VerificationReport(0.0, 0.0, 0.0, 0, 0.0)
@@ -675,12 +764,26 @@ class TestVerify:
 
     def test_term_shape_differs_from_target(self):
         d = Decomposition(
-            None,
-            np.zeros((2, 2), dtype=complex),
-            (UnitaryTerm(1.0, np.eye(3, dtype=complex), Provenance.MASTER),),
+            None, np.zeros((2, 2), dtype=complex), [1.0], [np.eye(3)], (Provenance.MASTER,), ("",)
         )
         with pytest.raises(DimensionMismatch):
             verify_decomposition(None, np.zeros((2, 2)), d)
+
+
+class TestReadOnlyStorage:
+    def test_returned_and_parsed_stacks_are_read_only(self, rng):
+        spec = TypeISubalgebraSpec.of_blocks([(2, [2]), (2, [2])])
+        x = algebra.random_complement_element(spec, 4)
+        d = type_one_decomp(spec, x)
+        text = canonical_dumps(decomposition_to_json(d))
+        parsed, _ = decomposition_from_json(canonical_loads(text))
+        for dec in (d, parsed):
+            assert len(dec.terms) == len(dec.unitaries) == len(dec.coeffs) > 0
+            assert dec.unitaries.flags.writeable is False
+            assert all(t.unitary.flags.writeable is False for t in dec.terms)
+            with pytest.raises(ValueError):
+                dec.unitaries[0, 0, 0] = 1.0
+        assert x.flags.writeable  # the caller's input is not frozen
 
 
 class TestFaultInjection:

@@ -9,6 +9,8 @@ reconstruction ``v diag(w) v* = h`` and orthonormality ``v* v = 1`` over
 ``r**2 + h**2 = 1`` with ``h r = r h`` for ``r = sqrt_defect(h)``.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,10 +58,48 @@ class TestHSInner:
             linalg.hs_inner(np.eye(2), np.eye(3))
 
 
+def reference_hs_norm(x) -> float:
+    """The single-matrix ``hs_norm`` as it was before it took stacks."""
+    a = np.abs(np.asarray(x, dtype=complex))
+    top = float(a.max())
+    if top == 0.0 or not math.isfinite(top):
+        return top
+    e = max(math.frexp(top)[1], -1021)
+    a *= math.ldexp(1.0, -e)
+    return math.ldexp(float(np.sqrt(np.sum(a * a) / a.shape[0])), e)
+
+
+def same_float(a, b) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
 class TestHSNorm:
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
     def test_identity_at_extreme_scales(self, scale):
         assert abs(linalg.hs_norm(scale * np.eye(2)) - scale) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_stack_matches_per_matrix(self, rng, n):
+        mats = [random_complex(rng, (n, n)) * 10.0**e for e in (-300, -150, 0, 150, 300)]
+        mats += [np.zeros((n, n)), np.full((n, n), 5e-324), random_complex(rng, (n, n)) * 1e-310]
+        for bad in (np.nan, np.inf, -np.inf):
+            m = random_complex(rng, (n, n)) * 1e200
+            m[1, 2] = bad  # among entries whose squares would overflow
+            mats.append(m)
+        stack = np.array(mats)
+        norms = linalg.hs_norm(stack)
+        assert norms.shape == (len(mats),)
+        for m, got in zip(mats, norms.tolist()):
+            alone = linalg.hs_norm(m)
+            assert type(alone) is float
+            assert same_float(got, alone) and same_float(alone, reference_hs_norm(m))
+        grid = linalg.hs_norm(stack[:10].reshape(2, 5, n, n))
+        assert np.array_equal(grid.ravel(), norms[:10], equal_nan=True)
+        assert linalg.hs_norm(np.zeros((0, n, n))).shape == (0,)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            linalg.hs_norm(np.zeros((2, 2, 3)))
 
 
 class TestOperatorNorm:
@@ -230,6 +270,15 @@ class TestGramRank:
     def test_empty_rejected(self):
         with pytest.raises(DimensionMismatch):
             linalg.gram_rank([])
+
+    def test_stack_matches_list(self, rng):
+        mats = [random_complex(rng, (3, 3)) for _ in range(4)]
+        pool = mats + [mats[0] - mats[1]] * 7
+        assert linalg.gram_rank(np.array(pool)) == linalg.gram_rank(pool) == 4
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            linalg.gram_rank([np.eye(2), np.eye(3)])
 
 
 @settings(max_examples=30, deadline=None)
