@@ -20,7 +20,7 @@ kernels.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Tuple
@@ -100,6 +100,11 @@ class Decomposition:
     ``coeff_budget`` carry the statically computed bounds of the
     construction that produced the terms (``None`` for hand-assembled
     instances).
+
+    The arrays are copied, so later writes to the caller's arrays do not
+    reach the instance.  ``own_terms=True`` hands over the ``coeffs`` and
+    ``unitaries`` stacks instead: the instance keeps read-only views of
+    them, which is only sound for stacks that nothing else will write.
     """
 
     spec: Optional[TypeISubalgebraSpec]
@@ -110,10 +115,12 @@ class Decomposition:
     stages: Tuple[str, ...]
     term_budget: Optional[int] = None
     coeff_budget: Optional[float] = None
+    own_terms: InitVar[bool] = False
 
-    def __post_init__(self):
-        for name in ("target", "coeffs", "unitaries"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+    def __post_init__(self, own_terms):
+        object.__setattr__(self, "target", _freeze(self.target, copy=True))
+        for name in ("coeffs", "unitaries"):
+            object.__setattr__(self, name, _freeze(getattr(self, name), copy=not own_terms))
         for name in ("provenance", "stages"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         count = len(self.coeffs)
@@ -150,10 +157,11 @@ class VerificationReport:
 # term-list plumbing
 
 
-def _freeze(a) -> np.ndarray:
-    """A read-only, C-contiguous complex128 view of ``a`` (copied only when
-    ``a`` is not already such an array)."""
-    a = np.ascontiguousarray(a, dtype=np.complex128).view()
+def _freeze(a, copy) -> np.ndarray:
+    """A read-only, C-contiguous complex128 copy of ``a``; without ``copy``
+    a read-only view of ``a`` when it is already such an array."""
+    a = np.array(a, dtype=np.complex128, order="C") if copy else (
+        np.ascontiguousarray(a, dtype=np.complex128).view())
     a.setflags(write=False)
     return a
 
@@ -265,7 +273,7 @@ def _merge_raw(coeffs, unitaries):
 
 def _assemble(spec, target, raw, merge=True, term_budget=None, coeff_budget=None):
     if not merge:
-        return Decomposition(spec, target, *raw, term_budget, coeff_budget)
+        return Decomposition(spec, target, *raw, term_budget, coeff_budget, own_terms=True)
     coeffs, kept = _merge_raw(raw.coeffs, raw.unitaries)
     if len(kept) == len(raw.coeffs):  # nothing merged or dropped
         unitaries, provenance, stages = raw.unitaries, raw.provenance, raw.stages
@@ -274,7 +282,7 @@ def _assemble(spec, target, raw, merge=True, term_budget=None, coeff_budget=None
         provenance = tuple(raw.provenance[i] for i in kept.tolist())
         stages = tuple(raw.stages[i] for i in kept.tolist())
     return Decomposition(spec, target, coeffs, unitaries, provenance, stages,
-                         term_budget, coeff_budget)
+                         term_budget, coeff_budget, own_terms=True)
 
 
 def _padded_pairs(entry, n, target, pads, prov, stage):
@@ -331,6 +339,15 @@ def _selfadjoint_parts(z):
             ((z - z.conj().T) / 2.0j, 1.0j, "imag"))
 
 
+def _divide_by_norm(x, s):
+    """``x / s`` for a norm ``s > 0``.  NumPy divides a complex array by
+    multiplying with ``1/s``, which overflows for a subnormal ``s``; both
+    are then first scaled up by the exact factor ``2**600``."""
+    if s < np.finfo(np.float64).tiny:
+        x, s = x * 2.0**600, s * 2.0**600
+    return x / s
+
+
 def _four_unitary_raw(x, stage="selfadjoint-split"):
     n = x.shape[0]
     if not np.any(x):
@@ -338,7 +355,7 @@ def _four_unitary_raw(x, stage="selfadjoint-split"):
     s = operator_norm(x)
     if s == 0.0:
         return _stack(n)
-    cand = x / s
+    cand = _divide_by_norm(x, s)
     if unitarity_residual(cand) <= FAST_PATH_TOL:
         return _stack(n, [(s, cand, Provenance.FOUR_UNITARY, "unitary-multiple")])
     parts = []
@@ -346,7 +363,7 @@ def _four_unitary_raw(x, stage="selfadjoint-split"):
         sp = operator_norm(part)
         if sp == 0.0:
             continue
-        two = _two_unitary_raw(part / sp, f"{stage}-{tag}")
+        two = _two_unitary_raw(_divide_by_norm(part, sp), f"{stage}-{tag}")
         parts.append(two._replace(coeffs=mult * sp * two.coeffs))
     return _cat(n, parts)
 
@@ -514,7 +531,7 @@ def _scalar_case_raw(x):
     if not np.any(x):
         return _stack(m)
     s = operator_norm(x)
-    cand = x / s
+    cand = _divide_by_norm(x, s)
     if (
         unitarity_residual(cand) <= FAST_PATH_TOL
         and abs(normalized_trace(cand)) <= FAST_PATH_TOL

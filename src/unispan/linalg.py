@@ -8,7 +8,6 @@ All norms written ``||.||_2`` are Hilbert-Schmidt norms taken with the
 dimension.  Every function is pure: inputs are never mutated.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +47,6 @@ def hs_inner(x, y) -> complex:
     return complex(np.vdot(y, x)) / x.shape[0]
 
 
-_TINY = np.finfo(np.float64).tiny  # 2**-1022
 _HUGE = np.finfo(np.float64).max
 
 
@@ -69,23 +67,15 @@ def hs_norm(x):
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
     n = a.shape[-1]
-    if a.ndim == 2:  # one matrix: the same steps on Python scalars, twice as fast
-        top = float(a.max())
-        if top == 0.0 or not math.isfinite(top):
-            return top
-        # subnormal maxima scale like the smallest normal one: 2**1021 is exact
-        e = max(math.frexp(top)[1], -1021)
-        a *= math.ldexp(1.0, -e)
-        return math.ldexp(float(np.sqrt(np.sum(a * a) / n)), e)
     a = a.reshape(a.shape[:-2] + (n * n,))
-    top = a.max(axis=-1)
-    # zero and subnormal tops scale like the smallest normal one, NaN and
-    # infinite tops like the largest finite one: no square overflows, and
-    # their norms come out as the tops themselves
-    e = np.frexp(np.fmax(np.fmin(top, _HUGE), _TINY))[1]
-    a *= np.ldexp(1.0, -e)[..., None]
+    # NaN and infinite tops scale like the largest finite one, so no square
+    # overflows and their norms come out as the tops themselves; a zero top
+    # has exponent 0 and leaves its zeros as they are
+    e = np.frexp(np.fmin(np.maximum.reduce(a, axis=-1), _HUGE))[1]
+    a = np.ldexp(a, -e[..., None])
     a *= a
-    return np.ldexp(np.sqrt(np.add.reduce(a, axis=-1) / n), e)
+    norms = np.ldexp(np.sqrt(np.add.reduce(a, axis=-1) / n), e)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def unitarity_residual(x) -> float:
@@ -114,8 +104,8 @@ def hermitian_eig(h, input_tol: float = 1e-10) -> HermEig:
     ``input_tol * max(1, ||h||_2)``.
     """
     h = as_matrix(h)
-    scale = max(1.0, hs_norm(h))
-    if hs_norm(h - h.conj().T) > input_tol * scale:
+    norm, skew = hs_norm(np.stack((h, h - h.conj().T)))
+    if skew > input_tol * max(1.0, norm):
         raise NotSelfAdjoint("input is not self-adjoint within tolerance")
     w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
     return HermEig(w, v)

@@ -276,53 +276,54 @@ def _finite(value, what: str) -> float:
     raise ParseError(f"decomposition: {what} must be a finite number")
 
 
-def _terms_one_by_one(items, target):
-    """Term stacks parsed and checked term by term; errors name their term."""
-    coeffs, unitaries, provenance, stages = [], [], [], []
+def _term_error(items, target) -> ParseError:
+    """The error for a term list that :func:`_terms_from_json` rejects,
+    found by checking the terms one by one and naming the first bad one."""
     for i, t in enumerate(items):
         try:
             re, im = t["coeff"]["re"], t["coeff"]["im"]
-            prov = Provenance(t["provenance"])
-            stage = str(t.get("stage", ""))
-        except (TypeError, KeyError, ValueError):
-            raise ParseError(f"decomposition: malformed term {i}") from None
-        coeffs.append(complex(_finite(re, f"term {i} coefficient"),
-                              _finite(im, f"term {i} coefficient")))
-        u = matrix_from_json(t["unitary"], f"term {i} unitary")
+            Provenance(t["provenance"])
+            str(t.get("stage", ""))
+        except (TypeError, KeyError, ValueError, AttributeError):
+            return ParseError(f"decomposition: malformed term {i}")
+        try:
+            _finite(re, f"term {i} coefficient")
+            _finite(im, f"term {i} coefficient")
+            if "unitary" not in t:
+                return ParseError(f"decomposition: malformed term {i}")
+            u = matrix_from_json(t["unitary"], f"term {i} unitary")
+        except ParseError as e:
+            return e
         if u.shape != target.shape:
-            raise ParseError(f"decomposition: term {i} dimension mismatch")
-        unitaries.append(u)
-        provenance.append(prov)
-        stages.append(stage)
-    unitaries = np.array(unitaries, dtype=np.complex128).reshape((len(items),) + target.shape)
-    return np.array(coeffs, dtype=np.complex128), unitaries, provenance, stages
+            return ParseError(f"decomposition: term {i} dimension mismatch")
+    return ParseError("decomposition: malformed term list")
 
 
 def _terms_from_json(items, target):
-    """``(coeffs, unitaries, provenance, stages)`` of a term list.
-
-    A list of well-formed terms with float coefficients converts in one
-    array conversion per field.  Anything else is parsed term by term, which
-    accepts the same inputs and reports an error against its term.
-    """
+    """``(coeffs, unitaries, provenance, stages)`` of a term list, converted
+    in one array conversion per field.  A coefficient is a finite float or
+    integer (not a boolean); a list that does not parse raises the error
+    of its first bad term."""
+    shape = (len(items),) + target.shape
     try:
-        coeffs = [(t["coeff"]["re"], t["coeff"]["im"]) for t in items]
+        pairs = [(t["coeff"]["re"], t["coeff"]["im"]) for t in items]
+        if not {type(v) for pair in pairs for v in pair} <= {float, int}:
+            raise TypeError
+        coeffs = np.array(pairs, dtype=np.float64).reshape(len(items), 2)
         re = np.array([t["unitary"]["re"] for t in items], dtype=np.float64)
         im = np.array([t["unitary"]["im"] for t in items], dtype=np.float64)
+        if items and not re.shape == im.shape == shape:
+            raise ValueError
         provenance = [Provenance(t["provenance"]) for t in items]
         stages = [str(t.get("stage", "")) for t in items]
     except (TypeError, KeyError, ValueError, AttributeError, OverflowError):
-        return _terms_one_by_one(items, target)
-    shape = (len(items),) + target.shape
-    if (not items or re.shape != shape or im.shape != shape
-            or not all(type(v) is float for pair in coeffs for v in pair)):
-        return _terms_one_by_one(items, target)
-    # exact: the pairs are reinterpreted as complex values, keeping every bit
-    coeffs = np.array(coeffs, dtype=np.float64).view(np.complex128).reshape(len(items))
+        raise _term_error(items, target) from None
     if not (np.isfinite(coeffs).all() and np.isfinite(re).all() and np.isfinite(im).all()):
-        return _terms_one_by_one(items, target)
-    unitaries = 1j * im
-    unitaries += re  # re + 1j * im, without a second complex temporary
+        raise _term_error(items, target)
+    # exact: the pairs are reinterpreted as complex values, keeping every bit
+    coeffs = coeffs.view(np.complex128).reshape(len(items))
+    unitaries = 1j * im.reshape(shape)
+    unitaries += re.reshape(shape)  # re + 1j * im, without a second complex temporary
     return coeffs, unitaries, provenance, stages
 
 
@@ -343,6 +344,7 @@ def decomposition_from_json(obj):
         term_budget=None if budget is None else _integer(budget, "decomposition: term_budget"),
         coeff_budget=(_finite(coeff_budget, "'coeff_budget'")
                       if coeff_budget is not None else None),
+        own_terms=True,
     )
     report = report_from_json(obj["report"]) if "report" in obj else None
     return d, report

@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -152,6 +152,9 @@ class TestFourUnitary:
     arrays(np.float64, (4, 4), elements=st.floats(-5, 5)),
     arrays(np.float64, (4, 4), elements=st.floats(-5, 5)),
 )
+# subnormal operator norms, of x and of its real part (1/s overflows)
+@example(np.zeros((4, 4)), np.full((4, 4), 2.2250738585e-311))
+@example(np.diag([5e-324, 0.0, 0.0, 0.0]), np.diag([1.0, 2.0, 3.0, 4.0]))
 def test_four_unitary_property(re, im):
     x = re + 1j * im
     d = four_unitary(x)
@@ -418,6 +421,12 @@ class TestScalarCase:
             assert rep.max_membership_residual <= 1e-10
             for t in d.terms:
                 assert abs(np.trace(t.unitary)) <= 1e-10 * 4
+
+    def test_subnormal_operator_norm(self):
+        x = 1e-310 * np.diag([1.0, -1.0, 2.0, -2.0])  # 1/||x|| overflows
+        rep = verify_decomposition(None, x, scalar_decomp(x))
+        assert rep.recon_residual <= 1e-10
+        assert rep.max_unitarity_residual <= 1e-12
 
     def test_errors(self):
         with pytest.raises(NotInComplement):
@@ -784,6 +793,20 @@ class TestReadOnlyStorage:
             with pytest.raises(ValueError):
                 dec.unitaries[0, 0, 0] = 1.0
         assert x.flags.writeable  # the caller's input is not frozen
+
+    def test_caller_arrays_are_copied(self, rng):
+        spec = TypeISubalgebraSpec.of_blocks([(2, [2]), (2, [2])])
+        x = algebra.random_complement_element(spec, 4)
+        d = type_one_decomp(spec, x)
+        target, recon = d.target.copy(), d.reconstruction()
+        assert not np.shares_memory(d.target, x)
+        x[0, 0] = 5.0
+        assert np.array_equal(d.target, target)
+        assert np.array_equal(d.reconstruction(), recon)
+        coeffs, unitaries = np.ones(2, dtype=complex), np.stack([np.eye(2, dtype=complex)] * 2)
+        hand = Decomposition(None, np.eye(2), coeffs, unitaries, (Provenance.MASTER,) * 2, ("", ""))
+        coeffs[0], unitaries[0, 0, 0] = 7.0, 7.0
+        assert hand.coeffs[0] == 1.0 and hand.unitaries[0, 0, 0] == 1.0
 
 
 class TestFaultInjection:

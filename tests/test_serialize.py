@@ -128,6 +128,43 @@ class TestDocumentRoundTrips:
         assert abs(rep2.max_unitarity_residual - stored.max_unitarity_residual) <= 1e-12
         assert abs(rep2.max_membership_residual - stored.max_membership_residual) <= 1e-12
 
+    def _doc(self):
+        spec = TypeISubalgebraSpec.of_blocks([(2, [1]), (2, [1])])
+        d = type_one_decomp(spec, random_complement_element(spec, 3))
+        return canonical_loads(canonical_dumps(decomposition_to_json(d)))
+
+    def test_integer_coefficients_and_empty_terms(self):
+        ints, floats = self._doc(), self._doc()
+        for i, (a, b) in enumerate(zip(ints["terms"], floats["terms"])):
+            a["coeff"] = {"re": i - 2, "im": 2**70 + 1}
+            b["coeff"] = {"re": float(i - 2), "im": float(2**70 + 1)}
+        d_int, _ = decomposition_from_json(ints)
+        d_float, _ = decomposition_from_json(floats)
+        assert d_int.coeffs.tobytes() == d_float.coeffs.tobytes()
+        assert d_int.unitaries.tobytes() == d_float.unitaries.tobytes()
+        empty = self._doc()
+        empty["terms"] = []
+        d, _ = decomposition_from_json(empty)
+        assert d.coeffs.shape == (0,) and d.unitaries.shape == (0,) + d.target.shape
+
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            (lambda t: t["coeff"].update(re=True), "term 1 coefficient must be a finite"),
+            (lambda t: t["coeff"].update(im="0.5"), "term 1 coefficient must be a finite"),
+            (lambda t: t["coeff"].update(re=10**400), "term 1 coefficient must be a finite"),
+            (lambda t: t.update(unitary={"re": [[0.0] * 16], "im": [[0.0] * 16]}),
+             "term 1 unitary: arrays must be square"),
+            (lambda t: t.pop("unitary"), "malformed term 1"),
+        ],
+        ids=["bool", "string", "int-overflow", "flat-same-size", "no-unitary"],
+    )
+    def test_bad_term_is_named(self, edit, detail):
+        doc = self._doc()
+        edit(doc["terms"][1])
+        with pytest.raises(ParseError, match=detail):
+            decomposition_from_json(doc)
+
 
 # The emitter as it was before the float-list fast path, kept verbatim as
 # the byte-level reference for it.
