@@ -281,8 +281,12 @@ def complement_project(spec: TypeISubalgebraSpec, x) -> np.ndarray:
     return x - conditional_expectation(spec, x)
 
 
-def membership_residual(spec: TypeISubalgebraSpec, x) -> float:
-    """``||E(x)||_2``; zero certifies that ``x`` lies in the complement."""
+def membership_residual(spec: TypeISubalgebraSpec, x):
+    """``||E(x)||_2``; zero certifies that ``x`` lies in the complement.
+
+    Takes one matrix, or a stack ``(..., n, n)`` and returns the residual of
+    each of its matrices; a single matrix gives a ``float``.
+    """
     return hs_norm(conditional_expectation(spec, x))
 
 

@@ -13,6 +13,7 @@ import sys
 
 from . import algebra, selftest
 from .algebra import TypeISubalgebraSpec
+from .decompose import RECON_TOL
 from .errors import ParseError, UnispanError, UnsupportedConfiguration
 from .harness import (
     reverify,
@@ -20,7 +21,7 @@ from .harness import (
     run_random_instance,
     run_spancert,
 )
-from .linalg import hs_norm
+from .linalg import RANK_TOL, hs_norm
 from .serialize import (
     canonical_dumps,
     canonical_loads,
@@ -36,6 +37,15 @@ EXIT_OK = 0
 EXIT_RESIDUAL = 1
 EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise :class:`ParseError`, so they
+    end in a JSON error document and exit code 2 like every other parse
+    error."""
+
+    def error(self, message):
+        raise ParseError(message)
 
 
 def _read_text(path: str) -> str:
@@ -132,35 +142,42 @@ def _spec_from_args(args) -> TypeISubalgebraSpec:
     raise ParseError("no subalgebra given: use --spec FILE, --class ... or --blocks ...")
 
 
-def _add_spec_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--spec", help="JSON file holding the subalgebra spec")
-    p.add_argument("--class", dest="cls", choices=["c1", "c2", "c3", "c4"],
-                   help="spec shape class")
-    p.add_argument("--n", type=int, help="ambient dimension (c1)")
-    p.add_argument("--k", type=int, help="factor size (c2)")
-    p.add_argument("--m", type=int, help="atom multiplicity (c2)")
-    p.add_argument("--atoms", help="comma-separated atom ranks (c3)")
-    p.add_argument("--blocks", help="comma-separated KxM blocks (c4 or general)")
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="reconstruction tolerance (unitarity/membership use tol/10)")
-    p.add_argument("--rank-tol", type=float, default=1e-9,
-                   help="relative eigenvalue threshold for rank decisions")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--out", default="-", help="output file ('-' for stdout)")
-
-
-def _check_tolerances(args) -> None:
-    for flag, value in (("--tol", args.tol), ("--rank-tol", args.rank_tol)):
-        if not (math.isfinite(value) and value > 0):
-            raise ParseError(f"{flag} must be finite and > 0, got {value}")
+# every flag of a subcommand, by name; each subcommand takes only those it reads
+_FLAGS = {
+    "--in": dict(dest="infile", required=True, help="input JSON file ('-' for stdin)"),
+    "--spec": dict(help="JSON file holding the subalgebra spec"),
+    "--class": dict(dest="cls", choices=["c1", "c2", "c3", "c4"], help="spec shape class"),
+    "--n": dict(type=int, help="ambient dimension (c1)"),
+    "--k": dict(type=int, help="factor size (c2)"),
+    "--m": dict(type=int, help="atom multiplicity (c2)"),
+    "--atoms": dict(help="comma-separated atom ranks (c3)"),
+    "--blocks": dict(help="comma-separated KxM blocks (c4 or general)"),
+    "--tol": dict(type=_tolerance, default=RECON_TOL,
+                  help="reconstruction tolerance (unitarity/membership use tol/10)"),
+    "--rank-tol": dict(type=_tolerance, default=RANK_TOL,
+                       help="relative eigenvalue threshold for rank decisions"),
+    "--seed": dict(type=int, default=0, help="random seed"),
+    "--max-n": dict(type=int, default=None, help="cap the grid dimension"),
+    "--trials": dict(type=int, default=200, help="trial count per suite"),
+    "--mutate": dict(action="store_true", help="inject a construction fault (suites must fail)"),
+    "--out": dict(default="-", help="output file ('-' for stdout)"),
+}
+_SPEC = tuple(_SPEC_FLAGS.values())
 
 
 def _cmd_decompose(args) -> int:
     spec, matrix, _ = instance_from_json(canonical_loads(_read_text(args.infile)))
-    doc, ok = run_decompose(spec, matrix, recon_tol=args.tol, term_tol=args.tol / 10)
+    doc, ok = run_decompose(spec, matrix, args.tol)
     if "warning" in doc:
         print(f"warning: {doc['warning']}", file=sys.stderr)
     _emit(doc, args.out)
@@ -171,8 +188,7 @@ def _cmd_verify(args) -> int:
     d, stored = decomposition_from_json(canonical_loads(_read_text(args.infile)))
     if stored is None:
         raise ParseError("decomposition file carries no stored report")
-    rep, matches, ok = reverify(d.spec, d.target, d, stored,
-                                recon_tol=args.tol, term_tol=args.tol / 10)
+    rep, matches, ok = reverify(d.spec, d.target, d, stored, args.tol)
     doc = {
         "report": report_to_json(rep),
         "matches_stored": matches,
@@ -196,8 +212,7 @@ def _cmd_expect(args) -> int:
 
 def _cmd_spancert(args) -> int:
     spec = _spec_from_args(args)
-    cert = run_spancert(spec, rank_tol=args.rank_tol,
-                        recon_tol=args.tol, term_tol=args.tol / 10)
+    cert = run_spancert(spec, rank_tol=args.rank_tol, tol=args.tol)
     _emit(cert.to_json(), args.out)
     return EXIT_OK if cert.passed else EXIT_RESIDUAL
 
@@ -229,54 +244,33 @@ def _cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="unispan",
         description="conditional expectations onto type I subalgebras and "
                     "unitary decompositions of their orthogonal complements",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="decompose an instance file")
-    p.add_argument("--in", dest="infile", required=True, help="instance JSON ('-' for stdin)")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser("verify", help="re-verify a stored decomposition")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("expect", help="print the conditional expectation of an instance")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_expect)
-
-    p = sub.add_parser("spancert", help="certify the span of produced unitaries")
-    _add_spec_flags(p)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_spancert)
-
-    p = sub.add_parser("random-instance", help="emit a deterministic random instance")
-    _add_spec_flags(p)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_random_instance)
-
-    p = sub.add_parser("selftest", help="run the batch invariant suites")
-    p.add_argument("--max-n", type=int, default=None, help="cap the grid dimension")
-    p.add_argument("--trials", type=int, default=200, help="trial count per suite")
-    p.add_argument("--mutate", action="store_true",
-                   help="inject a construction fault (suites must fail)")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_selftest)
-
+    for name, fn, flags, text in (
+        ("decompose", _cmd_decompose, ("--in", "--tol"), "decompose an instance file"),
+        ("verify", _cmd_verify, ("--in", "--tol"), "re-verify a stored decomposition"),
+        ("expect", _cmd_expect, ("--in",), "print the conditional expectation of an instance"),
+        ("spancert", _cmd_spancert, _SPEC + ("--tol", "--rank-tol"),
+         "certify the span of produced unitaries"),
+        ("random-instance", _cmd_random_instance, _SPEC + ("--seed",),
+         "emit a deterministic random instance"),
+        ("selftest", _cmd_selftest, ("--max-n", "--trials", "--mutate", "--seed"),
+         "run the batch invariant suites"),
+    ):
+        p = sub.add_parser(name, help=text)
+        for flag in flags + ("--out",):
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _check_tolerances(args)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except UnsupportedConfiguration as exc:
         doc = {"error": "unsupported", "rule": exc.rule, "detail": exc.detail}

@@ -20,7 +20,7 @@ kernels.
 """
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Tuple
@@ -52,8 +52,8 @@ from .linalg import (
     unitarity_residual,
 )
 
-TERM_TOL = 1e-10
 RECON_TOL = 1e-9
+TERM_TOL = RECON_TOL / 10
 MERGE_TOL = 1e-12
 FAST_PATH_TOL = 1e-12
 
@@ -102,9 +102,7 @@ class Decomposition:
     instances).
 
     The arrays are copied, so later writes to the caller's arrays do not
-    reach the instance.  ``own_terms=True`` hands over the ``coeffs`` and
-    ``unitaries`` stacks instead: the instance keeps read-only views of
-    them, which is only sound for stacks that nothing else will write.
+    reach the instance.
     """
 
     spec: Optional[TypeISubalgebraSpec]
@@ -115,12 +113,10 @@ class Decomposition:
     stages: Tuple[str, ...]
     term_budget: Optional[int] = None
     coeff_budget: Optional[float] = None
-    own_terms: InitVar[bool] = False
 
-    def __post_init__(self, own_terms):
-        object.__setattr__(self, "target", _freeze(self.target, copy=True))
-        for name in ("coeffs", "unitaries"):
-            object.__setattr__(self, name, _freeze(getattr(self, name), copy=not own_terms))
+    def __post_init__(self):
+        for name in ("target", "coeffs", "unitaries"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
         for name in ("provenance", "stages"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         count = len(self.coeffs)
@@ -134,10 +130,7 @@ class Decomposition:
                          self.provenance, self.stages))
 
     def reconstruction(self) -> np.ndarray:
-        out = np.zeros_like(self.target)
-        for c, u in zip(self.coeffs.tolist(), self.unitaries):
-            out = out + c * u
-        return out
+        return np.sum(self.coeffs[:, None, None] * self.unitaries, axis=0)
 
     @property
     def coeff_sum(self) -> float:
@@ -157,11 +150,9 @@ class VerificationReport:
 # term-list plumbing
 
 
-def _freeze(a, copy) -> np.ndarray:
-    """A read-only, C-contiguous complex128 copy of ``a``; without ``copy``
-    a read-only view of ``a`` when it is already such an array."""
-    a = np.array(a, dtype=np.complex128, order="C") if copy else (
-        np.ascontiguousarray(a, dtype=np.complex128).view())
+def _freeze(a) -> np.ndarray:
+    """A read-only, C-contiguous complex128 copy of ``a``."""
+    a = np.array(a, dtype=np.complex128, order="C")
     a.setflags(write=False)
     return a
 
@@ -271,9 +262,8 @@ def _merge_raw(coeffs, unitaries):
     return summed[big], live[big]
 
 
-def _assemble(spec, target, raw, merge=True, term_budget=None, coeff_budget=None):
-    if not merge:
-        return Decomposition(spec, target, *raw, term_budget, coeff_budget, own_terms=True)
+def _assemble(spec, target, raw, term_budget, coeff_budget):
+    """The merged :class:`Decomposition` of the raw terms ``raw``."""
     coeffs, kept = _merge_raw(raw.coeffs, raw.unitaries)
     if len(kept) == len(raw.coeffs):  # nothing merged or dropped
         unitaries, provenance, stages = raw.unitaries, raw.provenance, raw.stages
@@ -282,7 +272,7 @@ def _assemble(spec, target, raw, merge=True, term_budget=None, coeff_budget=None
         provenance = tuple(raw.provenance[i] for i in kept.tolist())
         stages = tuple(raw.stages[i] for i in kept.tolist())
     return Decomposition(spec, target, coeffs, unitaries, provenance, stages,
-                         term_budget, coeff_budget, own_terms=True)
+                         term_budget, coeff_budget)
 
 
 def _padded_pairs(entry, n, target, pads, prov, stage):
@@ -327,9 +317,7 @@ def two_unitary_selfadjoint(x) -> Decomposition:
     ``u = x + i*sqrt(1 - x**2)``; the two coefficients are both ``1/2``.
     """
     x = as_matrix(x)
-    raw = _two_unitary_raw(x)
-    return _assemble(None, x, raw, merge=False, term_budget=2,
-                     coeff_budget=1.0)
+    return Decomposition(None, x, *_two_unitary_raw(x), term_budget=2, coeff_budget=1.0)
 
 
 def _selfadjoint_parts(z):
@@ -378,8 +366,7 @@ def four_unitary(x) -> Decomposition:
     """
     x = as_matrix(x)
     raw = _four_unitary_raw(x)
-    return _assemble(None, x, raw, merge=True, term_budget=4,
-                     coeff_budget=2.0 * operator_norm(x))
+    return _assemble(None, x, raw, term_budget=4, coeff_budget=2.0 * operator_norm(x))
 
 
 def canonical_trace_zero_unitary(d: int) -> np.ndarray:
@@ -650,7 +637,7 @@ def amplify_entry(entry_decomp: Decomposition, k: int, position, v_pad) -> Decom
     entry = entry_decomp.unitaries
     if entry.shape[1:] != pad.shape:
         raise DimensionMismatch("entry unitaries and padding differ in size")
-    if any(unitarity_residual(u) > 1e-8 for u in entry):
+    if np.any(unitarity_residual(entry) > 1e-8):
         raise PaddingNotUnitary("an entry term is not unitary")
     raw = _amplify_raw(_Terms(entry_decomp.coeffs, entry, entry_decomp.provenance,
                               entry_decomp.stages), k, s - 1, t - 1, pad)
@@ -770,7 +757,7 @@ def type_one_decomp(spec: TypeISubalgebraSpec, x, in_tol: float = 1e-9) -> Decom
 # the quadrant alternative for the masa
 
 
-def masa_quadrant_decomp(x, in_tol: float = 1e-10) -> Decomposition:
+def masa_quadrant_decomp(x) -> Decomposition:
     """Alternative masa-complement decomposition through four quadrants.
 
     Views ``M_n`` (``4 | n``) as ``M_4`` over ``M_{n/4}``: the self-adjoint
@@ -784,46 +771,31 @@ def masa_quadrant_decomp(x, in_tol: float = 1e-10) -> Decomposition:
     if n % 4 != 0:
         raise NotDivisibleBy4(f"dimension {n} is not divisible by 4")
     scale = max(1.0, float(np.max(np.abs(x))))
-    if np.max(np.abs(np.diagonal(x))) > in_tol * scale:
+    if np.max(np.abs(np.diagonal(x))) > 1e-10 * scale:
         raise DiagonalNotZero("the matrix diagonal is not zero")
     q = n // 4
-    quads = [np.arange(i * q, (i + 1) * q) for i in range(4)]
-    diag_blocks = [x[np.ix_(quads[i], quads[i])] for i in range(4)]
+    quads = np.arange(n).reshape(4, q)
     remainder = x.copy()
-    for i in range(4):
-        remainder[np.ix_(quads[i], quads[i])] -= diag_blocks[i]
+    remainder[quads[:, :, None], quads[:, None, :]] = 0.0
 
-    def place(u, row, col, block):
-        u[np.ix_(quads[row], quads[col])] = block
-
-    # Each quadrant slot carries its own 2x2 dilation, embedded at
+    # Each quadrant slot carries its own corner dilation, embedded at
     # (slot, spare_row) x (slot, spare_col); the two slots of a pair use
     # complementary spare rows/columns so the result stays unitary.
     pairs = (((0, 3, 2), (1, 2, 3)), ((2, 1, 0), (3, 0, 1)))
     terms = []
     for pair in pairs:
-        za = diag_blocks[pair[0][0]]
-        zb = diag_blocks[pair[1][0]]
-        for (pa, mult, tag), (pb, _, _) in zip(*map(_selfadjoint_parts, (za, zb))):
+        blocks = [x[np.ix_(quads[slot], quads[slot])] for slot, _, _ in pair]
+        for (pa, mult, tag), (pb, _, _) in zip(*map(_selfadjoint_parts, blocks)):
             if not (np.any(pa) or np.any(pb)):
                 continue
             s = max(1.0, operator_norm(pa), operator_norm(pb))
-            scaled = (pa / s, pb / s)
-            defects = (sqrt_defect(scaled[0]), sqrt_defect(scaled[1]))
-            u1 = np.zeros((n, n), dtype=np.complex128)
-            u2 = np.zeros((n, n), dtype=np.complex128)
-            for (slot, row2, col2), y, r in zip(pair, scaled, defects):
-                place(u1, slot, slot, y)
-                place(u1, slot, col2, r)
-                place(u1, row2, slot, -r)
-                place(u1, row2, col2, y)
-                place(u2, slot, slot, y)
-                place(u2, slot, col2, r)
-                place(u2, row2, slot, r)
-                place(u2, row2, col2, -y)
-                remainder[np.ix_(quads[slot], quads[col2])] -= mult * s * r
-            terms.append((mult * s / 2.0, u1, Provenance.DILATION, f"quadrant-{tag}"))
-            terms.append((mult * s / 2.0, u2, Provenance.DILATION, f"quadrant-{tag}"))
+            u = np.zeros((2, n, n), dtype=np.complex128)
+            for (slot, row2, col2), p in zip(pair, (pa, pb)):
+                u1, u2, u3 = selfadjoint_corner_dilation(p / s)
+                rows, cols = quads[[slot, row2]].ravel(), quads[[slot, col2]].ravel()
+                u[:, rows[:, None], cols[None, :]] = (u1, u2)
+                remainder[np.ix_(quads[slot], quads[col2])] -= mult * s * u3[:q, q:]
+            terms += [(mult * s / 2.0, v, Provenance.DILATION, f"quadrant-{tag}") for v in u]
     raw = _stack(n, terms)
     if np.any(remainder):
         raw = _cat(n, [raw, _zero_piece_raw(remainder, quads)])
@@ -836,11 +808,6 @@ def masa_quadrant_decomp(x, in_tol: float = 1e-10) -> Decomposition:
 # independent verification
 
 
-def _max_hs_norm(stack) -> float:
-    """Largest per-matrix ``hs_norm`` of a stack; 0.0 for an empty stack."""
-    return float(hs_norm(stack).max(initial=0.0))
-
-
 def verify_decomposition(spec, x, d: Decomposition) -> VerificationReport:
     """Recompute the sum and all residuals of a decomposition from scratch.
 
@@ -851,15 +818,11 @@ def verify_decomposition(spec, x, d: Decomposition) -> VerificationReport:
     us = d.unitaries
     if us.shape[1:] != x.shape:
         raise DimensionMismatch("term dimension differs from the target")
-    recon = hs_norm(np.sum(d.coeffs[:, None, None] * us, axis=0) - x)
-    max_unit = _max_hs_norm(np.swapaxes(us.conj(), -1, -2) @ us - np.eye(x.shape[0]))
-    max_member = 0.0
-    if spec is not None:
-        max_member = _max_hs_norm(algebra.conditional_expectation(spec, us))
+    member = 0.0 if spec is None else algebra.membership_residual(spec, us)
     return VerificationReport(
-        recon_residual=recon,
-        max_unitarity_residual=max_unit,
-        max_membership_residual=max_member,
+        recon_residual=hs_norm(d.reconstruction() - x),
+        max_unitarity_residual=float(np.max(unitarity_residual(us), initial=0.0)),
+        max_membership_residual=float(np.max(member, initial=0.0)),
         term_count=len(us),
         coeff_sum=d.coeff_sum,
     )

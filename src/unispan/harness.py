@@ -10,7 +10,6 @@ from . import algebra
 from .algebra import TypeISubalgebraSpec, algebra_dimension, complement_basis
 from .decompose import (
     RECON_TOL,
-    TERM_TOL,
     Decomposition,
     VerificationReport,
     type_one_decomp,
@@ -21,31 +20,37 @@ from .linalg import RANK_TOL, as_matrix, gram_rank, hs_norm
 from .serialize import decomposition_to_json, instance_to_json, report_to_json, spec_to_json
 
 
-def report_within(rep: VerificationReport, recon_tol: float, term_tol: float) -> bool:
+# reverify's tolerance for a recomputed report to match the stored one
+MATCH_TOL = 1e-12
+
+
+def report_within(rep: VerificationReport, tol: float = RECON_TOL) -> bool:
+    """The acceptance gate: the reconstruction residual is within ``tol``
+    and every unitarity and membership residual within ``tol / 10``."""
     return (
-        rep.recon_residual <= recon_tol
-        and rep.max_unitarity_residual <= term_tol
-        and rep.max_membership_residual <= term_tol
+        rep.recon_residual <= tol
+        and rep.max_unitarity_residual <= tol / 10
+        and rep.max_membership_residual <= tol / 10
     )
 
 
-def run_decompose(spec: TypeISubalgebraSpec, matrix,
-                  recon_tol: float = RECON_TOL, term_tol: float = TERM_TOL):
+def run_decompose(spec: TypeISubalgebraSpec, matrix, tol: float = RECON_TOL):
     """Project ``matrix`` onto the complement, decompose and verify it.
 
     Returns ``(doc, ok)`` where ``doc`` is the serializable result document
-    (terms, verification report, projection residual) and ``ok`` says
-    whether every residual is within tolerance.
+    (terms, verification report, projection residual) and ``ok`` is
+    :func:`report_within` at ``tol``.  The document carries a warning when
+    the projection removed more than ``RECON_TOL * max(1, ||matrix||_2)``.
     """
     e = algebra.conditional_expectation(spec, matrix)
     x = as_matrix(matrix) - e
     projection_residual = hs_norm(e)
     d = type_one_decomp(spec, x, in_tol=1e-6)
     rep = verify_decomposition(spec, x, d)
-    ok = report_within(rep, recon_tol, term_tol)
+    ok = report_within(rep, tol)
     doc = decomposition_to_json(d, rep)
     doc["projection_residual"] = float(projection_residual)
-    if projection_residual > 1e-9 * max(1.0, hs_norm(matrix)):
+    if projection_residual > RECON_TOL * max(1.0, hs_norm(matrix)):
         doc["warning"] = (
             "input was not in the complement; its projection was decomposed"
         )
@@ -78,9 +83,10 @@ class SpanCertificate:
 
 
 def run_spancert(spec: TypeISubalgebraSpec, rank_tol: float = RANK_TOL,
-                 recon_tol: float = RECON_TOL, term_tol: float = TERM_TOL) -> SpanCertificate:
+                 tol: float = RECON_TOL) -> SpanCertificate:
     """Decompose a whole complement basis and certify the span of the
-    pooled unitaries: its Gram rank must equal ``n**2 - dim A`` exactly."""
+    pooled unitaries: every decomposition passes :func:`report_within` at
+    ``tol`` and the Gram rank equals ``n**2 - dim A`` exactly."""
     n = spec.dimension
     cls = algebra.validate_spec(spec, n)
     if not cls.supported:
@@ -93,7 +99,7 @@ def run_spancert(spec: TypeISubalgebraSpec, rank_tol: float = RANK_TOL,
     for b in basis:
         d = type_one_decomp(spec, b, in_tol=1e-8)
         rep = verify_decomposition(spec, b, d)
-        ok = ok and report_within(rep, recon_tol, term_tol)
+        ok = ok and report_within(rep, tol)
         stacks.append(d.unitaries)
         worst = VerificationReport(
             max(worst.recon_residual, rep.recon_residual),
@@ -121,21 +127,21 @@ def run_random_instance(spec: TypeISubalgebraSpec, seed: int) -> dict:
 
 
 def reverify(spec, target, d: Decomposition, stored: VerificationReport,
-             match_tol: float = 1e-12,
-             recon_tol: float = RECON_TOL, term_tol: float = TERM_TOL):
+             tol: float = RECON_TOL):
     """Re-verify a stored decomposition and compare against its stored report.
 
-    Returns ``(report, matches_stored, ok)``.
+    Returns ``(report, matches_stored, ok)``; ``ok`` is :func:`report_within`
+    at ``tol``.
     """
     rep = verify_decomposition(spec, target, d)
     matches = (
-        abs(rep.recon_residual - stored.recon_residual) <= match_tol
-        and abs(rep.max_unitarity_residual - stored.max_unitarity_residual) <= match_tol
-        and abs(rep.max_membership_residual - stored.max_membership_residual) <= match_tol
+        abs(rep.recon_residual - stored.recon_residual) <= MATCH_TOL
+        and abs(rep.max_unitarity_residual - stored.max_unitarity_residual) <= MATCH_TOL
+        and abs(rep.max_membership_residual - stored.max_membership_residual) <= MATCH_TOL
         and rep.term_count == stored.term_count
-        and abs(rep.coeff_sum - stored.coeff_sum) <= match_tol * max(1.0, stored.coeff_sum)
+        and abs(rep.coeff_sum - stored.coeff_sum) <= MATCH_TOL * max(1.0, stored.coeff_sum)
     )
-    return rep, matches, report_within(rep, recon_tol, term_tol)
+    return rep, matches, report_within(rep, tol)
 
 
 def random_hermitian(n: int, seed: int) -> np.ndarray:

@@ -27,6 +27,14 @@ def as_matrix(x) -> np.ndarray:
     return arr
 
 
+def as_stack(x) -> np.ndarray:
+    """Validate and convert ``x`` to a complex128 stack ``(..., n, n)``."""
+    arr = np.asarray(x, dtype=np.complex128)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
+        raise DimensionMismatch(f"expected square matrices, got shape {arr.shape}")
+    return arr
+
+
 def trace(x) -> complex:
     """Plain matrix trace."""
     return complex(np.trace(as_matrix(x)))
@@ -63,9 +71,7 @@ def hs_norm(x):
     bit-identical to the norm of that matrix alone.
     A zero, NaN or infinite largest modulus is returned unchanged.
     """
-    a = np.abs(np.asarray(x, dtype=np.complex128))
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
-        raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
+    a = np.abs(as_stack(x))
     n = a.shape[-1]
     a = a.reshape(a.shape[:-2] + (n * n,))
     # NaN and infinite tops scale like the largest finite one, so no square
@@ -78,11 +84,14 @@ def hs_norm(x):
     return float(norms) if norms.ndim == 0 else norms
 
 
-def unitarity_residual(x) -> float:
-    """``||x* x - 1||_2``; zero exactly when ``x`` is unitary."""
-    x = as_matrix(x)
-    n = x.shape[0]
-    return hs_norm(x.conj().T @ x - np.eye(n))
+def unitarity_residual(x):
+    """``||x* x - 1||_2``; zero exactly when ``x`` is unitary.
+
+    Takes one matrix, or a stack ``(..., n, n)`` and returns the residual of
+    each of its matrices; a single matrix gives a ``float``.
+    """
+    x = as_stack(x)
+    return hs_norm(np.swapaxes(x.conj(), -1, -2) @ x - np.eye(x.shape[-1]))
 
 
 class HermEig(NamedTuple):
@@ -116,17 +125,17 @@ def operator_norm(x) -> float:
     return float(np.linalg.norm(as_matrix(x), 2))
 
 
-def sqrt_defect(x, input_tol: float = 1e-10, clamp_tol: float = CLAMP_TOL) -> np.ndarray:
+def sqrt_defect(x) -> np.ndarray:
     """Positive square root of ``1 - x**2`` for a self-adjoint contraction.
 
     The result is self-adjoint, positive semidefinite and commutes with
     ``x``.  Eigenvalues of ``1 - x**2`` that dip slightly below zero (inputs
     on the boundary of the unit ball) are clamped to zero; inputs with
-    operator norm beyond ``1 + clamp_tol`` raise :class:`NormExceedsOne`.
+    operator norm beyond ``1 + CLAMP_TOL`` raise :class:`NormExceedsOne`.
     """
-    w, v = hermitian_eig(x, input_tol=input_tol)
+    w, v = hermitian_eig(x)
     top = max(abs(float(w[0])), abs(float(w[-1])))
-    if top > 1.0 + clamp_tol:
+    if top > 1.0 + CLAMP_TOL:
         raise NormExceedsOne(f"operator norm {top} exceeds 1")
     d = 1.0 - w**2
     d[d < 0.0] = 0.0

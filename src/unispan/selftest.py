@@ -163,13 +163,7 @@ def decomposition_soundness_suite(grid, seed, trials):
             worst[0] = max(worst[0], rep.recon_residual)
             worst[1] = max(worst[1], rep.max_unitarity_residual)
             worst[2] = max(worst[2], rep.max_membership_residual)
-            assert rep.recon_residual <= 1e-9, f"{name}: recon {rep.recon_residual:.2e}"
-            assert (
-                rep.max_unitarity_residual <= 1e-10
-            ), f"{name}: unitarity {rep.max_unitarity_residual:.2e}"
-            assert (
-                rep.max_membership_residual <= 1e-10
-            ), f"{name}: membership {rep.max_membership_residual:.2e}"
+            assert report_within(rep), f"{name}: {rep}"
             assert d.term_budget is not None and rep.term_count <= d.term_budget, (
                 f"{name}: {rep.term_count} terms exceed budget {d.term_budget}"
             )
@@ -210,7 +204,7 @@ def cross_path_suite(grid, seed, trials):
             x = algebra.random_complement_element(spec, seed * 31 + t)
             for d in (type_one_decomp(spec, x), masa_quadrant_decomp(x)):
                 rep = verify_decomposition(spec, x, d)
-                assert report_within(rep, 1e-9, 1e-10), f"masa n={n}: {rep}"
+                assert report_within(rep), f"masa n={n}: {rep}"
     return f"quadrant and default masa paths agree on sizes {sizes}"
 
 
@@ -224,12 +218,11 @@ def selfadjoint_closure_suite(grid, seed, trials):
             (np.conj(t.coeff) * t.unitary.conj().T for t in d.terms),
             np.zeros_like(x),
         )
-        assert linalg.hs_norm(adj - x) <= 1e-9, f"{name}: adjoint reconstruction"
+        assert linalg.hs_norm(adj - x) <= decompose.RECON_TOL, f"{name}: adjoint reconstruction"
         alpha = 0.37 - 1.9j
         d2 = type_one_decomp(spec, alpha * x)
-        assert linalg.hs_norm(d2.reconstruction() - alpha * x) <= 1e-9 * abs(alpha), (
-            f"{name}: scaled reconstruction"
-        )
+        recon = linalg.hs_norm(d2.reconstruction() - alpha * x)
+        assert recon <= decompose.RECON_TOL * abs(alpha), f"{name}: scaled reconstruction"
     return "adjoint closure and scaling compatibility hold on the grid"
 
 

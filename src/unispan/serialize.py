@@ -121,6 +121,12 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def _complex(re, im) -> np.ndarray:
+    """The complex array with real part ``re`` and imaginary part ``im``,
+    bit for bit: ``re + 1j * im`` would turn a ``-0.0`` into ``+0.0``."""
+    return np.stack((re, im), -1).view(np.complex128)[..., 0]
+
+
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise ParseError(f"{what}: expected an object with 're' and 'im' arrays")
@@ -133,7 +139,7 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
         raise ParseError(f"{what}: arrays must be square and of equal shape")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ParseError(f"{what}: entries must be finite (no NaN or Infinity)")
-    return re + 1j * im
+    return _complex(re, im)
 
 
 # --- specs -----------------------------------------------------------------
@@ -322,9 +328,7 @@ def _terms_from_json(items, target):
         raise _term_error(items, target)
     # exact: the pairs are reinterpreted as complex values, keeping every bit
     coeffs = coeffs.view(np.complex128).reshape(len(items))
-    unitaries = 1j * im.reshape(shape)
-    unitaries += re.reshape(shape)  # re + 1j * im, without a second complex temporary
-    return coeffs, unitaries, provenance, stages
+    return coeffs, _complex(re.reshape(shape), im.reshape(shape)), provenance, stages
 
 
 def decomposition_from_json(obj):
@@ -344,7 +348,6 @@ def decomposition_from_json(obj):
         term_budget=None if budget is None else _integer(budget, "decomposition: term_budget"),
         coeff_budget=(_finite(coeff_budget, "'coeff_budget'")
                       if coeff_budget is not None else None),
-        own_terms=True,
     )
     report = report_from_json(obj["report"]) if "report" in obj else None
     return d, report

@@ -208,6 +208,18 @@ class TestConditionalExpectation:
             for i, j in np.ndindex(2, 3):
                 assert np.array_equal(stacked[i, j], conditional_expectation(spec, xs[i, j]))
 
+    def test_membership_residual_of_stack_matches_per_matrix(self, rng):
+        spec = TypeISubalgebraSpec.of_blocks([(2, [2]), (2, [2])])
+        nan = random_complex(rng, (8, 8))
+        nan[3, 3] = np.nan
+        mats = [np.zeros((8, 8)), random_unitary(rng, 8), np.eye(8), nan]
+        got = membership_residual(spec, np.array(mats))
+        assert got.shape == (len(mats),)
+        alone = [membership_residual(spec, m) for m in mats]
+        assert all(type(r) is float for r in alone)
+        assert np.array_equal(got, alone, equal_nan=True)
+        assert membership_residual(spec, np.zeros((0, 8, 8))).shape == (0,)
+
     def test_shape_mismatch_raises(self):
         spec = TypeISubalgebraSpec.masa(3)
         for x in (np.zeros((4, 4)), np.zeros((2, 3, 4)), np.zeros(3)):

@@ -9,7 +9,9 @@ import pytest
 
 from unispan import cli
 from unispan.algebra import TypeISubalgebraSpec, conditional_expectation
+from unispan.decompose import RECON_TOL
 from unispan.errors import ParseError
+from unispan.linalg import RANK_TOL
 from unispan.selftest import run_selftest
 from unispan.serialize import canonical_dumps, instance_to_json, matrix_from_json
 
@@ -368,6 +370,57 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "random-instance", *argv)
         assert code == 0
         assert "error" not in json.loads(out)
+
+    @pytest.fixture
+    def files(self, capsys, tmp_path):
+        inst, dec = tmp_path / "inst.json", tmp_path / "dec.json"
+        run_cli(capsys, "random-instance", "--class", "c1", "--n", "3", "--out", str(inst))
+        run_cli(capsys, "decompose", "--in", str(inst), "--out", str(dec))
+        return {"INST": str(inst), "DEC": str(dec)}
+
+    # every (subcommand, flag) pair whose value the subcommand never reads
+    @pytest.mark.parametrize("argv", [
+        ("decompose", "--in", "INST", "--rank-tol", "3"),
+        ("decompose", "--in", "INST", "--seed", "9"),
+        ("verify", "--in", "DEC", "--rank-tol", "3"),
+        ("verify", "--in", "DEC", "--seed", "9"),
+        ("expect", "--in", "INST", "--tol", "5"),
+        ("expect", "--in", "INST", "--rank-tol", "3"),
+        ("expect", "--in", "INST", "--seed", "9"),
+        ("spancert", "--class", "c1", "--n", "2", "--seed", "9"),
+        ("random-instance", "--class", "c1", "--n", "2", "--tol", "5"),
+        ("random-instance", "--class", "c1", "--n", "2", "--rank-tol", "3"),
+        ("selftest", "--max-n", "2", "--trials", "1", "--tol", "1e-300"),
+        ("selftest", "--max-n", "2", "--trials", "1", "--rank-tol", "3"),
+    ], ids=" ".join)
+    def test_flag_the_subcommand_does_not_read_is_two(self, capsys, files, argv):
+        code, out, _ = run_cli(capsys, *[files.get(a, a) for a in argv])
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "parse" and argv[-2] in doc["detail"]
+
+    @pytest.mark.parametrize("argv", [
+        (),
+        ("frobnicate",),
+        ("decompose",),
+        ("decompose", "--in", "inst.json", "--bogus"),
+        ("random-instance", "--class", "c1", "--n", "notanint"),
+        ("random-instance", "--class", "c9", "--n", "2"),
+        ("spancert", "--class", "c1", "--n", "2", "--tol", "abc"),
+    ], ids=repr)
+    def test_usage_error_is_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == "parse"
+        assert err.startswith("error: ")
+
+    def test_help_exits_zero_and_defaults_are_the_library_constants(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["spancert", "--help"])
+        assert exc.value.code == 0
+        assert "--rank-tol" in capsys.readouterr().out
+        args = cli.build_parser().parse_args(["spancert", "--class", "c1", "--n", "2"])
+        assert (args.tol, args.rank_tol) == (RECON_TOL, RANK_TOL)
 
     def test_arithmetic_failure_is_one(self, capsys):
         # a rank tolerance above every projected unit leaves the basis short

@@ -6,6 +6,7 @@ Exact expected term lists come from hand arithmetic; combinatorial helpers
 are checked against brute-force enumeration.
 """
 
+import dataclasses
 import inspect
 import itertools
 
@@ -38,6 +39,7 @@ from unispan.decompose import (
     witness_unitary,
     zero_piece_diagonal_decomp,
 )
+from unispan.harness import report_within
 from unispan.selftest import expectation_axioms_suite, spec_grid
 from unispan.serialize import (
     canonical_dumps,
@@ -771,6 +773,36 @@ class TestVerify:
         assert rep.max_membership_residual == 1.0
         assert rep.recon_residual == 0
 
+    def test_reconstruction_matches_term_loop(self):
+        def loop_reconstruction(d):
+            out = np.zeros_like(d.target)
+            for c, u in zip(d.coeffs.tolist(), d.unitaries):
+                out = out + c * u
+            return out
+
+        decomps = [hand_decomposition([(0.5, S), (-0.25j, T), (2.0, np.eye(2))]),
+                   Decomposition(None, np.zeros((2, 2)), [], np.zeros((0, 2, 2)), (), ())]
+        for _, spec in spec_grid():
+            x = algebra.random_complement_element(spec, 0)
+            decomps += [type_one_decomp(spec, x), type_one_decomp(spec, 1e-3 * x)]
+        x = algebra.random_complement_element(TypeISubalgebraSpec.masa(8), 0)
+        decomps.append(masa_quadrant_decomp(x))
+        for d in decomps:
+            got = d.reconstruction()
+            assert got.shape == d.target.shape
+            assert np.array_equal(got, loop_reconstruction(d))
+
+    def test_gate_tolerances(self):
+        assert TERM_TOL == RECON_TOL / 10  # the value perfbench's gate reads
+        edge = VerificationReport(RECON_TOL, TERM_TOL, TERM_TOL, 1, 1.0)
+        assert report_within(edge)
+        for field in ("recon_residual", "max_unitarity_residual", "max_membership_residual"):
+            over = np.nextafter(getattr(edge, field), np.inf)
+            assert not report_within(dataclasses.replace(edge, **{field: over}))
+            assert not report_within(dataclasses.replace(edge, **{field: np.nan}))
+        assert report_within(VerificationReport(1e-3, 1e-4, 1e-4, 1, 1.0), 1e-3)
+        assert not report_within(VerificationReport(1e-3, 2e-4, 0.0, 1, 1.0), 1e-3)
+
     def test_term_shape_differs_from_target(self):
         d = Decomposition(
             None, np.zeros((2, 2), dtype=complex), [1.0], [np.eye(3)], (Provenance.MASTER,), ("",)
@@ -900,6 +932,13 @@ class TestFaultMatrix:
         x = traceless(rng, 6)
         gates = failing_gates(TypeISubalgebraSpec.scalar(6), x, scalar_decomp(x))
         assert gates == {"recon", "unitarity"}
+
+    def test_dilation_defect_sign_in_quadrant_path(self, monkeypatch):
+        mutate(monkeypatch, decompose, selfadjoint_corner_dilation, "[r, -y]", "[-r, -y]")
+        spec = TypeISubalgebraSpec.masa(8)
+        x = algebra.random_complement_element(spec, 0)
+        assert all(np.any(x[i : i + 2, i : i + 2]) for i in range(0, 8, 2))
+        assert failing_gates(spec, x, masa_quadrant_decomp(x)) == {"recon", "unitarity"}
 
     def test_balanced_pair_sign(self, rng, monkeypatch):
         mutate(monkeypatch, decompose, decompose._scalar_case_raw, "[[-u,", "[[u,")

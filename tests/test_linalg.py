@@ -241,6 +241,26 @@ class TestUnitarityResidual:
             assert linalg.unitarity_residual(u) <= linalg.EIG_TOL
             assert abs(linalg.operator_norm(u) - 1) <= 10 * linalg.EIG_TOL
 
+    def test_stack_matches_per_matrix(self, rng):
+        nan = random_complex(rng, (4, 4))
+        nan[2, 1] = np.nan
+        mats = [np.zeros((4, 4)), random_unitary(rng, 4), 1e150 * random_unitary(rng, 4),
+                random_complex(rng, (4, 4)), nan]
+        stack = np.array(mats)
+        got = linalg.unitarity_residual(stack)
+        assert got.shape == (len(mats),)
+        for m, r in zip(mats, got.tolist()):
+            alone = linalg.unitarity_residual(m)
+            assert type(alone) is float and same_float(r, alone)
+        grid = linalg.unitarity_residual(stack[:4].reshape(2, 2, 4, 4))
+        assert np.array_equal(grid.ravel(), got[:4])
+        assert linalg.unitarity_residual(np.zeros((0, 4, 4))).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 3), (0, 0)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(DimensionMismatch):
+            linalg.unitarity_residual(np.zeros(shape))
+
 
 class TestGramRank:
     def test_scalar_multiples(self):

@@ -69,6 +69,13 @@ class TestMatrixRoundTrip:
             with pytest.raises(ParseError):
                 matrix_from_json({"re": [[1.0]], "im": [[bad]]})
 
+    def test_signed_zeros_kept(self):
+        obj = {"re": [[-0.0, 0.0], [-0.0, 1.5]], "im": [[-0.0, -0.0], [0.0, -2.0]]}
+        m = matrix_from_json(obj)
+        assert np.array_equal(np.signbit(m.real), [[True, False], [True, False]])
+        assert np.array_equal(np.signbit(m.imag), [[True, True], [False, True]])
+        assert canonical_dumps(matrix_to_json(m)) == canonical_dumps(obj)
+
 
 class TestSpecRoundTrip:
     def test_plain(self):
@@ -127,6 +134,18 @@ class TestDocumentRoundTrips:
         assert rep2.term_count == stored.term_count
         assert abs(rep2.max_unitarity_residual - stored.max_unitarity_residual) <= 1e-12
         assert abs(rep2.max_membership_residual - stored.max_membership_residual) <= 1e-12
+
+    @pytest.mark.parametrize("name,spec", spec_grid(), ids=[n for n, _ in spec_grid()])
+    def test_decompose_document_reparses_bit_identically(self, name, spec):
+        # signed zeros included: parsing keeps every -0.0 of the document
+        for seed in range(3):
+            doc, _ = run_decompose(spec, random_complement_element(spec, seed))
+            text = canonical_dumps(doc)
+            d, stored = decomposition_from_json(canonical_loads(text))
+            again = decomposition_to_json(d, stored)
+            again["projection_residual"] = doc["projection_residual"]
+            same = canonical_dumps(again) == text  # no string diff on failure: it is slow
+            assert same, (name, seed)
 
     def _doc(self):
         spec = TypeISubalgebraSpec.of_blocks([(2, [1]), (2, [1])])
