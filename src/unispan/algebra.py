@@ -19,6 +19,7 @@ identity.  Everything off-block or off-atom maps to zero.
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -133,11 +134,19 @@ class AtomLayout(NamedTuple):
     indices: np.ndarray
 
 
-def atom_layouts(spec: TypeISubalgebraSpec) -> list:
-    """Per-atom index layout in standard position."""
+def atom_layouts(spec: TypeISubalgebraSpec) -> tuple:
+    """Per-atom index layout in standard position.
+
+    Cached per layout (``spec.blocks``); the index arrays are read-only.
+    """
+    return _layouts(spec.blocks)
+
+
+@lru_cache(maxsize=64)
+def _layouts(blocks: tuple) -> tuple:
     out = []
     offset = 0
-    for bi, b in enumerate(spec.blocks):
+    for bi, b in enumerate(blocks):
         s = b.s
         atom_off = 0
         for ji, m in enumerate(b.atom_mults):
@@ -145,10 +154,11 @@ def atom_layouts(spec: TypeISubalgebraSpec) -> list:
                 [offset + a * s + atom_off + t for a in range(b.k) for t in range(m)],
                 dtype=np.intp,
             )
+            idx.setflags(write=False)
             out.append(AtomLayout(bi, ji, b.k, m, b.k * m, idx))
             atom_off += m
         offset += b.dim
-    return out
+    return tuple(out)
 
 
 def algebra_dimension(spec: TypeISubalgebraSpec) -> int:
@@ -195,7 +205,7 @@ def validate_spec(spec: TypeISubalgebraSpec, n: int) -> SpecClass:
       multiplicity 1 or even, and every even atom has a paddable remainder.
     * anything else is UNSUPPORTED, with a machine-readable ``reason``.
     """
-    atoms = tuple(atom_layouts(spec))
+    atoms = atom_layouts(spec)
     dim = spec.dimension
     if dim != n:
         raise DimensionMismatch(f"spec covers dimension {dim}, ambient is {n}")
@@ -248,13 +258,43 @@ def validate_spec(spec: TypeISubalgebraSpec, n: int) -> SpecClass:
     return SpecClass(ClassKind.C4_HOMOGENEOUS_TYPE1, n, atoms, adim)
 
 
+class _AtomGroup(NamedTuple):
+    """The atoms of one ``(k, m)``, their carrier indices stacked as
+    ``rows (count, k*m, 1)`` and ``cols (count, 1, k*m)``."""
+
+    k: int
+    m: int
+    rows: np.ndarray
+    cols: np.ndarray
+    eye: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _expectation_plan(blocks: tuple) -> tuple:
+    """The atoms of a layout grouped by ``(k, m)``, with read-only arrays."""
+    groups = {}
+    for a in _layouts(blocks):
+        groups.setdefault((a.k, a.m), []).append(a.indices)
+    plan = []
+    for (k, m), indices in groups.items():
+        rows = np.stack(indices)[:, :, None]
+        eye = np.eye(m)
+        for arr in (rows, eye):
+            arr.setflags(write=False)
+        plan.append(_AtomGroup(k, m, rows, rows.transpose(0, 2, 1), eye))
+    return tuple(plan)
+
+
 def _expect_standard(spec: TypeISubalgebraSpec, x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
-    for a in atom_layouts(spec):
-        rows, cols = a.indices[:, None], a.indices
-        sub = x[..., rows, cols].reshape(x.shape[:-2] + (a.k, a.m, a.k, a.m))
-        partial = np.einsum("...atbt->...ab", sub) / a.m
-        out[..., rows, cols] = np.kron(partial, np.eye(a.m))
+    for a in _expectation_plan(spec.blocks):
+        sub = x[..., a.rows, a.cols]
+        lead = sub.shape[:-2]
+        partial = np.einsum("...atbt->...ab", sub.reshape(lead + (a.k, a.m, a.k, a.m))) / a.m
+        # np.kron's own broadcast product, so the entries off the identity's
+        # diagonal keep the signed zeros of ``partial * 0.0``
+        block = partial[..., :, None, :, None] * a.eye[:, None, :]
+        out[..., a.rows, a.cols] = block.reshape(lead + (a.k * a.m, a.k * a.m))
     return out
 
 
@@ -297,16 +337,32 @@ def complement_basis(spec: TypeISubalgebraSpec, rank_tol: float = RANK_TOL) -> l
     modified Gram-Schmidt (with one re-orthogonalization pass), dropping
     vectors of norm below ``rank_tol``.  The result has exactly
     ``n**2 - algebra_dimension(spec)`` elements.
+
+    Each step subtracts only the basis vectors whose support (nonzero
+    entries) meets the current support of ``v``, in basis order, found by
+    one vectorized test over the vectors not yet passed.  The skipping is
+    exact: a vector whose support misses ``v``'s has an inner product of
+    exactly zero with ``v``, and subtracting zero times it would leave every
+    entry of ``v`` as it is (``v`` holds no ``-0.0``: the projected units
+    start without one and ``a - b`` gives ``+0.0`` wherever it is zero).
     """
     n = spec.dimension
     basis = []
+    support = np.zeros((n * n, n * n), dtype=bool)
     for v in complement_project(spec, np.eye(n * n).reshape(n * n, n, n)):
         for _ in range(2):
-            for b in basis:
-                v = v - hs_inner(v, b) * b
+            j = 0
+            while True:
+                hits = np.flatnonzero(np.any(support[j : len(basis)] & (v.ravel() != 0), axis=1))
+                if not hits.size:
+                    break
+                j += int(hits[0])
+                v = v - hs_inner(v, basis[j]) * basis[j]
+                j += 1
         norm = hs_norm(v)
         if norm > rank_tol:
             basis.append(v / norm)
+            support[len(basis) - 1] = basis[-1].ravel() != 0
     expected = n * n - algebra_dimension(spec)
     if len(basis) != expected:
         raise ArithmeticError(

@@ -416,6 +416,14 @@ def lex_derangement(count: int, alpha: int, beta: int) -> list:
     return sigma
 
 
+@lru_cache(maxsize=4096)
+def _derangement(count: int, alpha: int, beta: int) -> np.ndarray:
+    """:func:`lex_derangement` as a read-only index array, memoized."""
+    sigma = np.array(lex_derangement(count, alpha, beta), dtype=np.intp)
+    sigma.setflags(write=False)
+    return sigma
+
+
 def _normalize_pieces(n, pieces):
     """The pieces as rows of a ``(count, g)`` index array."""
     arrs = [np.asarray(list(p), dtype=np.intp) for p in pieces]
@@ -437,25 +445,22 @@ def _zero_piece_raw(x, pieces):
     count, g = rows.shape
     # index pairs (rows[a][:, None], rows[b][None, :]) address block (a, b),
     # and stacked ones address one block per row of a piece list
+    blocks = x[rows[:, None, :, None], rows[None, :, None, :]]  # (count, count, g, g)
     scale = max(1.0, float(np.max(np.abs(x))))
-    if np.max(np.abs(x[rows[:, :, None], rows[:, None, :]])) > 1e-12 * scale:
+    if np.max(np.abs(np.diagonal(blocks))) > 1e-12 * scale:
         raise PieceDiagonalNotZero("a piece-diagonal block is not zero")
+    nonzero = np.any(blocks, axis=(2, 3))
+    np.fill_diagonal(nonzero, False)
     pad = np.eye(g, dtype=np.complex128)[None]
     parts = []
-    for alpha in range(count):
+    for alpha, beta in np.argwhere(nonzero).tolist():  # row-major, like a double loop
+        entry = _four_unitary_raw(blocks[alpha, beta])
         others = np.arange(count) != alpha
-        for beta in range(count):
-            if alpha == beta:
-                continue
-            target = (rows[alpha, :, None], rows[beta, None, :])
-            block = x[target]
-            if not np.any(block):
-                continue
-            entry = _four_unitary_raw(block)
-            sigma = np.array(lex_derangement(count, alpha, beta))
-            pads = [((rows[others, :, None], rows[sigma[others], None, :]), pad)]
-            parts.append(_padded_pairs(entry, n, target, pads, Provenance.ZERO_DIAG,
-                                       f"cross-block({alpha},{beta})"))
+        sigma = _derangement(count, alpha, beta)
+        target = (rows[alpha, :, None], rows[beta, None, :])
+        pads = [((rows[others, :, None], rows[sigma[others], None, :]), pad)]
+        parts.append(_padded_pairs(entry, n, target, pads, Provenance.ZERO_DIAG,
+                                   f"cross-block({alpha},{beta})"))
     return _cat(n, parts)
 
 

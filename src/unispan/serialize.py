@@ -135,8 +135,14 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
         im = np.array(obj["im"], dtype=np.float64)
     except (TypeError, ValueError):
         raise ParseError(f"{what}: arrays are not rectangular numeric") from None
+    except OverflowError:
+        raise ParseError(f"{what}: entries must lie within float range") from None
     if re.ndim != 2 or re.shape != im.shape or re.shape[0] != re.shape[1]:
         raise ParseError(f"{what}: arrays must be square and of equal shape")
+    # NumPy converts strings and booleans to floats as well
+    types = {type(v) for part in (obj["re"], obj["im"]) for row in part for v in row}
+    if not types <= {float, int}:
+        raise ParseError(f"{what}: entries must be numbers, not strings or booleans")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ParseError(f"{what}: entries must be finite (no NaN or Infinity)")
     return _complex(re, im)

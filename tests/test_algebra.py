@@ -20,7 +20,9 @@ from unispan.algebra import (
     random_complement_element,
     validate_spec,
 )
+from unispan.selftest import spec_grid
 from unispan.errors import DimensionMismatch, UnispanError
+from unispan.linalg import RANK_TOL, hs_inner, hs_norm
 
 
 class TestClassification:
@@ -106,6 +108,19 @@ class TestLayout:
         np.testing.assert_array_equal(atoms[1].indices, [2, 5])
         np.testing.assert_array_equal(atoms[2].indices, [6, 7])
         assert spec.dimension == 8
+
+    def test_cached_layout_indices_are_read_only(self):
+        spec = TypeISubalgebraSpec.of_blocks([(2, [2, 1]), (1, [2])])
+        same_layout = TypeISubalgebraSpec.of_blocks([(2, [2, 1]), (1, [2])])
+        assert atom_layouts(spec) is atom_layouts(same_layout)
+        for a in atom_layouts(spec):
+            with pytest.raises(ValueError):
+                a.indices[0] = 5
+        for group in algebra._expectation_plan(spec.blocks):
+            for arr in (group.rows, group.cols, group.eye):
+                with pytest.raises(ValueError):
+                    arr[(0,) * arr.ndim] = 5
+        np.testing.assert_array_equal(atom_layouts(spec)[0].indices, [0, 1, 3, 4])
 
     def test_digest_stable_and_layout_sensitive(self):
         a = TypeISubalgebraSpec.atoms((2, 4))
@@ -303,3 +318,73 @@ class TestRandomElements:
         for name, spec in grid_specs:
             x = random_complement_element(spec, 1)
             assert membership_residual(spec, x) <= 1e-13, name
+
+
+# ---------------------------------------------------------------------------
+# oracles: the plain implementations that the structured ones replace,
+# compared byte for byte, so the signs of zeros count
+
+
+def kron_loop_expectation(spec, x):
+    """``E_A`` in standard position, one ``np.kron`` per atom."""
+    out = np.zeros_like(x)
+    for a in atom_layouts(spec):
+        rows, cols = a.indices[:, None], a.indices
+        sub = x[..., rows, cols].reshape(x.shape[:-2] + (a.k, a.m, a.k, a.m))
+        partial = np.einsum("...atbt->...ab", sub) / a.m
+        out[..., rows, cols] = np.kron(partial, np.eye(a.m))
+    return out
+
+
+def dense_mgs_basis(spec, rank_tol=RANK_TOL):
+    """Modified Gram-Schmidt against every basis vector, twice."""
+    n = spec.dimension
+    basis = []
+    for v in complement_project(spec, np.eye(n * n).reshape(n * n, n, n)):
+        for _ in range(2):
+            for b in basis:
+                v = v - hs_inner(v, b) * b
+        norm = hs_norm(v)
+        if norm > rank_tol:
+            basis.append(v / norm)
+    return basis
+
+
+def oracle_specs(rng):
+    """Every grid spec, and a two-factor-block c4 in general position."""
+    c4 = [(2, [2]), (2, [2])]
+    conjugated = TypeISubalgebraSpec.of_blocks(c4, conjugation=random_unitary(rng, 8))
+    return spec_grid() + [("c4-conjugated", conjugated)]
+
+
+def oracle_expectation(spec, x):
+    w = spec.conjugation
+    if w is None:
+        return kron_loop_expectation(spec, x)
+    std = TypeISubalgebraSpec(spec.blocks)
+    return w @ kron_loop_expectation(std, w.conj().T @ x @ w) @ w.conj().T
+
+
+class TestOracles:
+    def test_expectation_matches_kron_loop(self, rng):
+        for name, spec in oracle_specs(rng):
+            n = spec.dimension
+            units = np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n)
+            for x in (random_complex(rng, (n, n)), random_complex(rng, (2, 3, n, n)),
+                      units, -units):
+                got = conditional_expectation(spec, x)
+                want = oracle_expectation(spec, x)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    def test_expectation_keeps_krons_signed_zeros(self):
+        # a negative partial trace times the identity's off-diagonal zeros
+        spec = TypeISubalgebraSpec.scalar(2)
+        e = conditional_expectation(spec, -np.eye(2, dtype=np.complex128))
+        assert np.signbit(e.real[0, 1]) and e.tobytes() == kron_loop_expectation(
+            spec, -np.eye(2, dtype=np.complex128)).tobytes()
+
+    def test_basis_matches_dense_gram_schmidt(self, rng):
+        for name, spec in oracle_specs(rng):
+            got, want = complement_basis(spec), dense_mgs_basis(spec)
+            assert len(got) == len(want), name
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), name

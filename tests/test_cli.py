@@ -301,9 +301,12 @@ class TestExitCodes:
             lambda doc: doc.update(seed=True),
             lambda doc: doc.update(instance_to_json(TypeISubalgebraSpec.masa(1),
                                                     np.zeros((1, 1))), n=True),
+            lambda doc: doc["matrix"]["re"][0].__setitem__(1, "0.5"),
+            lambda doc: doc["matrix"]["im"][1].__setitem__(0, True),
+            lambda doc: doc["matrix"]["re"][0].__setitem__(1, 10**400),
         ],
         ids=["string-k", "bool-k", "fractional-atom-mult", "non-list-blocks", "bool-seed",
-             "bool-n"],
+             "bool-n", "string-entry", "bool-entry", "huge-int-entry"],
     )
     def test_malformed_instance_is_two(self, capsys, tmp_path, edit):
         doc = instance_to_json(TypeISubalgebraSpec.masa(3), np.array(

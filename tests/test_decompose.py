@@ -262,6 +262,70 @@ class TestZeroPieceDiagonal:
         assert verify_decomposition(None, x, d).recon_residual <= 1e-14
 
 
+def all_pairs_zero_piece_raw(x, pieces):
+    """The zero-piece-diagonal construction as a loop over all block pairs."""
+    n = x.shape[0]
+    rows = decompose._normalize_pieces(n, pieces)
+    count, g = rows.shape
+    pad = np.eye(g, dtype=np.complex128)[None]
+    parts = []
+    for alpha in range(count):
+        others = np.arange(count) != alpha
+        for beta in range(count):
+            if alpha == beta:
+                continue
+            target = (rows[alpha, :, None], rows[beta, None, :])
+            block = x[target]
+            if not np.any(block):
+                continue
+            entry = decompose._four_unitary_raw(block)
+            sigma = np.array(lex_derangement(count, alpha, beta))
+            pads = [((rows[others, :, None], rows[sigma[others], None, :]), pad)]
+            parts.append(decompose._padded_pairs(entry, n, target, pads, Provenance.ZERO_DIAG,
+                                                 f"cross-block({alpha},{beta})"))
+    return decompose._cat(n, parts)
+
+
+def cross_part_cases(rng):
+    """``(name, x, pieces)``: the cross-atom part and gcd pieces of every
+    grid spec and of a conjugated c4 (in standard position), for a Gaussian
+    input and for each of its single matrix units."""
+    c4 = TypeISubalgebraSpec.of_blocks([(2, [2]), (2, [2])], conjugation=random_unitary(rng, 8))
+    for name, spec in spec_grid() + [("c4-conjugated", c4)]:
+        n = spec.dimension
+        atoms = algebra.atom_layouts(spec)
+        g = np.gcd.reduce([a.dim for a in atoms])
+        pieces = [a.indices[s : s + g] for a in atoms for s in range(0, a.dim, g)]
+        if len(pieces) < 2:
+            continue
+        mask = np.ones((n, n), dtype=bool)
+        for a in atoms:
+            mask[np.ix_(a.indices, a.indices)] = False
+        x = algebra.random_complement_element(spec, 3)
+        if spec.conjugation is not None:
+            x = spec.conjugation.conj().T @ x @ spec.conjugation
+        yield name, np.where(mask, x, 0), pieces
+        for i, j in zip(*np.nonzero(mask)):
+            yield f"{name}-unit({i},{j})", e_unit(n, i, j), pieces
+
+
+class TestZeroPieceOracle:
+    def test_matches_all_pairs_loop(self, rng):
+        for name, x, pieces in cross_part_cases(rng):
+            got = decompose._zero_piece_raw(x, pieces)
+            want = all_pairs_zero_piece_raw(x, pieces)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes(), name
+            assert got.unitaries.tobytes() == want.unitaries.tobytes(), name
+            assert (got.provenance, got.stages) == (want.provenance, want.stages), name
+
+    def test_memoized_derangement_is_read_only(self):
+        sigma = decompose._derangement(5, 3, 1)
+        assert sigma is decompose._derangement(5, 3, 1)
+        assert sigma.tolist() == lex_derangement(5, 3, 1)
+        with pytest.raises(ValueError):
+            sigma[0] = 0
+
+
 def merge_input(raw):
     """``_merge_raw``'s arguments for a list of ``(coeff, unitary, prov, stage)``."""
     return (np.array([c for c, _, _, _ in raw], dtype=complex),
