@@ -20,9 +20,15 @@ from .decompose import (
     type_one_decomp,
     verify_decomposition,
 )
-from .errors import ParseError
+from .errors import ParseError, UnispanError
 from .harness import random_hermitian, report_within, run_spancert
-from .serialize import canonical_dumps, canonical_loads, instance_to_json
+from .serialize import (
+    canonical_dumps,
+    canonical_loads,
+    decomposition_from_json,
+    decomposition_to_json,
+    instance_to_json,
+)
 
 
 def spec_grid(max_n: Optional[int] = None) -> list:
@@ -62,6 +68,9 @@ def _suite(fn: Callable[..., str]) -> Callable[..., SuiteResult]:
             passed = True
         except AssertionError as exc:
             detail = str(exc) or "assertion failed"
+            passed = False
+        except UnispanError as exc:  # e.g. the package failing to parse its own output
+            detail = f"{type(exc).__name__}: {exc}"
             passed = False
         return SuiteResult(fn.__name__.replace("_suite", ""), passed, detail,
                            time.perf_counter() - start)
@@ -241,11 +250,19 @@ def span_certificate_suite(grid, seed, trials):
 
 @_suite
 def serialization_suite(grid, seed, trials):
-    for name, spec in grid[:4]:
-        doc = instance_to_json(spec, algebra.random_complement_element(spec, seed), seed)
-        text = canonical_dumps(doc)
-        assert canonical_dumps(canonical_loads(text)) == text, f"{name}: round trip"
-    return "canonical serialization round-trips bit-identically"
+    for name, spec in grid:
+        x = algebra.random_complement_element(spec, seed)
+        text = canonical_dumps(instance_to_json(spec, x, seed))
+        assert canonical_dumps(canonical_loads(text)) == text, f"{name}: instance round trip"
+        d = type_one_decomp(spec, x)
+        back, _ = decomposition_from_json(
+            canonical_loads(canonical_dumps(decomposition_to_json(d))))
+        for field in ("coeffs", "unitaries"):
+            # compared as bit patterns: -0.0 must stay -0.0
+            same = np.array_equal(getattr(back, field).view(np.uint64),
+                                  getattr(d, field).view(np.uint64))
+            assert same, f"{name}: decomposition {field} changed in a round trip"
+    return f"instances and decompositions of {len(grid)} specs round-trip bit-identically"
 
 
 ALL_SUITES = [

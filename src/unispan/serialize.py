@@ -6,13 +6,15 @@ fixed key order, floats printed with 17 significant digits (exact for
 binary64), no whitespace.  ``serialize(parse(f)) == f`` holds bit for bit
 for files produced here.
 
-A list whose items are all exactly ``float`` takes a fast path that joins
-formatted strings from a memo local to one :func:`canonical_dumps` call.
-Nonzero values are keyed by value and zeros by ``(value, sign)``, since
-``0.0`` and ``-0.0`` compare and hash equal yet print differently.
-:func:`_fmt_float` stays the only formatter: a value missing from the memo
-goes through it, so a non-finite value still raises and is never memoized.
-Any other list takes the general path; the bytes are the same either way.
+Matrices are formatted as arrays, not walked as lists: :func:`_format_stack`
+formats each distinct bit pattern of a real stack once (so ``0.0`` and
+``-0.0`` are separate keys) and joins the tokens into the text of each
+matrix.  The documents built here therefore hold pre-rendered matrix text
+(:class:`_Json`), which :func:`canonical_dumps` copies verbatim; the plain
+data is ``canonical_loads(canonical_dumps(doc))``.  :func:`_fmt_float`
+stays the only float formatter, so a non-finite value raises wherever it
+occurs.  Parsed documents are emitted value by value and print the same
+bytes.
 """
 
 import json
@@ -34,21 +36,49 @@ def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise UnispanError(f"cannot serialize non-finite value {x!r}")
     s = f"{x:.17g}"
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
+    # ``g`` writes a lower-case exponent; an integral value gets ".0"
+    if "." in s or "e" in s:
+        return s
+    return s + ".0"
+
+
+class _Json(str):
+    """Canonical JSON text that :func:`_emit` copies verbatim."""
+
+    __slots__ = ()
+
+
+# what follows a token: a comma inside a row, then the end of a row, then
+# the end of the matrix
+_SEPARATORS = np.array([",", "],[", "]]"], dtype=object)
+
+
+def _format_stack(a) -> list:
+    """The canonical JSON text of each matrix ``a[t]`` of a real stack
+    ``(T, r, c)`` with ``r, c >= 1``, as :class:`_Json`.
+
+    Each distinct bit pattern is formatted once by :func:`_fmt_float`, so
+    ``-0.0`` keeps its sign and a NaN or infinity raises.  ``+0.0`` is set
+    aside before the sort, because most entries of term unitaries are
+    zeros (79% over the selftest grid)."""
+    bits = np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+    count, r, c = bits.shape
+    nonzero = bits != 0
+    keys, inverse = np.unique(bits[nonzero], return_inverse=True)
+    index = np.zeros(bits.shape, dtype=np.intp)
+    index[nonzero] = inverse + 1
+    tokens = np.array([_fmt_float(v) for v in [0.0] + keys.view(np.float64).tolist()],
+                      dtype=object)
+    place = np.zeros((r, c), dtype=np.intp)
+    place[:, -1] = 1
+    place[-1, -1] = 2
+    cells = (tokens[:, None] + _SEPARATORS)[index.reshape(count, r * c), place.ravel()]
+    return [_Json("[[" + "".join(m)) for m in cells.tolist()]
 
 
 def _emit(obj, out, memo) -> None:
-    if type(obj) is list and all(type(v) is float for v in obj):
-        parts = []
-        for v in obj:
-            key = v if v else (v, math.copysign(1.0, v))
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = _fmt_float(v)
-            parts.append(text)
-        out.append("[" + ",".join(parts) + "]")
+    if type(obj) is _Json:
+        out.append(obj)
     elif obj is None:
         out.append("null")
     elif obj is True:
@@ -66,8 +96,11 @@ def _emit(obj, out, memo) -> None:
         for i, (k, v) in enumerate(obj.items()):
             if i:
                 out.append(",")
-            out.append(json.dumps(str(k), ensure_ascii=True))
-            out.append(":")
+            name = str(k)
+            key = memo.get(name)
+            if key is None:
+                key = memo[name] = json.dumps(name, ensure_ascii=True) + ":"
+            out.append(key)
             _emit(v, out, memo)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
@@ -114,11 +147,10 @@ def write_atomic(path, text: str) -> None:
 
 
 def matrix_to_json(m) -> dict:
+    """``{"re", "im"}`` of a matrix, each as pre-rendered :class:`_Json`."""
     m = np.asarray(m, dtype=np.complex128)
-    return {
-        "re": m.real.tolist(),
-        "im": m.imag.tolist(),
-    }
+    re, im = _format_stack(np.stack((m.real, m.imag)))
+    return {"re": re, "im": im}
 
 
 def _complex(re, im) -> np.ndarray:
@@ -253,8 +285,10 @@ def report_from_json(obj) -> VerificationReport:
 
 
 def decomposition_to_json(d: Decomposition, report: Optional[VerificationReport] = None) -> dict:
+    u = d.unitaries
+    texts = _format_stack(np.concatenate((u.real, u.imag)))
     columns = (d.coeffs.real.tolist(), d.coeffs.imag.tolist(), d.provenance, d.stages,
-               d.unitaries.real.tolist(), d.unitaries.imag.tolist())
+               texts[:len(u)], texts[len(u):])
     doc = {
         "n": int(d.target.shape[0]),
         "spec": spec_to_json(d.spec) if d.spec is not None else None,

@@ -2,18 +2,26 @@
 stdout is valid JSON."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unispan import cli
+from unispan import cli, selftest
 from unispan.algebra import TypeISubalgebraSpec, conditional_expectation
 from unispan.decompose import RECON_TOL
 from unispan.errors import ParseError
 from unispan.linalg import RANK_TOL
 from unispan.selftest import run_selftest
-from unispan.serialize import canonical_dumps, instance_to_json, matrix_from_json
+from unispan.serialize import canonical_dumps, canonical_loads, instance_to_json, matrix_from_json
+
+
+def _plain_instance(spec, matrix):
+    """An instance document as plain JSON data, ready to edit."""
+    return canonical_loads(canonical_dumps(instance_to_json(spec, matrix)))
 
 
 def run_cli(capsys, *argv):
@@ -214,7 +222,7 @@ class TestExitCodes:
 
     def test_non_finite_instance_is_two(self, capsys, tmp_path):
         for bad_value in (float("nan"), float("inf")):
-            doc = instance_to_json(TypeISubalgebraSpec.masa(2), np.zeros((2, 2)))
+            doc = _plain_instance(TypeISubalgebraSpec.masa(2), np.zeros((2, 2)))
             doc["matrix"]["re"][0][1] = bad_value
             inst = tmp_path / "non-finite.json"
             inst.write_text(json.dumps(doc))  # json writes NaN / Infinity tokens
@@ -299,8 +307,8 @@ class TestExitCodes:
             lambda doc: doc["spec"]["blocks"][0].update(atom_mults=[1, 1, 1.9]),
             lambda doc: doc["spec"].update(blocks=3),
             lambda doc: doc.update(seed=True),
-            lambda doc: doc.update(instance_to_json(TypeISubalgebraSpec.masa(1),
-                                                    np.zeros((1, 1))), n=True),
+            lambda doc: doc.update(_plain_instance(TypeISubalgebraSpec.masa(1),
+                                                   np.zeros((1, 1))), n=True),
             lambda doc: doc["matrix"]["re"][0].__setitem__(1, "0.5"),
             lambda doc: doc["matrix"]["im"][1].__setitem__(0, True),
             lambda doc: doc["matrix"]["re"][0].__setitem__(1, 10**400),
@@ -309,7 +317,7 @@ class TestExitCodes:
              "bool-n", "string-entry", "bool-entry", "huge-int-entry"],
     )
     def test_malformed_instance_is_two(self, capsys, tmp_path, edit):
-        doc = instance_to_json(TypeISubalgebraSpec.masa(3), np.array(
+        doc = _plain_instance(TypeISubalgebraSpec.masa(3), np.array(
             [[0, 0.5, 0], [0.25, 0, 0], [0, 0, 0]]))
         edit(doc)
         inst = tmp_path / "inst.json"
@@ -464,6 +472,23 @@ class TestSelftest:
         assert code == 1
         doc = json.loads(out)
         assert any(not s["pass"] for s in doc["suites"])
+
+    def test_serialization_fault_is_a_failed_suite(self, monkeypatch):
+        def broken(obj):
+            raise ParseError("target: arrays are not rectangular numeric")
+
+        monkeypatch.setattr(selftest, "decomposition_from_json", broken)
+        res = selftest.serialization_suite(selftest.spec_grid(3), 0, 1)
+        assert not res.passed and "ParseError" in res.detail
+
+    def test_runs_as_module(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-m", "unispan", "selftest", "--max-n", "3"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["pass"] is True
 
     @pytest.mark.parametrize("kwargs", [
         {"max_n": 1}, {"max_n": 2, "trials": 0}, {"max_n": 2, "trials": -3},

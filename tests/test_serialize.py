@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import random_complex
+from unispan import harness, serialize
 from unispan.algebra import TypeISubalgebraSpec, random_complement_element
-from unispan.decompose import type_one_decomp, verify_decomposition
+from unispan.decompose import Decomposition, Provenance, type_one_decomp, verify_decomposition
 from unispan.errors import ParseError, UnispanError
 from unispan.harness import run_decompose, run_random_instance, run_spancert
 from unispan.selftest import spec_grid
@@ -22,9 +23,16 @@ from unispan.serialize import (
     instance_to_json,
     matrix_from_json,
     matrix_to_json,
+    report_to_json,
     spec_from_json,
     spec_to_json,
 )
+
+
+def _plain(doc):
+    """A built document as plain JSON data: built documents hold
+    pre-rendered matrix text, which only the emitter reads."""
+    return canonical_loads(canonical_dumps(doc))
 
 
 class TestFloatFormat:
@@ -53,7 +61,7 @@ class TestFloatFormat:
 class TestMatrixRoundTrip:
     def test_exact(self, rng):
         m = random_complex(rng, (5, 5))
-        back = matrix_from_json(matrix_to_json(m))
+        back = matrix_from_json(_plain(matrix_to_json(m)))
         assert np.array_equal(back, m)
 
     def test_shape_errors(self):
@@ -90,7 +98,7 @@ class TestSpecRoundTrip:
     def test_with_conjugation(self):
         w = np.eye(3)[[1, 2, 0]].astype(complex)
         spec = TypeISubalgebraSpec.of_blocks([(1, [1, 1, 1])], conjugation=w)
-        back = spec_from_json(spec_to_json(spec))
+        back = spec_from_json(_plain(spec_to_json(spec)))
         assert np.array_equal(back.conjugation, w)
 
     def test_malformed(self):
@@ -113,7 +121,8 @@ class TestDocumentRoundTrips:
 
     def test_instance_validation(self):
         spec = TypeISubalgebraSpec.masa(2)
-        doc = instance_to_json(spec, np.zeros((2, 2)))
+        doc = _plain(instance_to_json(spec, np.zeros((2, 2))))
+        instance_from_json(doc)
         bad = dict(doc)
         bad["n"] = 3
         with pytest.raises(ParseError):
@@ -186,7 +195,7 @@ class TestDocumentRoundTrips:
 
 
 # The emitter as it was before the float-list fast path, kept verbatim as
-# the byte-level reference for it.
+# the byte-level reference for the emitter.
 
 
 def _ref_fmt_float(x: float) -> str:
@@ -238,6 +247,69 @@ def _ref_dumps(obj) -> str:
     return "".join(out)
 
 
+# The document builders as they were before matrices were pre-rendered,
+# kept verbatim: they build the plain-list twin of a document, which
+# _ref_dumps prints value by value.
+
+
+def _ref_matrix_to_json(m) -> dict:
+    m = np.asarray(m, dtype=np.complex128)
+    return {
+        "re": m.real.tolist(),
+        "im": m.imag.tolist(),
+    }
+
+
+def _ref_decomposition_to_json(d: Decomposition, report=None) -> dict:
+    columns = (d.coeffs.real.tolist(), d.coeffs.imag.tolist(), d.provenance, d.stages,
+               d.unitaries.real.tolist(), d.unitaries.imag.tolist())
+    doc = {
+        "n": int(d.target.shape[0]),
+        "spec": spec_to_json(d.spec) if d.spec is not None else None,
+        "target": _ref_matrix_to_json(d.target),
+        "terms": [
+            {
+                "coeff": {"re": c_re, "im": c_im},
+                "provenance": prov.value,
+                "stage": stage,
+                "unitary": {"re": u_re, "im": u_im},
+            }
+            for c_re, c_im, prov, stage, u_re, u_im in zip(*columns)
+        ],
+        "term_budget": d.term_budget,
+        "coeff_budget": float(d.coeff_budget) if d.coeff_budget is not None else None,
+    }
+    if report is not None:
+        doc["report"] = report_to_json(report)
+    return doc
+
+
+@pytest.fixture
+def plain_twin(monkeypatch):
+    """``twin(produce)`` calls ``produce()`` with the reference builders in
+    place, so the document it returns holds plain lists."""
+    def twin(produce):
+        with monkeypatch.context() as m:
+            m.setattr(serialize, "matrix_to_json", _ref_matrix_to_json)
+            m.setattr(harness, "decomposition_to_json", _ref_decomposition_to_json)
+            return produce()
+    return twin
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+            1e16, 1e17, -1e17, 3.0, -2.0, 2.0**53, 123456789.0, 1 / 3, -2.5e-17]
+
+
+def _hand_made(seed: int, count: int = 5, n: int = 3) -> Decomposition:
+    """A decomposition whose stacks draw their entries from ``_SPECIAL``."""
+    rng = np.random.default_rng(seed)
+    re, im = rng.choice(_SPECIAL, (2, count, n, n))
+    unitaries = np.stack((re, im), -1).view(np.complex128)[..., 0]  # keeps -0.0
+    coeffs = np.stack(rng.choice(_SPECIAL, (2, count)), -1).view(np.complex128)[..., 0]
+    return Decomposition(None, unitaries[0], coeffs, unitaries,
+                         [Provenance.DILATION] * count, ["hand"] * count)
+
+
 class TestFastPathByteIdentity:
     @pytest.mark.parametrize("doc", [
         [0.0, -0.0, -0.0, 0.0],
@@ -251,6 +323,8 @@ class TestFastPathByteIdentity:
         [np.float64(-0.0), 0.0],
         [2.0, np.float64(2.0), -0.0, np.float64(0.0)],
         ({"a": [0.0, -0.0]}, [-0.0, 0.0], (1.0, -0.0)),
+        [{"a": 1, "b": {"a": 2}}, {"b": 3, "a": 4}],
+        {1: 1.0, "1": 2.0, 1.5: -0.0, None: 0.0},
     ], ids=repr)
     def test_hand_made_lists(self, doc):
         assert canonical_dumps(doc) == _ref_dumps(doc)
@@ -264,23 +338,56 @@ class TestFastPathByteIdentity:
         with pytest.raises(UnispanError):
             canonical_dumps(doc)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hand_made_stacks(self, seed):
+        d = _hand_made(seed)
+        assert np.signbit(d.unitaries.real[d.unitaries.real == 0]).any()
+        assert canonical_dumps(decomposition_to_json(d)) == _ref_dumps(
+            _ref_decomposition_to_json(d))
+        for m in (d.unitaries[0], d.unitaries[1].T, d.unitaries[2, :2]):
+            assert canonical_dumps(matrix_to_json(m)) == _ref_dumps(_ref_matrix_to_json(m))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_non_finite_unitary_rejected(self, bad, part):
+        u = np.array(_hand_made(0).unitaries)
+        getattr(u, part)[3, 1, 2] = bad
+        d = Decomposition(None, u[0].real, np.ones(len(u)), u,
+                          [Provenance.DILATION] * len(u), [""] * len(u))
+        with pytest.raises(UnispanError, match="non-finite"):
+            canonical_dumps(decomposition_to_json(d))
+        with pytest.raises(UnispanError, match="non-finite"):
+            canonical_dumps(matrix_to_json(u[3]))
+
     @pytest.mark.parametrize("name,spec", spec_grid(), ids=[n for n, _ in spec_grid()])
-    def test_grid_decompositions(self, name, spec):
+    def test_grid_decompositions(self, name, spec, plain_twin):
         x = random_complement_element(spec, 1)
         for scale in (1.0, 1e-3, 2.0**-40):
             doc, ok = run_decompose(spec, scale * x)
-            assert ok
-            assert canonical_dumps(doc) == _ref_dumps(doc), (name, scale)
+            twin, twin_ok = plain_twin(lambda: run_decompose(spec, scale * x))
+            assert ok and twin_ok
+            same = canonical_dumps(doc) == _ref_dumps(twin)  # no string diff: it is slow
+            assert same, (name, scale)
 
-    def test_conjugated_decomposition(self, rng):
+    def test_zero_term_decomposition(self, plain_twin):
+        spec = TypeISubalgebraSpec.masa(3)
+        doc, ok = run_decompose(spec, np.zeros((3, 3)))
+        twin, _ = plain_twin(lambda: run_decompose(spec, np.zeros((3, 3))))
+        text = canonical_dumps(doc)
+        assert ok and '"terms":[]' in text
+        assert text == _ref_dumps(twin)
+
+    def test_conjugated_decomposition(self, rng, plain_twin):
         w = np.linalg.qr(random_complex(rng, (4, 4)))[0]
         spec = TypeISubalgebraSpec.of_blocks([(2, [2])], conjugation=w)
-        doc, ok = run_decompose(spec, random_complement_element(spec, 2))
+        x = random_complement_element(spec, 2)
+        doc, ok = run_decompose(spec, x)
+        twin, _ = plain_twin(lambda: run_decompose(spec, x))
         assert ok
-        assert doc["spec"]["conjugation"]["re"]
-        assert canonical_dumps(doc) == _ref_dumps(doc)
+        assert twin["spec"]["conjugation"]["re"]
+        assert canonical_dumps(doc) == _ref_dumps(twin)
 
-    def test_instance_and_span_certificate(self):
+    def test_instance_and_span_certificate(self, plain_twin):
         spec = TypeISubalgebraSpec.atoms((2, 4))
-        for doc in (run_random_instance(spec, 3), run_spancert(spec).to_json()):
-            assert canonical_dumps(doc) == _ref_dumps(doc)
+        for produce in (lambda: run_random_instance(spec, 3), lambda: run_spancert(spec).to_json()):
+            assert canonical_dumps(produce()) == _ref_dumps(plain_twin(produce))
