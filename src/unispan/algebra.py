@@ -330,12 +330,12 @@ def membership_residual(spec: TypeISubalgebraSpec, x):
     return hs_norm(conditional_expectation(spec, x))
 
 
-def complement_basis(spec: TypeISubalgebraSpec, rank_tol: float = RANK_TOL) -> list:
+def complement_basis(spec: TypeISubalgebraSpec) -> list:
     """HS-orthonormal basis of the complement.
 
     Projects the matrix units through the complement projection and runs
     modified Gram-Schmidt (with one re-orthogonalization pass), dropping
-    vectors of norm below ``rank_tol``.  The result has exactly
+    vectors of norm at most ``RANK_TOL``.  The result has exactly
     ``n**2 - algebra_dimension(spec)`` elements.
 
     Each step subtracts only the basis vectors whose support (nonzero
@@ -360,7 +360,9 @@ def complement_basis(spec: TypeISubalgebraSpec, rank_tol: float = RANK_TOL) -> l
                 v = v - hs_inner(v, basis[j]) * basis[j]
                 j += 1
         norm = hs_norm(v)
-        if norm > rank_tol:
+        # an absolute cut: a dependent residual is rounding noise, an
+        # independent one keeps a norm of order 1/n or more
+        if norm > RANK_TOL:
             basis.append(v / norm)
             support[len(basis) - 1] = basis[-1].ravel() != 0
     expected = n * n - algebra_dimension(spec)

@@ -165,7 +165,7 @@ _FLAGS = {
     "--tol": dict(type=_tolerance, default=RECON_TOL,
                   help="reconstruction tolerance (unitarity/membership use tol/10)"),
     "--rank-tol": dict(type=_tolerance, default=RANK_TOL,
-                       help="relative eigenvalue threshold for rank decisions"),
+                       help="relative eigenvalue threshold for the Gram rank"),
     "--seed": dict(type=int, default=0, help="random seed"),
     "--max-n": dict(type=int, default=None, help="cap the grid dimension"),
     "--trials": dict(type=int, default=200, help="trial count per suite"),
@@ -233,8 +233,7 @@ def _cmd_selftest(args) -> int:
     )
     doc = {
         "suites": [
-            {"name": r.name, "pass": r.passed, "detail": r.detail,
-             "seconds": round(r.seconds, 3)}
+            {"name": r.name, "pass": r.passed, "detail": r.detail, "seconds": r.seconds}
             for r in results
         ],
         "pass": all(r.passed for r in results),

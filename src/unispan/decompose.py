@@ -439,16 +439,14 @@ def _normalize_pieces(n, pieces):
     return rows
 
 
-def _zero_piece_raw(x, pieces):
+def _zero_piece_raw(x, rows):
+    """:func:`zero_piece_diagonal_decomp` on checked ``(count, g)`` piece
+    rows; ``x``'s piece-diagonal blocks are skipped, not checked."""
     n = x.shape[0]
-    rows = _normalize_pieces(n, pieces)
     count, g = rows.shape
     # index pairs (rows[a][:, None], rows[b][None, :]) address block (a, b),
     # and stacked ones address one block per row of a piece list
     blocks = x[rows[:, None, :, None], rows[None, :, None, :]]  # (count, count, g, g)
-    scale = max(1.0, float(np.max(np.abs(x))))
-    if np.max(np.abs(np.diagonal(blocks))) > 1e-12 * scale:
-        raise PieceDiagonalNotZero("a piece-diagonal block is not zero")
     nonzero = np.any(blocks, axis=(2, 3))
     np.fill_diagonal(nonzero, False)
     pad = np.eye(g, dtype=np.complex128)[None]
@@ -476,9 +474,12 @@ def zero_piece_diagonal_decomp(x, pieces) -> Decomposition:
     cost at most ``8p(p-1)`` terms and ``2||x|| p(p-1)`` coefficient mass.
     """
     x = as_matrix(x)
-    pieces = list(pieces)
-    raw = _zero_piece_raw(x, pieces)
-    count = len(pieces)
+    rows = _normalize_pieces(x.shape[0], pieces)
+    scale = max(1.0, float(np.max(np.abs(x))))
+    if np.max(np.abs(x[rows[:, :, None], rows[:, None, :]])) > 1e-12 * scale:
+        raise PieceDiagonalNotZero("a piece-diagonal block is not zero")
+    raw = _zero_piece_raw(x, rows)
+    count = len(rows)
     return _assemble(
         None,
         x,
@@ -556,7 +557,7 @@ def _scalar_case_raw(x):
     offdiag[:g, g:] = x12 + corner
     offdiag[g:, :g] = x21
     if np.any(offdiag):
-        parts.append(_zero_piece_raw(offdiag, [range(g), range(g, m)]))
+        parts.append(_zero_piece_raw(offdiag, np.arange(m).reshape(2, g)))
     return _cat(m, parts)
 
 
@@ -706,8 +707,8 @@ def _type_one_raw(cls: SpecClass, x):
                                    Provenance.ATOMIC, f"atom-completion({a.block},{a.atom})"))
     if np.any(cross):
         g = math.gcd(*[a.dim for a in atoms])
-        pieces = [a.indices[s : s + g] for a in atoms for s in range(0, a.dim, g)]
-        parts.append(_zero_piece_raw(cross, pieces))
+        rows = np.concatenate([a.indices for a in atoms]).reshape(-1, g)
+        parts.append(_zero_piece_raw(cross, rows))
     return _cat(cls.n, parts)
 
 
@@ -728,7 +729,7 @@ def _type_one_budgets(cls: SpecClass):
     return tb, cf
 
 
-def type_one_decomp(spec: TypeISubalgebraSpec, x, in_tol: float = 1e-9) -> Decomposition:
+def type_one_decomp(spec: TypeISubalgebraSpec, x) -> Decomposition:
     """Decompose a complement element against any supported type I spec.
 
     One path for every class: a single even atom (c2) takes the
@@ -737,14 +738,15 @@ def type_one_decomp(spec: TypeISubalgebraSpec, x, in_tol: float = 1e-9) -> Decom
     atom, complete those terms across the other atoms in cancelling pairs
     (stage ``atom-completion(block,atom)``) and carry the cross-atom part on
     block permutations over pieces of size ``gcd`` of the atom dimensions.
-    A conjugation, when present, is applied at the boundary.
+    A conjugation, when present, is applied at the boundary.  Raises
+    :class:`NotInComplement` when ``||E_A(x)||_2 > RECON_TOL * max(1, ||x||_2)``.
     """
     x = as_matrix(x)
     cls = algebra.validate_spec(spec, x.shape[0])
     if not cls.supported:
         raise UnsupportedConfiguration(cls.reason or "unsupported", cls.detail)
     resid = algebra.membership_residual(spec, x)
-    if resid > in_tol * max(1.0, hs_norm(x)):
+    if resid > RECON_TOL * max(1.0, hs_norm(x)):
         raise NotInComplement(
             f"conditional expectation has norm {resid:.3e}; project the input first"
         )

@@ -45,7 +45,7 @@ def run_decompose(spec: TypeISubalgebraSpec, matrix, tol: float = RECON_TOL):
     e = algebra.conditional_expectation(spec, matrix)
     x = as_matrix(matrix) - e
     projection_residual = hs_norm(e)
-    d = type_one_decomp(spec, x, in_tol=1e-6)
+    d = type_one_decomp(spec, x)
     rep = verify_decomposition(spec, x, d)
     ok = report_within(rep, tol)
     doc = decomposition_to_json(d, rep)
@@ -86,18 +86,19 @@ def run_spancert(spec: TypeISubalgebraSpec, rank_tol: float = RANK_TOL,
                  tol: float = RECON_TOL) -> SpanCertificate:
     """Decompose a whole complement basis and certify the span of the
     pooled unitaries: every decomposition passes :func:`report_within` at
-    ``tol`` and the Gram rank equals ``n**2 - dim A`` exactly."""
+    ``tol`` and the Gram rank, counted at the relative threshold
+    ``rank_tol``, equals ``n**2 - dim A`` exactly."""
     n = spec.dimension
     cls = algebra.validate_spec(spec, n)
     if not cls.supported:
         raise UnsupportedConfiguration(cls.reason or "unsupported", cls.detail)
-    basis = complement_basis(spec, rank_tol=rank_tol)
+    basis = complement_basis(spec)
     expected = n * n - algebra_dimension(spec)
     stacks = [np.empty((0, n, n), dtype=np.complex128)]
     worst = VerificationReport(0.0, 0.0, 0.0, 0, 0.0)
     ok = True
     for b in basis:
-        d = type_one_decomp(spec, b, in_tol=1e-8)
+        d = type_one_decomp(spec, b)
         rep = verify_decomposition(spec, b, d)
         ok = ok and report_within(rep, tol)
         stacks.append(d.unitaries)

@@ -105,16 +105,16 @@ class HermEig(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(h, input_tol: float = 1e-10) -> HermEig:
+def hermitian_eig(h) -> HermEig:
     """Eigendecomposition of a Hermitian matrix by ``numpy.linalg.eigh``.
 
     Decomposes the Hermitian part ``(h + h*)/2``.  Raises
     :class:`NotSelfAdjoint` when ``||h - h*||_2`` exceeds
-    ``input_tol * max(1, ||h||_2)``.
+    ``1e-10 * max(1, ||h||_2)``.
     """
     h = as_matrix(h)
     norm, skew = hs_norm(np.stack((h, h - h.conj().T)))
-    if skew > input_tol * max(1.0, norm):
+    if skew > 1e-10 * max(1.0, norm):
         raise NotSelfAdjoint("input is not self-adjoint within tolerance")
     w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
     return HermEig(w, v)
@@ -166,7 +166,7 @@ def gram_rank(mats, rank_tol: float = RANK_TOL) -> int:
         G = (V @ V.conj().T) / n
     else:
         G = (V.conj().T @ V) / n
-    w = hermitian_eig(G, input_tol=1e-8).eigenvalues
+    w = hermitian_eig(G).eigenvalues
     top = float(w[-1])
     if top <= 0.0:
         return 0

@@ -118,8 +118,8 @@ def expectation_axioms_suite(grid, seed, trials):
         for t in range(per_spec):
             count += 1
             base = seed * 7919 + t
-            x = _random_matrix(spec, base)
-            y = _random_matrix(spec, base + 1)
+            x = algebra._standard_normal_complex(algebra._rng_for(spec, base, 0), (n, n))
+            y = algebra._standard_normal_complex(algebra._rng_for(spec, base + 1, 0), (n, n))
             a = algebra.random_algebra_element(spec, base + 2)
             b = algebra.random_algebra_element(spec, base + 3)
             ex = algebra.conditional_expectation(spec, x)
@@ -150,14 +150,6 @@ def expectation_axioms_suite(grid, seed, trials):
                 linalg.operator_norm(ex) <= linalg.operator_norm(x) + 1e-9
             ), f"{name}: operator-norm expansion"
     return f"{count} trials over {len(grid)} specs, worst residual {worst:.1e}"
-
-
-def _random_matrix(spec, seed):
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed % (1 << 64), spec.digest()], dtype=np.uint64))
-    )
-    n = spec.dimension
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
 
 
 @_suite

@@ -267,21 +267,20 @@ def report_to_json(rep: VerificationReport) -> dict:
 
 
 def report_from_json(obj) -> VerificationReport:
+    # residuals and the coefficient sum are finite numbers: an infinite
+    # stored value would match any recomputed one in reverify
     try:
-        rep = VerificationReport(
-            recon_residual=float(obj["recon_residual"]),
-            max_unitarity_residual=float(obj["max_unitarity_residual"]),
-            max_membership_residual=float(obj["max_membership_residual"]),
+        return VerificationReport(
+            recon_residual=_finite(obj["recon_residual"], "report 'recon_residual'"),
+            max_unitarity_residual=_finite(obj["max_unitarity_residual"],
+                                           "report 'max_unitarity_residual'"),
+            max_membership_residual=_finite(obj["max_membership_residual"],
+                                            "report 'max_membership_residual'"),
             term_count=_integer(obj["term_count"], "report: 'term_count'"),
-            coeff_sum=float(obj["coeff_sum"]),
+            coeff_sum=_finite(obj["coeff_sum"], "report 'coeff_sum'"),
         )
-    except (TypeError, KeyError, ValueError, OverflowError):
+    except (TypeError, KeyError):
         raise ParseError("report: malformed verification report") from None
-    # an infinite stored value would match any recomputed one in reverify
-    if not all(map(math.isfinite, (rep.recon_residual, rep.max_unitarity_residual,
-                                   rep.max_membership_residual, rep.coeff_sum))):
-        raise ParseError("report: residuals and coefficient sum must be finite")
-    return rep
 
 
 def decomposition_to_json(d: Decomposition, report: Optional[VerificationReport] = None) -> dict:
@@ -379,6 +378,8 @@ def decomposition_from_json(obj):
         raise ParseError("decomposition: 'terms' must be a list")
     spec = spec_from_json(obj["spec"]) if obj.get("spec") is not None else None
     target = matrix_from_json(obj["target"], "target")
+    if _integer(obj.get("n"), "decomposition: 'n'") != target.shape[0]:
+        raise ParseError("decomposition: 'n' disagrees with the target shape")
     budget = obj.get("term_budget")
     coeff_budget = obj.get("coeff_budget")
     d = Decomposition(

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unispan import cli, selftest
+from unispan import cli, harness, selftest
 from unispan.algebra import TypeISubalgebraSpec, conditional_expectation
 from unispan.decompose import RECON_TOL
 from unispan.errors import ParseError
@@ -254,10 +254,19 @@ class TestExitCodes:
             lambda doc: doc["report"].update(term_count=float("inf")),
             lambda doc: doc.update(term_budget=doc["term_budget"] + 0.5),
             lambda doc: doc["report"].update(term_count=doc["report"]["term_count"] + 0.5),
+            lambda doc: doc["report"].update(recon_residual=str(doc["report"]["recon_residual"])),
+            lambda doc: doc["report"].update(max_unitarity_residual=False),
+            lambda doc: doc["report"].update(max_membership_residual="0.0"),
+            lambda doc: doc["report"].update(coeff_sum=True),
+            lambda doc: doc.update(n=7),
+            lambda doc: doc.update(n="3"),
+            lambda doc: doc.pop("n"),
         ],
         ids=["nan-coeff", "string-term-budget", "non-list-terms", "nan-coeff-budget",
              "inf-report-coeff-sum", "inf-report-term-count", "fractional-term-budget",
-             "fractional-report-term-count"],
+             "fractional-report-term-count", "string-report-recon-residual",
+             "bool-report-unitarity-residual", "string-report-membership-residual",
+             "bool-report-coeff-sum", "wrong-n", "string-n", "missing-n"],
     )
     def test_malformed_stored_decomposition_is_two(self, capsys, tmp_path, edit):
         inst = tmp_path / "inst.json"
@@ -433,12 +442,25 @@ class TestExitCodes:
         args = cli.build_parser().parse_args(["spancert", "--class", "c1", "--n", "2"])
         assert (args.tol, args.rank_tol) == (RECON_TOL, RANK_TOL)
 
-    def test_arithmetic_failure_is_one(self, capsys):
-        # a rank tolerance above every projected unit leaves the basis short
-        code, out, _ = run_cli(capsys, "spancert", "--class", "c1", "--n", "3",
-                               "--rank-tol", "10")
+    def test_arithmetic_failure_is_one(self, capsys, monkeypatch):
+        def short_basis(spec):
+            raise ArithmeticError("complement basis has 0 elements, expected 6")
+
+        monkeypatch.setattr(harness, "complement_basis", short_basis)
+        code, out, _ = run_cli(capsys, "spancert", "--class", "c1", "--n", "3")
         assert code == 1
-        assert json.loads(out)["error"] == "failed"
+        assert json.loads(out) == {"error": "failed",
+                                   "detail": "complement basis has 0 elements, expected 6"}
+
+    def test_rank_tol_reaches_only_the_gram_rank(self, capsys):
+        # a large relative threshold lowers the Gram rank; the complement
+        # basis is built as always
+        code, out, _ = run_cli(capsys, "spancert", "--class", "c1", "--n", "8",
+                               "--rank-tol", "0.5")
+        assert code == 1
+        doc = json.loads(out)
+        assert (doc["basis_size"], doc["gram_rank"], doc["expected_rank"]) == (56, 1, 56)
+        assert doc["pass"] is False
 
     def test_missing_file_is_two(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "--in", "/nonexistent.json")
