@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnispanError
+from .errors import DimensionMismatch, UnispanError, UnsupportedConfiguration
 from .linalg import RANK_TOL, as_matrix, hs_inner, hs_norm, unitarity_residual
 
 
@@ -181,7 +181,6 @@ class SpecClass:
     kind: ClassKind
     n: int
     atoms: tuple
-    algebra_dim: int
     reason: Optional[str] = None
     detail: str = ""
 
@@ -209,18 +208,17 @@ def validate_spec(spec: TypeISubalgebraSpec, n: int) -> SpecClass:
     dim = spec.dimension
     if dim != n:
         raise DimensionMismatch(f"spec covers dimension {dim}, ambient is {n}")
-    adim = algebra_dimension(spec)
 
-    def unsupported(rule, detail=""):
-        return SpecClass(ClassKind.UNSUPPORTED, n, atoms, adim, rule, detail)
+    def unsupported(rule, detail):
+        return SpecClass(ClassKind.UNSUPPORTED, n, atoms, rule, detail)
 
     all_k1 = all(a.k == 1 for a in atoms)
     if all_k1 and all(a.m == 1 for a in atoms):
-        return SpecClass(ClassKind.C1_MASA, n, atoms, adim)
+        return SpecClass(ClassKind.C1_MASA, n, atoms)
     if len(atoms) == 1:
         a = atoms[0]
         if a.m >= 2 and a.m % 2 == 0:
-            return SpecClass(ClassKind.C2_SINGLE_ATOM, n, atoms, adim)
+            return SpecClass(ClassKind.C2_SINGLE_ATOM, n, atoms)
         if a.m == 1:
             return unsupported(
                 "single-full-matrix-atom",
@@ -241,7 +239,7 @@ def validate_spec(spec: TypeISubalgebraSpec, n: int) -> SpecClass:
                     f"even atom of rank {a.m} leaves only {n - a.dim} "
                     "dimension(s) to pad against",
                 )
-        return SpecClass(ClassKind.C3_ATOMIC_ABELIAN, n, atoms, adim)
+        return SpecClass(ClassKind.C3_ATOMIC_ABELIAN, n, atoms)
     dims = {a.dim for a in atoms}
     if len(dims) > 1:
         return unsupported(
@@ -255,7 +253,15 @@ def validate_spec(spec: TypeISubalgebraSpec, n: int) -> SpecClass:
                     "the remaining atom is a full matrix block and carries "
                     "no complement unitary",
                 )
-    return SpecClass(ClassKind.C4_HOMOGENEOUS_TYPE1, n, atoms, adim)
+    return SpecClass(ClassKind.C4_HOMOGENEOUS_TYPE1, n, atoms)
+
+
+def supported_class(spec: TypeISubalgebraSpec, n: int) -> SpecClass:
+    """The class of ``spec``; :class:`UnsupportedConfiguration` if unsupported."""
+    cls = validate_spec(spec, n)
+    if not cls.supported:
+        raise UnsupportedConfiguration(cls.reason, cls.detail)
+    return cls
 
 
 class _AtomGroup(NamedTuple):

@@ -66,80 +66,69 @@ def _emit(doc, out: str) -> None:
         write_atomic(out, text)
 
 
-def _build_spec(make, *values) -> TypeISubalgebraSpec:
-    """Construct a spec from flag values; a rejected size is a parse error."""
+_NO_SPEC = "no subalgebra given: use --spec FILE, --class ... or --blocks ..."
+
+
+def _parse_list(flag: str, text: str, item) -> list:
+    """``item`` of each comma-separated part of ``text``."""
     try:
-        return make(*values)
-    except UnispanError as exc:
-        raise ParseError(f"spec: {exc}") from None
+        return [item(part) for part in text.split(",")]
+    except ValueError:
+        raise ParseError(f"cannot parse {flag} {text!r}") from None
 
 
-# the spec flags each spec source reads; any other spec flag given is an error
-_SPEC_FLAGS = {"spec": "--spec", "cls": "--class", "n": "--n", "k": "--k",
-               "m": "--m", "atoms": "--atoms", "blocks": "--blocks"}
-_SOURCE_FLAGS = {
-    "--spec": {"spec"},
-    "--class c1": {"cls", "n"},
-    "--class c2": {"cls", "k", "m"},
-    "--class c3": {"cls", "atoms"},
-    "--class c4": {"cls", "blocks"},
-    "--blocks": {"blocks"},
+def _kxm(part: str):
+    k, m = part.lower().split("x")
+    return int(k), [int(m)]
+
+
+# spec source -> (the spec flags it reads, any other one given being an
+# error; the flag it needs; the error when that flag is absent or empty; the
+# [(k, [m, ...])] blocks it builds from the flag values, or None to read the
+# --spec file)
+_SOURCES = {
+    "--spec": (("--spec",), "--spec", _NO_SPEC, None),
+    "--class c1": (("--class", "--n"), "--n", "--class c1 needs --n",
+                   lambda v: [(1, [1] * v["--n"])]),
+    "--class c2": (("--class", "--k", "--m"), "--m", "--class c2 needs --m (and optionally --k)",
+                   lambda v: [(1 if v["--k"] is None else v["--k"], [v["--m"]])]),
+    "--class c3": (("--class", "--atoms"), "--atoms", "--class c3 needs --atoms, e.g. --atoms 2,4",
+                   lambda v: [(1, _parse_list("--atoms", v["--atoms"], int))]),
+    "--class c4": (("--class", "--blocks"), "--blocks",
+                   "--class c4 needs --blocks, e.g. --blocks 2x2,1x4",
+                   lambda v: _parse_list("--blocks", v["--blocks"], _kxm)),
+    "--blocks": (("--blocks",), "--blocks", _NO_SPEC,
+                 lambda v: _parse_list("--blocks", v["--blocks"], _kxm)),
 }
 
 
-def _check_spec_flags(args) -> None:
-    """Reject spec flags that the chosen spec source would silently drop."""
-    if args.spec is not None:
-        source = "--spec"
-    elif args.cls is not None:
-        source = f"--class {args.cls}"
-    elif args.blocks is not None:
-        source = "--blocks"
-    else:
-        return
-    extra = [flag for dest, flag in _SPEC_FLAGS.items()
-             if getattr(args, dest) is not None and dest not in _SOURCE_FLAGS[source]]
-    if extra:
-        raise ParseError(f"{', '.join(extra)} cannot be combined with {source}")
-
-
 def _spec_from_args(args) -> TypeISubalgebraSpec:
-    _check_spec_flags(args)
-    if getattr(args, "spec", None):
-        obj = canonical_loads(_read_text(args.spec))
-        if isinstance(obj, dict) and "blocks" not in obj and "spec" in obj:
-            obj = obj["spec"]
-        return spec_from_json(obj)
-    if getattr(args, "blocks", None):
-        pairs = []
-        try:
-            for part in args.blocks.split(","):
-                k, m = part.lower().split("x")
-                pairs.append((int(k), [int(m)]))
-        except ValueError:
-            raise ParseError(f"cannot parse --blocks {args.blocks!r}") from None
-        return _build_spec(TypeISubalgebraSpec.of_blocks, pairs)
-    cls = getattr(args, "cls", None)
-    if cls == "c1":
-        if args.n is None:
-            raise ParseError("--class c1 needs --n")
-        return _build_spec(TypeISubalgebraSpec.masa, args.n)
-    if cls == "c2":
-        if args.m is None:
-            raise ParseError("--class c2 needs --m (and optionally --k)")
-        k = 1 if args.k is None else args.k
-        return _build_spec(TypeISubalgebraSpec.of_blocks, [(k, [args.m])])
-    if cls == "c3":
-        if not args.atoms:
-            raise ParseError("--class c3 needs --atoms, e.g. --atoms 2,4")
-        try:
-            ranks = [int(r) for r in args.atoms.split(",")]
-        except ValueError:
-            raise ParseError(f"cannot parse --atoms {args.atoms!r}") from None
-        return _build_spec(TypeISubalgebraSpec.atoms, ranks)
-    if cls == "c4":
-        raise ParseError("--class c4 needs --blocks, e.g. --blocks 2x2,1x4")
-    raise ParseError("no subalgebra given: use --spec FILE, --class ... or --blocks ...")
+    """The spec of the one source the spec flags choose: ``--spec``, else
+    ``--class``, else ``--blocks``.  A flag-built spec goes through the
+    same parse as a spec file."""
+    given = {flag: vars(args)[flag[2:]] for flag in _SPEC}
+    if given["--spec"] is not None:
+        key = "--spec"
+    elif given["--class"] is not None:
+        key = f"--class {given['--class']}"
+    elif given["--blocks"] is not None:
+        key = "--blocks"
+    else:
+        raise ParseError(_NO_SPEC)
+    reads, needs, missing, blocks = _SOURCES[key]
+    extra = [flag for flag, value in given.items() if flag not in reads and value is not None]
+    if extra:
+        raise ParseError(f"{', '.join(extra)} cannot be combined with {key}")
+    if given[needs] in (None, ""):
+        raise ParseError(missing)
+    if blocks is None:
+        doc = canonical_loads(_read_text(given["--spec"]))
+        # a document that holds a spec, such as an instance file, gives that spec
+        if isinstance(doc, dict) and "blocks" not in doc and "spec" in doc:
+            doc = doc["spec"]
+    else:
+        doc = {"blocks": [{"k": k, "atom_mults": ms} for k, ms in blocks(given)]}
+    return spec_from_json(doc)
 
 
 def _tolerance(text: str) -> float:
@@ -152,11 +141,22 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """A seed: an integer in ``[0, 2**64)``, the key range of the generators."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
+    return value
+
+
 # every flag of a subcommand, by name; each subcommand takes only those it reads
 _FLAGS = {
     "--in": dict(dest="infile", required=True, help="input JSON file ('-' for stdin)"),
     "--spec": dict(help="JSON file holding the subalgebra spec"),
-    "--class": dict(dest="cls", choices=["c1", "c2", "c3", "c4"], help="spec shape class"),
+    "--class": dict(choices=["c1", "c2", "c3", "c4"], help="spec shape class"),
     "--n": dict(type=int, help="ambient dimension (c1)"),
     "--k": dict(type=int, help="factor size (c2)"),
     "--m": dict(type=int, help="atom multiplicity (c2)"),
@@ -166,13 +166,13 @@ _FLAGS = {
                   help="reconstruction tolerance (unitarity/membership use tol/10)"),
     "--rank-tol": dict(type=_tolerance, default=RANK_TOL,
                        help="relative eigenvalue threshold for the Gram rank"),
-    "--seed": dict(type=int, default=0, help="random seed"),
+    "--seed": dict(type=_seed, default=0, help="random seed"),
     "--max-n": dict(type=int, default=None, help="cap the grid dimension"),
     "--trials": dict(type=int, default=200, help="trial count per suite"),
     "--mutate": dict(action="store_true", help="inject a construction fault (suites must fail)"),
     "--out": dict(default="-", help="output file ('-' for stdout)"),
 }
-_SPEC = tuple(_SPEC_FLAGS.values())
+_SPEC = ("--spec", "--class", "--n", "--k", "--m", "--atoms", "--blocks")
 
 
 def _cmd_decompose(args) -> int:

@@ -36,7 +36,6 @@ from .errors import (
     NotDivisibleBy4,
     NotInComplement,
     NotTraceZero,
-    OddDimension,
     PaddingNotUnitary,
     PieceDiagonalNotZero,
     SinglePiece,
@@ -515,9 +514,8 @@ def selfadjoint_corner_dilation(y):
 
 
 def _scalar_case_raw(x):
+    # m is even: x is a multiplicity block of an atom validate_spec accepted
     m = x.shape[0]
-    if m % 2 != 0:
-        raise OddDimension(f"dimension {m} is odd; the split needs an even one")
     scale = max(1.0, hs_norm(x))
     if abs(normalized_trace(x)) > 1e-9 * scale:
         raise NotTraceZero("input trace is not zero within tolerance")
@@ -742,9 +740,7 @@ def type_one_decomp(spec: TypeISubalgebraSpec, x) -> Decomposition:
     :class:`NotInComplement` when ``||E_A(x)||_2 > RECON_TOL * max(1, ||x||_2)``.
     """
     x = as_matrix(x)
-    cls = algebra.validate_spec(spec, x.shape[0])
-    if not cls.supported:
-        raise UnsupportedConfiguration(cls.reason or "unsupported", cls.detail)
+    cls = algebra.supported_class(spec, x.shape[0])
     resid = algebra.membership_residual(spec, x)
     if resid > RECON_TOL * max(1.0, hs_norm(x)):
         raise NotInComplement(

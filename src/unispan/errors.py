@@ -21,10 +21,6 @@ class NotTraceZero(UnispanError):
     """A trace-zero matrix was required."""
 
 
-class OddDimension(UnispanError):
-    """An even matrix dimension was required."""
-
-
 class PieceDiagonalNotZero(UnispanError):
     """The piece-diagonal blocks of the input are not (numerically) zero."""
 

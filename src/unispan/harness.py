@@ -15,7 +15,6 @@ from .decompose import (
     type_one_decomp,
     verify_decomposition,
 )
-from .errors import UnsupportedConfiguration
 from .linalg import RANK_TOL, as_matrix, gram_rank, hs_norm
 from .serialize import decomposition_to_json, instance_to_json, report_to_json, spec_to_json
 
@@ -89,9 +88,7 @@ def run_spancert(spec: TypeISubalgebraSpec, rank_tol: float = RANK_TOL,
     ``tol`` and the Gram rank, counted at the relative threshold
     ``rank_tol``, equals ``n**2 - dim A`` exactly."""
     n = spec.dimension
-    cls = algebra.validate_spec(spec, n)
-    if not cls.supported:
-        raise UnsupportedConfiguration(cls.reason or "unsupported", cls.detail)
+    algebra.supported_class(spec, n)
     basis = complement_basis(spec)
     expected = n * n - algebra_dimension(spec)
     stacks = [np.empty((0, n, n), dtype=np.complex128)]
@@ -119,10 +116,7 @@ def run_spancert(spec: TypeISubalgebraSpec, rank_tol: float = RANK_TOL,
 
 def run_random_instance(spec: TypeISubalgebraSpec, seed: int) -> dict:
     """Deterministic Gaussian complement instance, ready to serialize."""
-    n = spec.dimension
-    cls = algebra.validate_spec(spec, n)
-    if not cls.supported:
-        raise UnsupportedConfiguration(cls.reason or "unsupported", cls.detail)
+    algebra.supported_class(spec, spec.dimension)
     x = algebra.random_complement_element(spec, seed)
     return instance_to_json(spec, x, seed=seed)
 

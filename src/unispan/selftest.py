@@ -52,6 +52,11 @@ def spec_grid(max_n: Optional[int] = None) -> list:
     return grid
 
 
+def _key(value: int) -> int:
+    """A derived seed modulo ``2**64``, inside the generators' key range."""
+    return value % (1 << 64)
+
+
 @dataclass
 class SuiteResult:
     name: str
@@ -84,7 +89,7 @@ def numeric_core_suite(grid, seed, trials):
     worst_recon = worst_defect = worst_norm = 0.0
     for t in range(trials):
         n = int(rng.integers(2, 17))
-        h = random_hermitian(n, seed * 100003 + t)
+        h = random_hermitian(n, _key(seed * 100003 + t))
         w, v = linalg.hermitian_eig(h)
         recon = linalg.hs_norm(v @ np.diag(w) @ v.conj().T - h)
         scale = max(linalg.hs_norm(h), 1e-300)
@@ -117,11 +122,11 @@ def expectation_axioms_suite(grid, seed, trials):
         n = spec.dimension
         for t in range(per_spec):
             count += 1
-            base = seed * 7919 + t
-            x = algebra._standard_normal_complex(algebra._rng_for(spec, base, 0), (n, n))
-            y = algebra._standard_normal_complex(algebra._rng_for(spec, base + 1, 0), (n, n))
-            a = algebra.random_algebra_element(spec, base + 2)
-            b = algebra.random_algebra_element(spec, base + 3)
+            kx, ky, ka, kb = (_key(seed * 7919 + t + i) for i in range(4))
+            x = algebra._standard_normal_complex(algebra._rng_for(spec, kx, 0), (n, n))
+            y = algebra._standard_normal_complex(algebra._rng_for(spec, ky, 0), (n, n))
+            a = algebra.random_algebra_element(spec, ka)
+            b = algebra.random_algebra_element(spec, kb)
             ex = algebra.conditional_expectation(spec, x)
             ey = algebra.conditional_expectation(spec, y)
             checks = {
@@ -158,7 +163,7 @@ def decomposition_soundness_suite(grid, seed, trials):
     worst = [0.0, 0.0, 0.0]
     for name, spec in grid:
         for t in range(per_spec):
-            x = algebra.random_complement_element(spec, seed * 104729 + t)
+            x = algebra.random_complement_element(spec, _key(seed * 104729 + t))
             d = type_one_decomp(spec, x)
             rep = verify_decomposition(spec, x, d)
             worst[0] = max(worst[0], rep.recon_residual)
@@ -202,7 +207,7 @@ def cross_path_suite(grid, seed, trials):
     for n in sizes:
         spec = TypeISubalgebraSpec.masa(n)
         for t in range(per):
-            x = algebra.random_complement_element(spec, seed * 31 + t)
+            x = algebra.random_complement_element(spec, _key(seed * 31 + t))
             for d in (type_one_decomp(spec, x), masa_quadrant_decomp(x)):
                 rep = verify_decomposition(spec, x, d)
                 assert report_within(rep), f"masa n={n}: {rep}"
@@ -212,7 +217,7 @@ def cross_path_suite(grid, seed, trials):
 @_suite
 def selfadjoint_closure_suite(grid, seed, trials):
     for name, spec in grid:
-        x = algebra.random_complement_element(spec, seed * 53 + 1)
+        x = algebra.random_complement_element(spec, _key(seed * 53 + 1))
         x = (x + x.conj().T) / 2
         d = type_one_decomp(spec, x)
         adj = sum(
@@ -274,7 +279,7 @@ def run_selftest(seed: int = 0, max_n: Optional[int] = None, trials: int = 200,
     """Run every suite over the grid; failures are reported, not raised.
 
     Raises :class:`ParseError` when ``max_n`` leaves no grid spec or
-    ``trials`` is below 1.
+    ``trials`` is below 1.  Seeds derived from ``seed`` wrap modulo ``2**64``.
     """
     grid = spec_grid(max_n)
     if not grid:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import e_unit, random_complex, random_unitary
-from unispan import algebra, linalg
+from unispan import algebra, decompose, harness, linalg
 from unispan.algebra import (
     BlockSpec,
     ClassKind,
@@ -18,10 +18,11 @@ from unispan.algebra import (
     membership_residual,
     random_algebra_element,
     random_complement_element,
+    supported_class,
     validate_spec,
 )
 from unispan.selftest import spec_grid
-from unispan.errors import DimensionMismatch, UnispanError
+from unispan.errors import DimensionMismatch, UnispanError, UnsupportedConfiguration
 from unispan.linalg import RANK_TOL, hs_inner, hs_norm
 
 
@@ -84,6 +85,27 @@ class TestClassification:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             validate_spec(TypeISubalgebraSpec.masa(3), 4)
+
+    def test_supported_class_returns_or_raises_the_rule(self):
+        spec = TypeISubalgebraSpec.atoms((2, 4))
+        assert supported_class(spec, 6).kind is ClassKind.C3_ATOMIC_ABELIAN
+        with pytest.raises(UnsupportedConfiguration) as exc:
+            supported_class(TypeISubalgebraSpec.atoms((2, 3)), 5)
+        assert (exc.value.rule, exc.value.detail) == (
+            "odd-atom-rank", "atom (block 0, atom 1) has multiplicity 3")
+
+    def test_every_entry_classifies_through_the_module_global(self, monkeypatch):
+        # a wrapper bound to algebra.validate_spec sees one call per request
+        calls = []
+        original = algebra.validate_spec
+        monkeypatch.setattr(algebra, "validate_spec",
+                            lambda spec, n: calls.append(n) or original(spec, n))
+        spec = TypeISubalgebraSpec.masa(3)
+        x = random_complement_element(spec, 0)
+        decompose.type_one_decomp(spec, x)
+        assert calls == [3]
+        harness.run_random_instance(spec, 0)
+        assert calls == [3, 3]
 
     def test_algebra_dimension(self):
         assert algebra_dimension(TypeISubalgebraSpec.masa(5)) == 5

@@ -24,6 +24,9 @@ def _plain_instance(spec, matrix):
     return canonical_loads(canonical_dumps(instance_to_json(spec, matrix)))
 
 
+NO_SPEC = "no subalgebra given: use --spec FILE, --class ... or --blocks ..."
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -194,6 +197,10 @@ class TestSpancert:
         code, out, _ = run_cli(capsys, "spancert", "--spec", str(f))
         assert code == 0
         assert json.loads(out)["expected_rank"] == 12
+        # a document holding the spec, such as an instance file, reads the same
+        inst = tmp_path / "inst.json"
+        run_cli(capsys, "random-instance", "--spec", str(f), "--out", str(inst))
+        assert run_cli(capsys, "spancert", "--spec", str(inst)) == (code, out, "")
 
 
 class TestExitCodes:
@@ -354,32 +361,89 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"] == "parse"
 
-    @pytest.mark.parametrize("argv", [
-        ("--class", "c2", "--m", "2", "--n", "9"),
-        ("--class", "c3", "--atoms", "2,2", "--n", "4"),
-        ("--class", "c1", "--n", "3", "--m", "2"),
-        ("--class", "c1", "--n", "3", "--k", "2"),
-        ("--class", "c3", "--atoms", "2,2", "--m", "2"),
-        ("--class", "c3", "--atoms", "2,2", "--k", "2"),
-        ("--class", "c1", "--n", "3", "--atoms", "2,2"),
-        ("--class", "c2", "--m", "2", "--atoms", "2,2"),
-        ("--class", "c1", "--n", "3", "--blocks", "2x2"),
-        ("--class", "c2", "--m", "2", "--blocks", "2x2"),
-        ("--class", "c3", "--atoms", "2,2", "--blocks", "2x2"),
-        ("--spec", "SPEC", "--class", "c1"),
-        ("--spec", "SPEC", "--n", "4"),
-        ("--spec", "SPEC", "--k", "2"),
-        ("--spec", "SPEC", "--m", "2"),
-        ("--spec", "SPEC", "--atoms", "2,2"),
-        ("--spec", "SPEC", "--blocks", "2x2"),
-    ], ids=" ".join)
-    def test_spec_flag_foreign_to_its_source_is_two(self, capsys, tmp_path, argv):
+    _FOREIGN = [
+        (("--class", "c2", "--m", "2", "--n", "9"), "--n cannot be combined with --class c2"),
+        (("--class", "c3", "--atoms", "2,2", "--n", "4"),
+         "--n cannot be combined with --class c3"),
+        (("--class", "c1", "--n", "3", "--m", "2"), "--m cannot be combined with --class c1"),
+        (("--class", "c1", "--n", "3", "--k", "2"), "--k cannot be combined with --class c1"),
+        (("--class", "c3", "--atoms", "2,2", "--m", "2"),
+         "--m cannot be combined with --class c3"),
+        (("--class", "c3", "--atoms", "2,2", "--k", "2"),
+         "--k cannot be combined with --class c3"),
+        (("--class", "c1", "--n", "3", "--atoms", "2,2"),
+         "--atoms cannot be combined with --class c1"),
+        (("--class", "c2", "--m", "2", "--atoms", "2,2"),
+         "--atoms cannot be combined with --class c2"),
+        (("--class", "c1", "--n", "3", "--blocks", "2x2"),
+         "--blocks cannot be combined with --class c1"),
+        (("--class", "c2", "--m", "2", "--blocks", "2x2"),
+         "--blocks cannot be combined with --class c2"),
+        (("--class", "c3", "--atoms", "2,2", "--blocks", "2x2"),
+         "--blocks cannot be combined with --class c3"),
+        (("--spec", "SPEC", "--class", "c1"), "--class cannot be combined with --spec"),
+        (("--spec", "SPEC", "--n", "4"), "--n cannot be combined with --spec"),
+        (("--spec", "SPEC", "--k", "2"), "--k cannot be combined with --spec"),
+        (("--spec", "SPEC", "--m", "2"), "--m cannot be combined with --spec"),
+        (("--spec", "SPEC", "--atoms", "2,2"), "--atoms cannot be combined with --spec"),
+        (("--spec", "SPEC", "--blocks", "2x2"), "--blocks cannot be combined with --spec"),
+    ]
+
+    @pytest.mark.parametrize("argv, detail", _FOREIGN,
+                             ids=[" ".join(argv) for argv, _ in _FOREIGN])
+    def test_spec_flag_foreign_to_its_source_is_two(self, capsys, tmp_path, argv, detail):
         spec = tmp_path / "spec.json"
         spec.write_text(canonical_dumps({"blocks": [{"k": 1, "atom_mults": [1, 1]}]}))
         argv = [str(spec) if a == "SPEC" else a for a in argv]
         code, out, _ = run_cli(capsys, "random-instance", *argv)
         assert code == 2
-        assert json.loads(out)["error"] == "parse"
+        assert out == '{"error":"parse","detail":"%s"}\n' % detail
+
+    # the stdout of every other spec-source error, byte for byte; the empty
+    # values are missing values, while a given --n 0 reaches the spec parse
+    _SOURCE_ERRORS = [
+        (("--class", "c1"), "--class c1 needs --n"),
+        (("--class", "c2"), "--class c2 needs --m (and optionally --k)"),
+        (("--class", "c2", "--k", "2"), "--class c2 needs --m (and optionally --k)"),
+        (("--class", "c3"), "--class c3 needs --atoms, e.g. --atoms 2,4"),
+        (("--class", "c4"), "--class c4 needs --blocks, e.g. --blocks 2x2,1x4"),
+        ((), NO_SPEC),
+        (("--n", "4"), NO_SPEC),
+        (("--k", "2", "--m", "2"), NO_SPEC),
+        (("--atoms", "2,2"), NO_SPEC),
+        (("--blocks", "2x"), "cannot parse --blocks '2x'"),
+        (("--blocks", "2x2x2"), "cannot parse --blocks '2x2x2'"),
+        (("--blocks", "axb"), "cannot parse --blocks 'axb'"),
+        (("--blocks", "2x2,"), "cannot parse --blocks '2x2,'"),
+        (("--blocks", "2,2"), "cannot parse --blocks '2,2'"),
+        (("--class", "c4", "--blocks", "x2"), "cannot parse --blocks 'x2'"),
+        (("--blocks", "0x2"), "spec: factor size must be >= 1, got 0"),
+        (("--blocks", "2x0"), "spec: atom multiplicities must be >= 1"),
+        (("--class", "c3", "--atoms", "2,x"), "cannot parse --atoms '2,x'"),
+        (("--class", "c3", "--atoms", "1.5"), "cannot parse --atoms '1.5'"),
+        (("--class", "c3", "--atoms", ","), "cannot parse --atoms ','"),
+        (("--class", "c3", "--atoms", "2,0"), "spec: atom multiplicities must be >= 1"),
+        (("--class", "c1", "--n", "0"), "spec: each block needs at least one atom"),
+        (("--class", "c2", "--k", "0", "--m", "2"), "spec: factor size must be >= 1, got 0"),
+        (("--spec", ""), NO_SPEC),
+        (("--blocks", ""), NO_SPEC),
+        (("--class", "c3", "--atoms", ""), "--class c3 needs --atoms, e.g. --atoms 2,4"),
+        (("--class", "c4", "--blocks", ""), "--class c4 needs --blocks, e.g. --blocks 2x2,1x4"),
+        (("--atoms", ""), NO_SPEC),
+        (("--spec", "", "--n", "3"), "--n cannot be combined with --spec"),
+        (("--spec", "", "--blocks", ""), "--blocks cannot be combined with --spec"),
+        (("--blocks", "", "--n", "3"), "--n cannot be combined with --blocks"),
+        (("--class", "c4", "--blocks", "2x2", "--n", "3", "--atoms", "2"),
+         "--n, --atoms cannot be combined with --class c4"),
+    ]
+
+    @pytest.mark.parametrize("argv, detail", _SOURCE_ERRORS,
+                             ids=[repr(argv) for argv, _ in _SOURCE_ERRORS])
+    @pytest.mark.parametrize("verb", ["random-instance", "spancert"])
+    def test_spec_source_error_document(self, capsys, verb, argv, detail):
+        code, out, _ = run_cli(capsys, verb, *argv)
+        assert code == 2
+        assert out == '{"error":"parse","detail":"%s"}\n' % detail
 
     @pytest.mark.parametrize("argv", [
         ("--class", "c4", "--blocks", "2x2,1x4"),
@@ -427,12 +491,32 @@ class TestExitCodes:
         ("random-instance", "--class", "c1", "--n", "notanint"),
         ("random-instance", "--class", "c9", "--n", "2"),
         ("spancert", "--class", "c1", "--n", "2", "--tol", "abc"),
+        ("random-instance", "--class", "c1", "--n", "3", "--seed", "-1"),
+        ("random-instance", "--class", "c1", "--n", "3", "--seed", str(2**64)),
+        ("selftest", "--seed", "-1"),
     ], ids=repr)
     def test_usage_error_is_two(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert json.loads(out)["error"] == "parse"
         assert err.startswith("error: ")
+
+    def test_seeds_at_the_top_of_the_key_range_run(self, capsys):
+        code, out, _ = run_cli(capsys, "random-instance", "--class", "c1", "--n", "3",
+                               "--seed", str(2**64 - 1))
+        assert code == 0 and json.loads(out)["seed"] == 2**64 - 1
+        # selftest derives per-trial seeds such as seed * 104729 + t modulo 2**64
+        for seed in ("176139000000000", str(2**64 - 1)):
+            code, out, _ = run_cli(capsys, "selftest", "--max-n", "2", "--trials", "1",
+                                   "--seed", seed)
+            assert code == 0 and json.loads(out)["pass"] is True
+
+    def test_library_seeds_outside_the_key_range_raise(self):
+        spec = TypeISubalgebraSpec.masa(3)
+        with pytest.raises(OverflowError):
+            harness.run_random_instance(spec, -1)
+        with pytest.raises(OverflowError):
+            run_selftest(seed=-1, max_n=2, trials=1)
 
     def test_help_exits_zero_and_defaults_are_the_library_constants(self, capsys):
         with pytest.raises(SystemExit) as exc:
