@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import algebra
-from .algebra import ClassKind, SpecClass, TypeISubalgebraSpec, atom_layouts
+from .algebra import SpecClass, TypeISubalgebraSpec, atom_layouts
 from .errors import (
     BadPosition,
     DiagonalNotZero,
@@ -44,6 +44,7 @@ from .errors import (
 )
 from .linalg import (
     as_matrix,
+    as_stack,
     hs_norm,
     normalized_trace,
     operator_norm,
@@ -682,8 +683,6 @@ def _type_one_raw(cls: SpecClass, x):
     atoms have ``k = 1`` and c4 atoms one common dimension.
     """
     atoms = cls.atoms
-    if cls.kind is ClassKind.C2_SINGLE_ATOM:
-        return _single_block_raw(atoms[0].k, atoms[0].m, x)
     parts = []
     cross = x.copy()
     for a in atoms:
@@ -694,6 +693,9 @@ def _type_one_raw(cls: SpecClass, x):
             continue
         atom_terms = _single_block_raw(a.k, a.m, comp)
         if not len(atom_terms.coeffs):
+            continue
+        if len(atoms) == 1:  # a lone atom is the whole space: nothing to complete
+            parts.append(atom_terms)
             continue
         pad = _witness_on(cls.n, [b for b in atoms if b is not a])
         if pad is None:  # pragma: no cover - validate_spec rejects these layouts
@@ -716,7 +718,7 @@ def _type_one_budgets(cls: SpecClass):
     ``2p(p-1)`` coefficient mass, each even atom its inner bound (doubled by
     the completion pairs unless it is the only atom) and ``18 k**2``."""
     p = cls.n // math.gcd(*[a.dim for a in cls.atoms])
-    pairs = 1 if cls.kind is ClassKind.C2_SINGLE_ATOM else 2
+    pairs = 1 if len(cls.atoms) == 1 else 2
     tb = 8 * p * (p - 1)
     cf = 2.0 * p * (p - 1)
     for a in cls.atoms:
@@ -730,12 +732,11 @@ def _type_one_budgets(cls: SpecClass):
 def type_one_decomp(spec: TypeISubalgebraSpec, x) -> Decomposition:
     """Decompose a complement element against any supported type I spec.
 
-    One path for every class: a single even atom (c2) takes the
-    factor-entrywise scalar construction directly; masa, atomic abelian and
-    homogeneous multi-atom specs (c1, c3, c4) decompose inside each even
-    atom, complete those terms across the other atoms in cancelling pairs
-    (stage ``atom-completion(block,atom)``) and carry the cross-atom part on
-    block permutations over pieces of size ``gcd`` of the atom dimensions.
+    One path for every class (c1-c4): decompose inside each even atom,
+    complete those terms across the other atoms in cancelling pairs (stage
+    ``atom-completion(block,atom)``; a lone atom, as in c2, needs none) and
+    carry the cross-atom part on block permutations over pieces of size
+    ``gcd`` of the atom dimensions.
     A conjugation, when present, is applied at the boundary.  Raises
     :class:`NotInComplement` when ``||E_A(x)||_2 > RECON_TOL * max(1, ||x||_2)``.
     """
@@ -811,21 +812,33 @@ def masa_quadrant_decomp(x) -> Decomposition:
 # independent verification
 
 
-def verify_decomposition(spec, x, d: Decomposition) -> VerificationReport:
+def verify_decomposition(spec, x, d) -> VerificationReport:
     """Recompute the sum and all residuals of a decomposition from scratch.
 
-    Shares only the numeric kernels with the constructions; membership is
-    checked through the conditional expectation.
+    ``x`` is one target with its :class:`Decomposition` ``d``, or a stack
+    ``(B, n, n)`` of targets with a sequence of ``B`` decompositions; a
+    single target is a stack of one.  The report holds the largest
+    reconstruction residual over the targets, the largest unitarity and
+    membership residuals over all terms, the total term count and the
+    largest coefficient sum.  Shares only the numeric kernels with the
+    constructions; membership is checked through the conditional
+    expectation.
     """
-    x = as_matrix(x)
-    us = d.unitaries
-    if us.shape[1:] != x.shape:
+    x = as_stack(x)
+    if x.ndim == 2:
+        x, d = x[None], (d,)
+    if x.ndim != 3 or len(x) != len(d):
+        raise DimensionMismatch(f"{len(d)} decompositions for targets of shape {x.shape}")
+    if any(e.unitaries.shape[1:] != x.shape[1:] for e in d):
         raise DimensionMismatch("term dimension differs from the target")
+    us = np.concatenate([np.empty((0,) + x.shape[1:], dtype=np.complex128)]
+                        + [e.unitaries for e in d])
+    recon = np.array([e.reconstruction() for e in d], dtype=np.complex128).reshape(x.shape)
     member = 0.0 if spec is None else algebra.membership_residual(spec, us)
     return VerificationReport(
-        recon_residual=hs_norm(d.reconstruction() - x),
+        recon_residual=float(np.max(hs_norm(recon - x), initial=0.0)),
         max_unitarity_residual=float(np.max(unitarity_residual(us), initial=0.0)),
         max_membership_residual=float(np.max(member, initial=0.0)),
         term_count=len(us),
-        coeff_sum=d.coeff_sum,
+        coeff_sum=max((e.coeff_sum for e in d), default=0.0),
     )

@@ -147,10 +147,10 @@ def gram_rank(mats, rank_tol: float = RANK_TOL) -> int:
     """Rank of the Hermitian Gram matrix ``G[s, t] = hs_inner(mats[s], mats[t])``.
 
     ``mats`` is a sequence of ``n x n`` matrices or one ``(N, n, n)`` stack.
-    Counts eigenvalues above ``rank_tol`` times the largest one.  For lists
-    longer than ``n**2`` the spectrum is read off the coordinate companion
-    Gram matrix ``V* V / n`` (same nonzero eigenvalues as ``V V* / n``),
-    which keeps the eigenproblem at dimension ``n**2``.
+    Counts eigenvalues above ``rank_tol`` times the largest one.  The
+    spectrum is read off the coordinate Gram matrix ``V* V / n`` of
+    dimension ``n**2``, which has the same nonzero eigenvalues as
+    ``G = V V* / n`` at any list length.
     """
     if len(mats) == 0:
         raise DimensionMismatch("empty matrix list")
@@ -162,11 +162,7 @@ def gram_rank(mats, rank_tol: float = RANK_TOL) -> int:
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {V.shape}")
     count, n, _ = V.shape
     V = V.reshape(count, n * n)
-    if count <= n * n:
-        G = (V @ V.conj().T) / n
-    else:
-        G = (V.conj().T @ V) / n
-    w = hermitian_eig(G).eigenvalues
+    w = hermitian_eig((V.conj().T @ V) / n).eigenvalues
     top = float(w[-1])
     if top <= 0.0:
         return 0

@@ -180,6 +180,17 @@ class TestExpect:
 
 
 class TestSpancert:
+    def test_empty_basis(self, capsys):
+        # the masa of M_1 is all of M_1: no basis, no terms, nothing to fail
+        code, out, _ = run_cli(capsys, "spancert", "--class", "c1", "--n", "1")
+        assert code == 0
+        assert out == (
+            '{"n":1,"spec":{"blocks":[{"k":1,"atom_mults":[1]}]},"basis_size":0,'
+            '"pooled_unitary_count":0,"gram_rank":0,"expected_rank":0,"pass":true,'
+            '"residual_summary":{"recon_residual":0.0,"max_unitarity_residual":0.0,'
+            '"max_membership_residual":0.0,"term_count":0,"coeff_sum":0.0}}\n'
+        )
+
     def test_masa_three(self, capsys):
         code, out, _ = run_cli(capsys, "spancert", "--class", "c1", "--n", "3")
         assert code == 0

@@ -53,6 +53,7 @@ from unispan.errors import (
     DimensionMismatch,
     NotDivisibleBy4,
     NotInComplement,
+    NotTraceZero,
     PaddingNotUnitary,
     PieceDiagonalNotZero,
     SinglePiece,
@@ -501,6 +502,18 @@ class TestScalarCase:
             scalar_decomp(np.diag([1.0, 1.0, -2.0]))
         assert exc.value.rule == "odd-atom-rank"
 
+    def test_atom_trace_not_zero(self):
+        # the membership check is relative to ||x||_2, so a trace of 1e-5
+        # inside one atom of a large input passes it; the atom's own
+        # trace check then rejects the block
+        spec = TypeISubalgebraSpec.atoms((2, 2))
+        x = np.zeros((4, 4), dtype=complex)
+        x[0, 2] = 1e6
+        x[0, 0] = 1e-5
+        assert membership_residual(spec, x) <= RECON_TOL * linalg.hs_norm(x)
+        with pytest.raises(NotTraceZero):
+            type_one_decomp(spec, x)
+
 
 class TestMasaQuadrant:
     def test_n4_degenerate_is_pure_cross(self, rng):
@@ -866,6 +879,48 @@ class TestVerify:
             assert not report_within(dataclasses.replace(edge, **{field: np.nan}))
         assert report_within(VerificationReport(1e-3, 1e-4, 1e-4, 1, 1.0), 1e-3)
         assert not report_within(VerificationReport(1e-3, 2e-4, 0.0, 1, 1.0), 1e-3)
+
+    def test_stack_matches_per_target_fold(self, rng):
+        def fold(spec, xs, ds):
+            # the per-target loop the stack form replaces
+            worst = VerificationReport(0.0, 0.0, 0.0, 0, 0.0)
+            for x, d in zip(xs, ds):
+                rep = verify_decomposition(spec, x, d)
+                worst = VerificationReport(
+                    max(worst.recon_residual, rep.recon_residual),
+                    max(worst.max_unitarity_residual, rep.max_unitarity_residual),
+                    max(worst.max_membership_residual, rep.max_membership_residual),
+                    worst.term_count + rep.term_count,
+                    max(worst.coeff_sum, rep.coeff_sum),
+                )
+            return worst
+
+        def bits(rep):
+            return [np.float64(v).tobytes() if isinstance(v, float) else v
+                    for v in dataclasses.astuple(rep)]
+
+        c4 = TypeISubalgebraSpec.of_blocks([(2, [2]), (2, [2])], conjugation=random_unitary(rng, 8))
+        for name, spec in spec_grid() + [("c4-conjugated", c4)]:
+            xs = algebra.complement_basis(spec) + [
+                s * algebra.random_complement_element(spec, 1) for s in (1e-3, 50.0)]
+            ds = [type_one_decomp(spec, x) for x in xs]
+            rep = verify_decomposition(spec, np.array(xs), ds)
+            assert bits(rep) == bits(fold(spec, xs, ds)), name
+            assert rep.term_count == sum(len(d.coeffs) for d in ds)
+            assert bits(verify_decomposition(spec, xs[0][None], ds[:1])) == bits(
+                verify_decomposition(spec, xs[0], ds[0])), name
+
+    def test_empty_stack(self):
+        for spec in (None, TypeISubalgebraSpec.masa(2)):
+            rep = verify_decomposition(spec, np.zeros((0, 2, 2)), [])
+            assert rep == VerificationReport(0.0, 0.0, 0.0, 0, 0.0)
+
+    def test_stack_length_differs_from_decompositions(self):
+        d = hand_decomposition([(0.5, S), (0.5, T)])
+        for xs, ds in ((np.zeros((2, 2, 2)), [d]), (np.zeros((1, 2, 2)), [d, d]),
+                       (np.zeros((0, 2, 2)), [d]), (np.zeros((1, 1, 2, 2)), [d])):
+            with pytest.raises(DimensionMismatch):
+                verify_decomposition(None, xs, ds)
 
     def test_term_shape_differs_from_target(self):
         d = Decomposition(

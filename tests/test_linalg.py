@@ -280,7 +280,8 @@ class TestGramRank:
         assert linalg.gram_rank(mats) == linalg.gram_rank(conj)
 
     def test_large_pool_against_numpy_oracle(self, rng):
-        # more matrices than n**2 exercises the companion-Gram path
+        # more matrices than n**2: the list Gram matrix would be larger than
+        # the n**2-dimensional coordinate Gram matrix the rank is read from
         mats = [random_complex(rng, (3, 3)) for _ in range(7)]
         pool = mats + [mats[0] + 2 * mats[1], 1j * mats[2]] + mats * 2
         assert len(pool) > 9
