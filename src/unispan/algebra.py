@@ -17,6 +17,7 @@ identity.  Everything off-block or off-atom maps to zero.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -139,26 +140,7 @@ def atom_layouts(spec: TypeISubalgebraSpec) -> tuple:
 
     Cached per layout (``spec.blocks``); the index arrays are read-only.
     """
-    return _layouts(spec.blocks)
-
-
-@lru_cache(maxsize=64)
-def _layouts(blocks: tuple) -> tuple:
-    out = []
-    offset = 0
-    for bi, b in enumerate(blocks):
-        s = b.s
-        atom_off = 0
-        for ji, m in enumerate(b.atom_mults):
-            idx = np.array(
-                [offset + a * s + atom_off + t for a in range(b.k) for t in range(m)],
-                dtype=np.intp,
-            )
-            idx.setflags(write=False)
-            out.append(AtomLayout(bi, ji, b.k, m, b.k * m, idx))
-            atom_off += m
-        offset += b.dim
-    return tuple(out)
+    return layout_plan(spec.blocks).atoms
 
 
 def algebra_dimension(spec: TypeISubalgebraSpec) -> int:
@@ -197,63 +179,17 @@ def validate_spec(spec: TypeISubalgebraSpec, n: int) -> SpecClass:
     * C1: every ``k = 1`` and every ``m = 1`` (the diagonal masa).
     * C2: exactly one atom, ``m`` even ``>= 2`` (covers ``C*1_m`` at
       ``k = 1``).
-    * C3: every ``k = 1``, at least two atoms, each multiplicity 1 or even,
-      and every even atom leaves at least two ambient dimensions to pad
-      against.
+    * C3: every ``k = 1``, at least two atoms, each multiplicity 1 or even.
     * C4: at least two atoms of one common dimension ``k*m``, each
-      multiplicity 1 or even, and every even atom has a paddable remainder.
+      multiplicity 1 or even.
+    * C3 and C4: every even atom needs a complement unitary (a witness) on
+      the other atoms to pad against, else ``isolated-even-atom`` (C3) or
+      ``no-padding-partner`` (C4).
     * anything else is UNSUPPORTED, with a machine-readable ``reason``.
     """
-    atoms = atom_layouts(spec)
-    dim = spec.dimension
-    if dim != n:
-        raise DimensionMismatch(f"spec covers dimension {dim}, ambient is {n}")
-
-    def unsupported(rule, detail):
-        return SpecClass(ClassKind.UNSUPPORTED, n, atoms, rule, detail)
-
-    all_k1 = all(a.k == 1 for a in atoms)
-    if all_k1 and all(a.m == 1 for a in atoms):
-        return SpecClass(ClassKind.C1_MASA, n, atoms)
-    if len(atoms) == 1:
-        a = atoms[0]
-        if a.m >= 2 and a.m % 2 == 0:
-            return SpecClass(ClassKind.C2_SINGLE_ATOM, n, atoms)
-        if a.m == 1:
-            return unsupported(
-                "single-full-matrix-atom",
-                "the lone atom is a full matrix block; the complement is {0}",
-            )
-        return unsupported("odd-atom-rank", f"single atom of odd multiplicity {a.m}")
-    bad = [a for a in atoms if a.m >= 3 and a.m % 2 == 1]
-    if bad:
-        a = bad[0]
-        return unsupported(
-            "odd-atom-rank", f"atom (block {a.block}, atom {a.atom}) has multiplicity {a.m}"
-        )
-    if all_k1:
-        for a in atoms:
-            if a.m >= 2 and n - a.dim < 2:
-                return unsupported(
-                    "isolated-even-atom",
-                    f"even atom of rank {a.m} leaves only {n - a.dim} "
-                    "dimension(s) to pad against",
-                )
-        return SpecClass(ClassKind.C3_ATOMIC_ABELIAN, n, atoms)
-    dims = {a.dim for a in atoms}
-    if len(dims) > 1:
-        return unsupported(
-            "heterogeneous-atom-dimensions", f"atom dimensions {sorted(dims)} differ"
-        )
-    if len(atoms) == 2:
-        for a, other in ((atoms[0], atoms[1]), (atoms[1], atoms[0])):
-            if a.m >= 2 and other.m == 1:
-                return unsupported(
-                    "no-padding-partner",
-                    "the remaining atom is a full matrix block and carries "
-                    "no complement unitary",
-                )
-    return SpecClass(ClassKind.C4_HOMOGENEOUS_TYPE1, n, atoms)
+    if spec.dimension != n:
+        raise DimensionMismatch(f"spec covers dimension {spec.dimension}, ambient is {n}")
+    return layout_plan(spec.blocks).verdict
 
 
 def supported_class(spec: TypeISubalgebraSpec, n: int) -> SpecClass:
@@ -275,25 +211,124 @@ class _AtomGroup(NamedTuple):
     eye: np.ndarray
 
 
+class LayoutPlan(NamedTuple):
+    """A layout's atoms, ``E_A`` groups and verdict, the completion pad of
+    each even atom of a multi-atom layout (else ``None``) and the ``gcd``
+    piece rows ``(p, g)`` that carry the cross-atom part."""
+
+    atoms: tuple
+    groups: tuple
+    verdict: SpecClass
+    pads: tuple
+    pieces: np.ndarray
+
+
+def _frozen(a):
+    """``a`` made read-only; ``None`` stays ``None``."""
+    if a is not None:
+        a.setflags(write=False)
+    return a
+
+
 @lru_cache(maxsize=64)
-def _expectation_plan(blocks: tuple) -> tuple:
-    """The atoms of a layout grouped by ``(k, m)``, with read-only arrays."""
-    groups = {}
-    for a in _layouts(blocks):
-        groups.setdefault((a.k, a.m), []).append(a.indices)
-    plan = []
-    for (k, m), indices in groups.items():
-        rows = np.stack(indices)[:, :, None]
-        eye = np.eye(m)
-        for arr in (rows, eye):
-            arr.setflags(write=False)
-        plan.append(_AtomGroup(k, m, rows, rows.transpose(0, 2, 1), eye))
-    return tuple(plan)
+def layout_plan(blocks: tuple) -> LayoutPlan:
+    """The plan of a layout ``spec.blocks``, made once; its arrays are read-only."""
+    atoms = []
+    offset = 0
+    for bi, b in enumerate(blocks):
+        atom_off = 0
+        for ji, m in enumerate(b.atom_mults):
+            a, t = np.divmod(np.arange(b.k * m, dtype=np.intp), m)
+            idx = offset + a * b.s + atom_off + t
+            atoms.append(AtomLayout(bi, ji, b.k, m, b.k * m, _frozen(idx)))
+            atom_off += m
+        offset += b.dim
+    atoms = tuple(atoms)
+    groups = []
+    for k, m in dict.fromkeys((a.k, a.m) for a in atoms):
+        rows = _frozen(np.stack([a.indices for a in atoms if (a.k, a.m) == (k, m)])[:, :, None])
+        groups.append(_AtomGroup(k, m, rows, rows.transpose(0, 2, 1), _frozen(np.eye(m))))
+    pads = tuple(_frozen(_witness_on(offset, [b for b in atoms if b is not a]))
+                 if a.m % 2 == 0 and len(atoms) > 1 else None for a in atoms)
+    g = math.gcd(*[a.dim for a in atoms])
+    pieces = _frozen(np.concatenate([a.indices for a in atoms]).reshape(-1, g))
+    return LayoutPlan(atoms, tuple(groups), _classify(offset, atoms, pads), pads, pieces)
+
+
+def _classify(n: int, atoms: tuple, pads: tuple) -> SpecClass:
+    """The verdict of :func:`validate_spec` on atoms with completion pads ``pads``."""
+
+    def unsupported(rule, detail):
+        return SpecClass(ClassKind.UNSUPPORTED, n, atoms, rule, detail)
+
+    all_k1 = all(a.k == 1 for a in atoms)
+    if all_k1 and all(a.m == 1 for a in atoms):
+        return SpecClass(ClassKind.C1_MASA, n, atoms)
+    if len(atoms) == 1:
+        a = atoms[0]
+        if a.m >= 2 and a.m % 2 == 0:
+            return SpecClass(ClassKind.C2_SINGLE_ATOM, n, atoms)
+        if a.m == 1:
+            return unsupported(
+                "single-full-matrix-atom",
+                "the lone atom is a full matrix block; the complement is {0}",
+            )
+        return unsupported("odd-atom-rank", f"single atom of odd multiplicity {a.m}")
+    for a in atoms:
+        if a.m >= 3 and a.m % 2 == 1:
+            return unsupported(
+                "odd-atom-rank", f"atom (block {a.block}, atom {a.atom}) has multiplicity {a.m}"
+            )
+    dims = {a.dim for a in atoms}
+    if not all_k1 and len(dims) > 1:
+        return unsupported(
+            "heterogeneous-atom-dimensions", f"atom dimensions {sorted(dims)} differ"
+        )
+    for a, pad in zip(atoms, pads):
+        if a.m % 2 == 0 and pad is None:
+            if all_k1:
+                return unsupported(
+                    "isolated-even-atom",
+                    f"even atom of rank {a.m} leaves only {n - a.dim} "
+                    "dimension(s) to pad against",
+                )
+            return unsupported(
+                "no-padding-partner",
+                "the remaining atom is a full matrix block and carries "
+                "no complement unitary",
+            )
+    kind = ClassKind.C3_ATOMIC_ABELIAN if all_k1 else ClassKind.C4_HOMOGENEOUS_TYPE1
+    return SpecClass(kind, n, atoms)
+
+
+def _witness_on(n, atoms):
+    """Full-space unitary supported on the given atoms, with zero
+    conditional expectation there; ``None`` when no construction applies."""
+    if not atoms:
+        return None
+    out = np.zeros((n, n), dtype=np.complex128)
+    if all(a.m >= 2 for a in atoms):
+        for a in atoms:
+            omega = np.exp(2j * np.pi / a.m)
+            block = np.kron(np.eye(a.k), np.diag(omega ** np.arange(a.m)))
+            out[np.ix_(a.indices, a.indices)] = block
+        return out
+    total = sum(a.dim for a in atoms)
+    if all(a.k == 1 for a in atoms) and total >= 2:
+        idx = np.sort(np.concatenate([a.indices for a in atoms]))
+        out[idx[np.roll(np.arange(total), -1)], idx] = 1.0
+        return out
+    if len(atoms) >= 2 and len({a.dim for a in atoms}) == 1:
+        for i, a in enumerate(atoms):
+            b = atoms[(i + 1) % len(atoms)]
+            out[np.ix_(b.indices, a.indices)] = np.eye(a.dim)
+        return out
+    return None
 
 
 def _expect_standard(spec: TypeISubalgebraSpec, x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
-    for a in _expectation_plan(spec.blocks):
+    for a in layout_plan(spec.blocks).groups:
         sub = x[..., a.rows, a.cols]
         lead = sub.shape[:-2]
         partial = np.einsum("...atbt->...ab", sub.reshape(lead + (a.k, a.m, a.k, a.m))) / a.m

@@ -19,7 +19,6 @@ sum directly and shares nothing with the construction beyond the numeric
 kernels.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -28,7 +27,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import algebra
-from .algebra import SpecClass, TypeISubalgebraSpec, atom_layouts
+from .algebra import TypeISubalgebraSpec, atom_layouts
 from .errors import (
     BadPosition,
     DiagonalNotZero,
@@ -380,6 +379,24 @@ def canonical_trace_zero_unitary(d: int) -> np.ndarray:
     return np.diag(omega ** np.arange(d))
 
 
+def witness_unitary(spec: TypeISubalgebraSpec) -> np.ndarray:
+    """A single unitary lying in the complement of the subalgebra.
+
+    Atoms of multiplicity at least 2 carry a root-of-unity diagonal; when
+    multiplicity-1 atoms are present the witness permutes basis vectors (or
+    whole atoms of a common dimension) fixed-point-freely instead.
+    """
+    w = algebra._witness_on(spec.dimension, atom_layouts(spec))
+    if w is None:
+        raise UnsupportedConfiguration(
+            "no-witness", "no complement unitary construction covers this layout"
+        )
+    wconj = spec.conjugation
+    if wconj is not None:
+        w = wconj @ w @ wconj.conj().T
+    return w
+
+
 # ---------------------------------------------------------------------------
 # fixed-point-free block permutations (the zero-piece-diagonal workhorse)
 
@@ -561,55 +578,6 @@ def _scalar_case_raw(x):
 
 
 # ---------------------------------------------------------------------------
-# witnesses and padding
-
-
-def _witness_on(n, atoms):
-    """Full-space unitary supported on the given atoms, with zero
-    conditional expectation there; ``None`` when no construction applies."""
-    if not atoms:
-        return None
-    out = np.zeros((n, n), dtype=np.complex128)
-    if all(a.m >= 2 for a in atoms):
-        for a in atoms:
-            omega = np.exp(2j * np.pi / a.m)
-            block = np.kron(np.eye(a.k), np.diag(omega ** np.arange(a.m)))
-            out[np.ix_(a.indices, a.indices)] = block
-        return out
-    total = sum(a.dim for a in atoms)
-    if all(a.k == 1 for a in atoms) and total >= 2:
-        idx = np.sort(np.concatenate([a.indices for a in atoms]))
-        out[idx[np.roll(np.arange(total), -1)], idx] = 1.0
-        return out
-    if len(atoms) >= 2 and len({a.dim for a in atoms}) == 1:
-        for i, a in enumerate(atoms):
-            b = atoms[(i + 1) % len(atoms)]
-            out[np.ix_(b.indices, a.indices)] = np.eye(a.dim)
-        return out
-    return None
-
-
-def witness_unitary(spec: TypeISubalgebraSpec) -> np.ndarray:
-    """A single unitary lying in the complement of the subalgebra.
-
-    Atoms of multiplicity at least 2 carry a root-of-unity diagonal; when
-    multiplicity-1 atoms are present the witness permutes basis vectors (or
-    whole atoms of a common dimension) fixed-point-freely instead.
-    """
-    atoms = atom_layouts(spec)
-    n = spec.dimension
-    w = _witness_on(n, atoms)
-    if w is None:
-        raise UnsupportedConfiguration(
-            "no-witness", "no complement unitary construction covers this layout"
-        )
-    wconj = spec.conjugation
-    if wconj is not None:
-        w = wconj @ w @ wconj.conj().T
-    return w
-
-
-# ---------------------------------------------------------------------------
 # amplification (placing a corner decomposition into a k x k block grid)
 
 
@@ -676,52 +644,39 @@ def _single_block_raw(k, m, x):
     return _cat(k * m, parts)
 
 
-def _type_one_raw(cls: SpecClass, x):
-    """The construction behind :func:`type_one_decomp`, in standard position.
-
-    Pieces of size ``gcd`` of the atom dimensions tile every atom: c1/c3
-    atoms have ``k = 1`` and c4 atoms one common dimension.
-    """
-    atoms = cls.atoms
+def _type_one_raw(plan: algebra.LayoutPlan, x):
+    """The construction behind :func:`type_one_decomp`, in standard position,
+    with the completion pads and the gcd piece rows of the layout's plan."""
+    n = x.shape[0]
     parts = []
     cross = x.copy()
-    for a in atoms:
+    for a, pad in zip(plan.atoms, plan.pads):
         block = np.ix_(a.indices, a.indices)
         comp = x[block]
         cross[block] = 0.0
         if a.m < 2 or not np.any(comp):
             continue
         atom_terms = _single_block_raw(a.k, a.m, comp)
-        if not len(atom_terms.coeffs):
-            continue
-        if len(atoms) == 1:  # a lone atom is the whole space: nothing to complete
+        if pad is None:  # a lone atom is the whole space: nothing to complete
             parts.append(atom_terms)
             continue
-        pad = _witness_on(cls.n, [b for b in atoms if b is not a])
-        if pad is None:  # pragma: no cover - validate_spec rejects these layouts
-            raise UnsupportedConfiguration(
-                "no-padding-partner",
-                "no complement unitary exists on the remaining atoms",
-            )
-        parts.append(_padded_pairs(atom_terms, cls.n, block, [((), pad)],
+        parts.append(_padded_pairs(atom_terms, n, block, [((), pad)],
                                    Provenance.ATOMIC, f"atom-completion({a.block},{a.atom})"))
     if np.any(cross):
-        g = math.gcd(*[a.dim for a in atoms])
-        rows = np.concatenate([a.indices for a in atoms]).reshape(-1, g)
-        parts.append(_zero_piece_raw(cross, rows))
-    return _cat(cls.n, parts)
+        parts.append(_zero_piece_raw(cross, plan.pieces))
+    return _cat(n, parts)
 
 
-def _type_one_budgets(cls: SpecClass):
+def _type_one_budgets(plan: algebra.LayoutPlan):
     """Static ``(term, coefficient-per-unit-norm)`` bounds of
     :func:`_type_one_raw`: ``p`` gcd pieces cost ``8p(p-1)`` terms and
     ``2p(p-1)`` coefficient mass, each even atom its inner bound (doubled by
     the completion pairs unless it is the only atom) and ``18 k**2``."""
-    p = cls.n // math.gcd(*[a.dim for a in cls.atoms])
-    pairs = 1 if len(cls.atoms) == 1 else 2
+    p = len(plan.pieces)
+    pairs = 1 if len(plan.atoms) == 1 else 2
     tb = 8 * p * (p - 1)
     cf = 2.0 * p * (p - 1)
-    for a in cls.atoms:
+    for a in plan.atoms:
         if a.m >= 2:
             inner = _SCALAR_TERM_BOUND if a.k == 1 else 2 * _SCALAR_TERM_BOUND * a.k**2
             tb += pairs * inner
@@ -741,18 +696,19 @@ def type_one_decomp(spec: TypeISubalgebraSpec, x) -> Decomposition:
     :class:`NotInComplement` when ``||E_A(x)||_2 > RECON_TOL * max(1, ||x||_2)``.
     """
     x = as_matrix(x)
-    cls = algebra.supported_class(spec, x.shape[0])
+    algebra.supported_class(spec, x.shape[0])
     resid = algebra.membership_residual(spec, x)
     if resid > RECON_TOL * max(1.0, hs_norm(x)):
         raise NotInComplement(
             f"conditional expectation has norm {resid:.3e}; project the input first"
         )
+    plan = algebra.layout_plan(spec.blocks)
     w = spec.conjugation
     if w is None:
-        raw = _type_one_raw(cls, x)
+        raw = _type_one_raw(plan, x)
     else:
-        raw = _conjugate_terms(_type_one_raw(cls, w.conj().T @ x @ w), w)
-    tb, cf = _type_one_budgets(cls)
+        raw = _conjugate_terms(_type_one_raw(plan, w.conj().T @ x @ w), w)
+    tb, cf = _type_one_budgets(plan)
     return _assemble(spec, x, raw, term_budget=tb,
                      coeff_budget=cf * max(1.0, operator_norm(x)))
 

@@ -321,6 +321,14 @@ def _finite(value, what: str) -> float:
     raise ParseError(f"decomposition: {what} must be a finite number")
 
 
+def _stage(term) -> str:
+    """A term's ``stage``, ``""`` when absent; :class:`TypeError` unless a string."""
+    stage = term.get("stage", "")
+    if not isinstance(stage, str):
+        raise TypeError
+    return stage
+
+
 def _term_error(items, target) -> ParseError:
     """The error for a term list that :func:`_terms_from_json` rejects,
     found by checking the terms one by one and naming the first bad one."""
@@ -328,7 +336,7 @@ def _term_error(items, target) -> ParseError:
         try:
             re, im = t["coeff"]["re"], t["coeff"]["im"]
             Provenance(t["provenance"])
-            str(t.get("stage", ""))
+            _stage(t)
         except (TypeError, KeyError, ValueError, AttributeError):
             return ParseError(f"decomposition: malformed term {i}")
         try:
@@ -360,7 +368,7 @@ def _terms_from_json(items, target):
         if items and not re.shape == im.shape == shape:
             raise ValueError
         provenance = [Provenance(t["provenance"]) for t in items]
-        stages = [str(t.get("stage", "")) for t in items]
+        stages = [_stage(t) for t in items]
     except (TypeError, KeyError, ValueError, AttributeError, OverflowError):
         raise _term_error(items, target) from None
     if not (np.isfinite(coeffs).all() and np.isfinite(re).all() and np.isfinite(im).all()):

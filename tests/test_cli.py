@@ -279,12 +279,16 @@ class TestExitCodes:
             lambda doc: doc.update(n=7),
             lambda doc: doc.update(n="3"),
             lambda doc: doc.pop("n"),
+            lambda doc: doc["terms"][0].update(stage=5),
+            lambda doc: doc["terms"][0].update(stage=None),
+            lambda doc: doc["terms"][0].update(stage=["a"]),
         ],
         ids=["nan-coeff", "string-term-budget", "non-list-terms", "nan-coeff-budget",
              "inf-report-coeff-sum", "inf-report-term-count", "fractional-term-budget",
              "fractional-report-term-count", "string-report-recon-residual",
              "bool-report-unitarity-residual", "string-report-membership-residual",
-             "bool-report-coeff-sum", "wrong-n", "string-n", "missing-n"],
+             "bool-report-coeff-sum", "wrong-n", "string-n", "missing-n",
+             "int-stage", "null-stage", "list-stage"],
     )
     def test_malformed_stored_decomposition_is_two(self, capsys, tmp_path, edit):
         inst = tmp_path / "inst.json"
@@ -309,8 +313,9 @@ class TestExitCodes:
             (lambda doc: doc["terms"][1].update(unitary={"re": [[0.0, 1.0], [1.0, 0.0]],
                                                          "im": [[0.0, 0.0], [0.0, 0.0]]}),
              "decomposition: term 1 dimension mismatch"),
+            (lambda doc: doc["terms"][2].update(stage=5), "decomposition: malformed term 2"),
         ],
-        ids=["ragged-term-3", "nan-term-2", "wrong-size-term-1"],
+        ids=["ragged-term-3", "nan-term-2", "wrong-size-term-1", "int-stage-term-2"],
     )
     def test_bad_stored_term_is_named(self, capsys, tmp_path, edit, detail):
         inst = tmp_path / "inst.json"
