@@ -45,7 +45,6 @@ from .linalg import (
     as_matrix,
     as_stack,
     hs_norm,
-    normalized_trace,
     operator_norm,
     sqrt_defect,
     unitarity_residual,
@@ -157,37 +156,41 @@ def _freeze(a) -> np.ndarray:
 
 
 class _Terms(NamedTuple):
-    """Raw terms as parallel stacks: ``coeffs (T,)``, ``unitaries (T, n, n)``."""
+    """Raw terms of a stack of entries as parallel stacks: ``coeffs (T,)``,
+    ``unitaries (T, n, n)``, the provenance and stage tuples, and ``owner
+    (T,)``, the index of the entry that made each term, in ascending order."""
 
     coeffs: np.ndarray
     unitaries: np.ndarray
     provenance: tuple
     stages: tuple
-
-
-def _stack(n, items=()) -> _Terms:
-    """Stack ``(coeff, unitary, provenance, stage)`` tuples of ``n x n`` terms."""
-    return _Terms(
-        np.array([c for c, _, _, _ in items], dtype=np.complex128),
-        np.array([u for _, u, _, _ in items], dtype=np.complex128).reshape(len(items), n, n),
-        tuple(p for _, _, p, _ in items),
-        tuple(s for _, _, _, s in items),
-    )
+    owner: np.ndarray
 
 
 def _cat(n, parts) -> _Terms:
-    """Concatenate term stacks of ``n x n`` unitaries in order."""
+    """Concatenate term stacks of ``n x n`` unitaries, sorted stably by
+    owner: each owner's terms come out in part order, each part's in its
+    own order."""
     parts = [p for p in parts if len(p.coeffs)]
-    if not parts:
-        return _stack(n)
     if len(parts) == 1:
         return parts[0]
-    return _Terms(
-        np.concatenate([p.coeffs for p in parts]),
-        np.concatenate([p.unitaries for p in parts]),
-        sum((p.provenance for p in parts), ()),
-        sum((p.stages for p in parts), ()),
-    )
+    owner = np.concatenate([np.empty(0, dtype=np.intp)] + [p.owner for p in parts])
+    order = np.argsort(owner, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    coeffs = np.empty(len(order), dtype=np.complex128)
+    unitaries = np.empty((len(order), n, n), dtype=np.complex128)
+    start = 0
+    for p in parts:  # one copy of every unitary, straight to its slot
+        at = slot[start : start + len(p.coeffs)]
+        coeffs[at] = p.coeffs
+        unitaries[at] = p.unitaries
+        start += len(p.coeffs)
+    order = order.tolist()
+    provenance = sum((p.provenance for p in parts), ())
+    stages = sum((p.stages for p in parts), ())
+    return _Terms(coeffs, unitaries, tuple(provenance[i] for i in order),
+                  tuple(stages[i] for i in order), owner[order])
 
 
 @lru_cache(maxsize=32)
@@ -274,40 +277,51 @@ def _assemble(spec, target, raw, term_budget, coeff_budget):
                          term_budget, coeff_budget)
 
 
-def _padded_pairs(entry, n, target, pads, prov, stage):
+def _padded_pairs(entry, n, target, pads, prov, stages):
     """Turn each entry term ``(c, w)`` of the stack ``entry`` into two
     ``n x n`` terms of coefficient ``c/2``: zero but for ``sign * block`` at
     every ``(index, block)`` of ``pads`` and ``w`` at ``target``, with signs
-    ``+1`` and ``-1`` so the pads cancel.  An index addresses one block, the
-    whole matrix (``()``), or a stack of blocks (index arrays with a leading
-    axis, matched by a leading axis of ``block``).  Every ``(+v, -v)``
-    padding pair is built here, all pairs of one call in one ``(2E, n, n)``
-    stack with one assignment per pad and one for the targets."""
+    ``+1`` and ``-1`` so the pads cancel.  An index addresses the ``(T, n, n)``
+    stack of one sign: led by a slice it places the same block(s) in every
+    term, led by an index array over the terms one set per term.
+    ``stages`` names each entry term's stage.  Every ``(+v, -v)`` padding
+    pair is built here, all pairs of one call in one ``(2T, n, n)`` stack
+    with one assignment per pad and sign and one per sign for the targets."""
     signs = (1.0, 1.0) if _FAULT_INJECTION else (1.0, -1.0)
     count = len(entry.coeffs)
     u = np.zeros((count, 2, n, n), dtype=np.complex128)
     for index, block in pads:
-        u[(Ellipsis,) + index] = [sign * block for sign in signs]
-    u[(Ellipsis,) + target] = entry.unitaries[:, None]
+        for i, sign in enumerate(signs):
+            u[:, i][index] = sign * block
+    for i in range(2):
+        u[:, i][target] = entry.unitaries
     return _Terms(np.repeat(entry.coeffs / 2.0, 2), u.reshape(2 * count, n, n),
-                  (prov,) * (2 * count), (stage,) * (2 * count))
+                  (prov,) * (2 * count), tuple(s for s in stages for _ in signs),
+                  np.repeat(entry.owner, 2))
 
 
 def _conjugate_terms(raw, w):
     return raw._replace(unitaries=w @ raw.unitaries @ w.conj().T)
 
 
+def _adjoint(x):
+    """The adjoint of every matrix of a stack."""
+    return np.swapaxes(x.conj(), -1, -2)
+
+
 # ---------------------------------------------------------------------------
 # elementary splits
 
 
-def _two_unitary_raw(x, stage="selfadjoint-pair"):
-    r = sqrt_defect(x)
-    u = x + 1j * r
-    return _stack(x.shape[0], [
-        (0.5, u, Provenance.FOUR_UNITARY, stage),
-        (0.5, u.conj().T, Provenance.FOUR_UNITARY, stage),
-    ])
+def _two_unitary_raw(y, owner, stage):
+    """The pair ``(1/2, u), (1/2, u*)`` with ``u = y + i*sqrt(1 - y**2)``
+    for each self-adjoint contraction of the stack ``y``."""
+    count, g, _ = y.shape
+    u = y + 1j * sqrt_defect(y)
+    return _Terms(np.full(2 * count, 0.5, dtype=np.complex128),
+                  np.stack((u, _adjoint(u)), axis=1).reshape(2 * count, g, g),
+                  (Provenance.FOUR_UNITARY,) * (2 * count), (stage,) * (2 * count),
+                  np.repeat(owner, 2))
 
 
 def two_unitary_selfadjoint(x) -> Decomposition:
@@ -316,43 +330,55 @@ def two_unitary_selfadjoint(x) -> Decomposition:
     ``u = x + i*sqrt(1 - x**2)``; the two coefficients are both ``1/2``.
     """
     x = as_matrix(x)
-    return Decomposition(None, x, *_two_unitary_raw(x), term_budget=2, coeff_budget=1.0)
+    raw = _two_unitary_raw(x[None], np.zeros(1, dtype=np.intp), "selfadjoint-pair")
+    return Decomposition(None, x, *raw[:4], term_budget=2, coeff_budget=1.0)
 
 
 def _selfadjoint_parts(z):
     """``(part, mult, tag)`` for the real and imaginary self-adjoint parts
-    of ``z = h + i*k``: ``(h, 1, "real")`` and ``(k, 1j, "imag")``."""
-    return (((z + z.conj().T) / 2.0, 1.0, "real"),
-            ((z - z.conj().T) / 2.0j, 1.0j, "imag"))
+    of ``z = h + i*k`` (one matrix or a stack): ``(h, 1, "real")`` and
+    ``(k, 1j, "imag")``."""
+    zc = _adjoint(z)
+    return (((z + zc) / 2.0, 1.0, "real"), ((z - zc) / 2.0j, 1.0j, "imag"))
 
 
 def _divide_by_norm(x, s):
-    """``x / s`` for a norm ``s > 0``.  NumPy divides a complex array by
-    multiplying with ``1/s``, which overflows for a subnormal ``s``; both
-    are then first scaled up by the exact factor ``2**600``."""
-    if s < np.finfo(np.float64).tiny:
-        x, s = x * 2.0**600, s * 2.0**600
-    return x / s
+    """``x / s`` for a stack ``x`` and its norms ``s > 0``.  NumPy divides a
+    complex array by multiplying with ``1/s``, which overflows for a
+    subnormal ``s``; such a matrix and its norm are then first scaled up by
+    the exact factor ``2**600``."""
+    tiny = s < np.finfo(np.float64).tiny
+    if np.any(tiny):
+        x, s = x.copy(), s.copy()
+        x[tiny] *= 2.0**600
+        s[tiny] *= 2.0**600
+    return x / s[:, None, None]
+
+
+def _unitary_multiples(owner, s, cand, fast):
+    """The one-term decompositions ``(s, x/s)`` of the entries ``fast`` selects."""
+    count = int(np.count_nonzero(fast))
+    return _Terms(s[fast].astype(np.complex128), cand[fast],
+                  (Provenance.FOUR_UNITARY,) * count, ("unitary-multiple",) * count,
+                  owner[fast])
 
 
 def _four_unitary_raw(x, stage="selfadjoint-split"):
-    n = x.shape[0]
-    if not np.any(x):
-        return _stack(n)
-    s = operator_norm(x)
-    if s == 0.0:
-        return _stack(n)
-    cand = _divide_by_norm(x, s)
-    if unitarity_residual(cand) <= FAST_PATH_TOL:
-        return _stack(n, [(s, cand, Provenance.FOUR_UNITARY, "unitary-multiple")])
-    parts = []
-    for part, mult, tag in _selfadjoint_parts(x):
+    """At most four unitary terms for each matrix of the stack ``x``."""
+    g = x.shape[-1]
+    live = np.flatnonzero(np.any(x, axis=(1, 2)))
+    s = operator_norm(x[live])
+    live, s = live[s != 0.0], s[s != 0.0]
+    cand = _divide_by_norm(x[live], s)
+    fast = unitarity_residual(cand) <= FAST_PATH_TOL
+    parts = [_unitary_multiples(live, s, cand, fast)]
+    slow = live[~fast]
+    for part, mult, tag in _selfadjoint_parts(x[slow]):
         sp = operator_norm(part)
-        if sp == 0.0:
-            continue
-        two = _two_unitary_raw(_divide_by_norm(part, sp), f"{stage}-{tag}")
-        parts.append(two._replace(coeffs=mult * sp * two.coeffs))
-    return _cat(n, parts)
+        nz = sp != 0.0
+        two = _two_unitary_raw(_divide_by_norm(part[nz], sp[nz]), slow[nz], f"{stage}-{tag}")
+        parts.append(two._replace(coeffs=np.repeat(mult * sp[nz], 2) * two.coeffs))
+    return _cat(g, parts)
 
 
 def four_unitary(x) -> Decomposition:
@@ -364,7 +390,7 @@ def four_unitary(x) -> Decomposition:
     a single term, the zero matrix to an empty list.
     """
     x = as_matrix(x)
-    raw = _four_unitary_raw(x)
+    raw = _four_unitary_raw(x[None])
     return _assemble(None, x, raw, term_budget=4, coeff_budget=2.0 * operator_norm(x))
 
 
@@ -457,26 +483,32 @@ def _normalize_pieces(n, pieces):
 
 
 def _zero_piece_raw(x, rows):
-    """:func:`zero_piece_diagonal_decomp` on checked ``(count, g)`` piece
-    rows; ``x``'s piece-diagonal blocks are skipped, not checked."""
-    n = x.shape[0]
+    """:func:`zero_piece_diagonal_decomp` of each matrix of the stack ``x``
+    on checked ``(count, g)`` piece rows; the piece-diagonal blocks are
+    skipped, not checked.  All nonzero cross blocks of all matrices are
+    split in one :func:`_four_unitary_raw` call."""
+    n = x.shape[-1]
     count, g = rows.shape
     # index pairs (rows[a][:, None], rows[b][None, :]) address block (a, b),
     # and stacked ones address one block per row of a piece list
-    blocks = x[rows[:, None, :, None], rows[None, :, None, :]]  # (count, count, g, g)
-    nonzero = np.any(blocks, axis=(2, 3))
-    np.fill_diagonal(nonzero, False)
-    pad = np.eye(g, dtype=np.complex128)[None]
-    parts = []
-    for alpha, beta in np.argwhere(nonzero).tolist():  # row-major, like a double loop
-        entry = _four_unitary_raw(blocks[alpha, beta])
-        others = np.arange(count) != alpha
-        sigma = _derangement(count, alpha, beta)
-        target = (rows[alpha, :, None], rows[beta, None, :])
-        pads = [((rows[others, :, None], rows[sigma[others], None, :]), pad)]
-        parts.append(_padded_pairs(entry, n, target, pads, Provenance.ZERO_DIAG,
-                                   f"cross-block({alpha},{beta})"))
-    return _cat(n, parts)
+    blocks = x[:, rows[:, None, :, None], rows[None, :, None, :]]  # (B, count, count, g, g)
+    nonzero = np.any(blocks, axis=(3, 4))
+    nonzero[:, np.arange(count), np.arange(count)] = False
+    owner, alpha, beta = np.nonzero(nonzero)  # row-major, like a loop per target
+    entry = _four_unitary_raw(blocks[owner, alpha, beta])
+    cell = entry.owner  # the cross block each term splits
+    sigma = np.array([_derangement(count, a, b) for a, b in zip(alpha.tolist(), beta.tolist())],
+                     dtype=np.intp).reshape(-1, count)[cell]
+    others = np.arange(count - 1)  # the pieces other than alpha, in order
+    others = others + (others >= alpha[cell, None])
+    terms = np.arange(len(cell))[:, None, None]
+    target = (terms, rows[alpha[cell], :, None], rows[beta[cell], None, :])
+    moved = np.take_along_axis(sigma, others, axis=1)
+    pads = [((terms[..., None], rows[others][..., None], rows[moved][:, :, None, :]),
+             np.eye(g, dtype=np.complex128))]
+    names = [f"cross-block({a},{b})" for a, b in zip(alpha.tolist(), beta.tolist())]
+    return _padded_pairs(entry._replace(owner=owner[cell]), n, target, pads,
+                         Provenance.ZERO_DIAG, [names[c] for c in cell.tolist()])
 
 
 def zero_piece_diagonal_decomp(x, pieces) -> Decomposition:
@@ -495,7 +527,7 @@ def zero_piece_diagonal_decomp(x, pieces) -> Decomposition:
     scale = max(1.0, float(np.max(np.abs(x))))
     if np.max(np.abs(x[rows[:, :, None], rows[:, None, :]])) > 1e-12 * scale:
         raise PieceDiagonalNotZero("a piece-diagonal block is not zero")
-    raw = _zero_piece_raw(x, rows)
+    raw = _zero_piece_raw(x[None], rows)
     count = len(rows)
     return _assemble(
         None,
@@ -521,9 +553,10 @@ def selfadjoint_corner_dilation(y):
     Returns ``(u1, u2, u3)`` of twice the size with
     ``diag(y, 0) = u1/2 + u2/2 - u3``; ``u1`` and ``u2`` are unitary and
     have trace ``2*tr(y)`` and ``0`` respectively, and ``u3`` is supported
-    on the top-right corner only.
+    on the top-right corner only.  A stack ``(..., g, g)`` of contractions
+    gives three stacks of dilations.
     """
-    y = as_matrix(y)
+    y = as_stack(y)
     r = sqrt_defect(y)
     u1 = np.block([[y, r], [-r, y]])
     u2 = np.block([[y, r], [r, -y]])
@@ -531,49 +564,51 @@ def selfadjoint_corner_dilation(y):
     return u1, u2, u3
 
 
+def _abs_normalized_trace(x):
+    """``abs(normalized_trace(x))`` of each matrix of the stack ``x``, with
+    the same rounding."""
+    t = np.trace(x, axis1=-2, axis2=-1)
+    m = x.shape[-1]
+    return np.hypot(t.real / m, t.imag / m)
+
+
 def _scalar_case_raw(x):
-    # m is even: x is a multiplicity block of an atom validate_spec accepted
-    m = x.shape[0]
-    scale = max(1.0, hs_norm(x))
-    if abs(normalized_trace(x)) > 1e-9 * scale:
+    # m is even: each matrix of x is a multiplicity block of an atom
+    # validate_spec accepted
+    m = x.shape[-1]
+    if np.any(_abs_normalized_trace(x) > 1e-9 * np.maximum(1.0, hs_norm(x))):
         raise NotTraceZero("input trace is not zero within tolerance")
-    if not np.any(x):
-        return _stack(m)
-    s = operator_norm(x)
-    cand = _divide_by_norm(x, s)
-    if (
-        unitarity_residual(cand) <= FAST_PATH_TOL
-        and abs(normalized_trace(cand)) <= FAST_PATH_TOL
-    ):
-        return _stack(m, [(s, cand, Provenance.FOUR_UNITARY, "unitary-multiple")])
+    live = np.flatnonzero(np.any(x, axis=(1, 2)))
+    s = operator_norm(x[live])
+    cand = _divide_by_norm(x[live], s)
+    fast = ((unitarity_residual(cand) <= FAST_PATH_TOL)
+            & (_abs_normalized_trace(cand) <= FAST_PATH_TOL))
+    parts = [_unitary_multiples(live, s, cand, fast)]
+    slow = live[~fast]
+    y = x[slow]
     g = m // 2
-    x11 = x[:g, :g]
-    x12 = x[:g, g:]
-    x21 = x[g:, :g]
-    x22 = x[g:, g:]
-    z = x11 + x22
-    terms = []
-    corner = np.zeros((g, g), dtype=np.complex128)
-    for part, mult, tag in _selfadjoint_parts(z):
-        if not np.any(part):
-            continue
-        sp = max(1.0, operator_norm(part))
-        u1, u2, u3 = selfadjoint_corner_dilation(part / sp)
-        terms.append((mult * sp / 2.0, u1, Provenance.DILATION, f"diag-dilation-{tag}"))
-        terms.append((mult * sp / 2.0, u2, Provenance.DILATION, f"diag-dilation-{tag}"))
-        corner = corner - mult * sp * u3[:g, g:]
-    balanced = _four_unitary_raw(x22, stage="balanced")
-    for c, u in zip(balanced.coeffs, balanced.unitaries):
-        lifted = np.block(
-            [[-u, np.zeros_like(u)], [np.zeros_like(u), u]]
-        )
-        terms.append((c, lifted, Provenance.FOUR_UNITARY, "balanced-pair"))
-    parts = [_stack(m, terms)]
-    offdiag = np.zeros_like(x)
-    offdiag[:g, g:] = x12 + corner
-    offdiag[g:, :g] = x21
-    if np.any(offdiag):
-        parts.append(_zero_piece_raw(offdiag, np.arange(m).reshape(2, g)))
+    corner = np.zeros((len(slow), g, g), dtype=np.complex128)
+    for part, mult, tag in _selfadjoint_parts(y[:, :g, :g] + y[:, g:, g:]):
+        nz = np.flatnonzero(np.any(part, axis=(1, 2)))
+        sp = np.maximum(1.0, operator_norm(part[nz]))
+        u1, u2, u3 = selfadjoint_corner_dilation(part[nz] / sp[:, None, None])
+        count = 2 * len(nz)
+        parts.append(_Terms(np.repeat(mult * sp / 2.0, 2).astype(np.complex128),
+                            np.stack((u1, u2), axis=1).reshape(count, m, m),
+                            (Provenance.DILATION,) * count, (f"diag-dilation-{tag}",) * count,
+                            np.repeat(slow[nz], 2)))
+        corner[nz] = corner[nz] - (mult * sp)[:, None, None] * u3[:, :g, g:]
+    balanced = _four_unitary_raw(y[:, g:, g:], stage="balanced")
+    u = balanced.unitaries
+    lifted = np.block([[-u, np.zeros_like(u)], [np.zeros_like(u), u]])
+    count = len(u)
+    parts.append(_Terms(balanced.coeffs, lifted, (Provenance.FOUR_UNITARY,) * count,
+                        ("balanced-pair",) * count, slow[balanced.owner]))
+    offdiag = np.zeros_like(y)
+    offdiag[:, :g, g:] = y[:, :g, g:] + corner
+    offdiag[:, g:, :g] = y[:, g:, :g]
+    cross = _zero_piece_raw(offdiag, np.arange(m).reshape(2, g))
+    parts.append(cross._replace(owner=slow[cross.owner]))
     return _cat(m, parts)
 
 
@@ -582,13 +617,22 @@ def _scalar_case_raw(x):
 
 
 def _amplify_raw(entry, k, s0, t0, pad):
+    """Lift each entry term to block ``(s0, t0)`` of a ``k x k`` grid, with
+    ``s0`` and ``t0`` given per term (0-based)."""
     g = pad.shape[0]
-    rows, cols = list(range(k)), list(range(k))
-    rows[0], rows[s0] = s0, 0
-    cols[0], cols[t0] = t0, 0
-    at = [np.s_[r * g : (r + 1) * g, c * g : (c + 1) * g] for r, c in zip(rows, cols)]
-    return _padded_pairs(entry, k * g, at[0], [(i, pad) for i in at[1:]],
-                         Provenance.AMPLIFY, f"entry-move({s0 + 1},{t0 + 1})")
+    count = len(entry.coeffs)
+    terms = np.arange(count)
+    rows = np.tile(np.arange(k), (count, 1))
+    cols = rows.copy()
+    rows[terms, 0], cols[terms, 0] = s0, t0
+    rows[terms, s0], cols[terms, t0] = 0, 0
+    span = np.arange(g)
+    target = (terms[:, None, None], (s0 * g)[:, None, None] + span[:, None],
+              (t0 * g)[:, None, None] + span)
+    pads = [((terms[:, None, None, None], (rows[:, 1:] * g)[..., None, None] + span[:, None],
+              (cols[:, 1:] * g)[..., None, None] + span), pad)]
+    stages = [f"entry-move({s + 1},{t + 1})" for s, t in zip(s0.tolist(), t0.tolist())]
+    return _padded_pairs(entry, k * g, target, pads, Provenance.AMPLIFY, stages)
 
 
 def amplify_entry(entry_decomp: Decomposition, k: int, position, v_pad) -> Decomposition:
@@ -612,15 +656,17 @@ def amplify_entry(entry_decomp: Decomposition, k: int, position, v_pad) -> Decom
         raise DimensionMismatch("entry unitaries and padding differ in size")
     if np.any(unitarity_residual(entry) > 1e-8):
         raise PaddingNotUnitary("an entry term is not unitary")
+    count = len(entry)
     raw = _amplify_raw(_Terms(entry_decomp.coeffs, entry, entry_decomp.provenance,
-                              entry_decomp.stages), k, s - 1, t - 1, pad)
+                              entry_decomp.stages, np.zeros(count, dtype=np.intp)),
+                       k, np.full(count, s - 1), np.full(count, t - 1), pad)
     target = np.zeros((k * g, k * g), dtype=np.complex128)
     target[(s - 1) * g : s * g, (t - 1) * g : t * g] = entry_decomp.reconstruction()
     return _assemble(
         None,
         target,
         raw,
-        term_budget=2 * len(entry),
+        term_budget=2 * count,
         coeff_budget=entry_decomp.coeff_sum,
     )
 
@@ -630,38 +676,41 @@ def amplify_entry(entry_decomp: Decomposition, k: int, position, v_pad) -> Decom
 
 
 def _single_block_raw(k, m, x):
-    """Factor-entrywise decomposition inside one atom ``M_k (x) C*1_m``."""
+    """Factor-entrywise decomposition inside one atom ``M_k (x) C*1_m`` of
+    each matrix of the stack ``x``: all nonzero ``m x m`` entries of all
+    matrices go through one scalar-case call."""
     if k == 1:
         return _scalar_case_raw(x)
-    pad = canonical_trace_zero_unitary(m)
-    parts = []
-    for s0 in range(k):
-        for t0 in range(k):
-            entry = x[s0 * m : (s0 + 1) * m, t0 * m : (t0 + 1) * m]
-            if not np.any(entry):
-                continue
-            parts.append(_amplify_raw(_scalar_case_raw(entry), k, s0, t0, pad))
-    return _cat(k * m, parts)
+    entries = x.reshape(len(x), k, m, k, m).swapaxes(2, 3).reshape(-1, m, m)
+    live = np.flatnonzero(np.any(entries, axis=(1, 2)))
+    inner = _scalar_case_raw(entries[live])
+    owner, cell = np.divmod(live[inner.owner], k * k)
+    s0, t0 = np.divmod(cell, k)
+    return _amplify_raw(inner._replace(owner=owner), k, s0, t0, canonical_trace_zero_unitary(m))
 
 
 def _type_one_raw(plan: algebra.LayoutPlan, x):
-    """The construction behind :func:`type_one_decomp`, in standard position,
-    with the completion pads and the gcd piece rows of the layout's plan."""
-    n = x.shape[0]
+    """The construction behind :func:`type_one_stack` for a stack ``x`` in
+    standard position, with the completion pads and the gcd piece rows of
+    the layout's plan."""
+    n = x.shape[-1]
     parts = []
     cross = x.copy()
     for a, pad in zip(plan.atoms, plan.pads):
-        block = np.ix_(a.indices, a.indices)
+        block = (slice(None),) + np.ix_(a.indices, a.indices)
         comp = x[block]
         cross[block] = 0.0
-        if a.m < 2 or not np.any(comp):
+        if a.m < 2:
             continue
-        atom_terms = _single_block_raw(a.k, a.m, comp)
+        live = np.flatnonzero(np.any(comp, axis=(1, 2)))
+        atom_terms = _single_block_raw(a.k, a.m, comp[live])
+        atom_terms = atom_terms._replace(owner=live[atom_terms.owner])
         if pad is None:  # a lone atom is the whole space: nothing to complete
             parts.append(atom_terms)
             continue
-        parts.append(_padded_pairs(atom_terms, n, block, [((), pad)],
-                                   Provenance.ATOMIC, f"atom-completion({a.block},{a.atom})"))
+        stages = (f"atom-completion({a.block},{a.atom})",) * len(atom_terms.coeffs)
+        parts.append(_padded_pairs(atom_terms, n, block, [((slice(None),), pad)],
+                                   Provenance.ATOMIC, stages))
     if np.any(cross):
         parts.append(_zero_piece_raw(cross, plan.pieces))
     return _cat(n, parts)
@@ -684,33 +733,52 @@ def _type_one_budgets(plan: algebra.LayoutPlan):
     return tb, cf
 
 
-def type_one_decomp(spec: TypeISubalgebraSpec, x) -> Decomposition:
-    """Decompose a complement element against any supported type I spec.
+def type_one_stack(spec: TypeISubalgebraSpec, xs) -> Tuple[Decomposition, ...]:
+    """Decompose a stack ``(B, n, n)`` of complement elements against any
+    supported type I spec; returns one :class:`Decomposition` per target.
 
     One path for every class (c1-c4): decompose inside each even atom,
     complete those terms across the other atoms in cancelling pairs (stage
     ``atom-completion(block,atom)``; a lone atom, as in c2, needs none) and
     carry the cross-atom part on block permutations over pieces of size
-    ``gcd`` of the atom dimensions.
+    ``gcd`` of the atom dimensions.  Every stage runs once over all blocks
+    of all targets; each target's terms are merged on their own, so each
+    decomposition is bit-identical to that target's decomposed alone.
     A conjugation, when present, is applied at the boundary.  Raises
-    :class:`NotInComplement` when ``||E_A(x)||_2 > RECON_TOL * max(1, ||x||_2)``.
+    :class:`NotInComplement`, naming the first such target of a longer
+    stack, when ``||E_A(x)||_2 > RECON_TOL * max(1, ||x||_2)``.
     """
-    x = as_matrix(x)
-    algebra.supported_class(spec, x.shape[0])
-    resid = algebra.membership_residual(spec, x)
-    if resid > RECON_TOL * max(1.0, hs_norm(x)):
-        raise NotInComplement(
-            f"conditional expectation has norm {resid:.3e}; project the input first"
-        )
+    xs = as_stack(xs)
+    if xs.ndim != 3:
+        raise DimensionMismatch(f"expected a stack of shape (B, n, n), got {xs.shape}")
+    algebra.supported_class(spec, xs.shape[-1])
+    resid = algebra.membership_residual(spec, xs)
+    bad = np.flatnonzero(resid > RECON_TOL * np.maximum(1.0, hs_norm(xs)))
+    if bad.size:
+        i = int(bad[0])
+        text = f"conditional expectation has norm {resid[i]:.3e}; project the input first"
+        raise NotInComplement(text if len(xs) == 1 else f"target {i}: {text}")
     plan = algebra.layout_plan(spec.blocks)
     w = spec.conjugation
     if w is None:
-        raw = _type_one_raw(plan, x)
+        raw = _type_one_raw(plan, xs)
     else:
-        raw = _conjugate_terms(_type_one_raw(plan, w.conj().T @ x @ w), w)
+        raw = _conjugate_terms(_type_one_raw(plan, w.conj().T @ xs @ w), w)
     tb, cf = _type_one_budgets(plan)
-    return _assemble(spec, x, raw, term_budget=tb,
-                     coeff_budget=cf * max(1.0, operator_norm(x)))
+    ends = np.searchsorted(raw.owner, np.arange(len(xs) + 1)).tolist()
+    return tuple(
+        _assemble(spec, x, _Terms(*(field[lo:hi] for field in raw)),
+                  term_budget=tb, coeff_budget=cf * max(1.0, s))
+        for x, lo, hi, s in zip(xs, ends, ends[1:], operator_norm(xs).tolist())
+    )
+
+
+def type_one_decomp(spec: TypeISubalgebraSpec, x) -> Decomposition:
+    """Decompose one complement element: :func:`type_one_stack` on a stack
+    of one.  Raises :class:`NotInComplement` when
+    ``||E_A(x)||_2 > RECON_TOL * max(1, ||x||_2)``.
+    """
+    return type_one_stack(spec, as_matrix(x)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +810,7 @@ def masa_quadrant_decomp(x) -> Decomposition:
     # (slot, spare_row) x (slot, spare_col); the two slots of a pair use
     # complementary spare rows/columns so the result stays unitary.
     pairs = (((0, 3, 2), (1, 2, 3)), ((2, 1, 0), (3, 0, 1)))
-    terms = []
+    coeffs, unitaries, stages = [], [np.zeros((0, n, n), dtype=np.complex128)], []
     for pair in pairs:
         blocks = [x[np.ix_(quads[slot], quads[slot])] for slot, _, _ in pair]
         for (pa, mult, tag), (pb, _, _) in zip(*map(_selfadjoint_parts, blocks)):
@@ -755,10 +823,14 @@ def masa_quadrant_decomp(x) -> Decomposition:
                 rows, cols = quads[[slot, row2]].ravel(), quads[[slot, col2]].ravel()
                 u[:, rows[:, None], cols[None, :]] = (u1, u2)
                 remainder[np.ix_(quads[slot], quads[col2])] -= mult * s * u3[:q, q:]
-            terms += [(mult * s / 2.0, v, Provenance.DILATION, f"quadrant-{tag}") for v in u]
-    raw = _stack(n, terms)
-    if np.any(remainder):
-        raw = _cat(n, [raw, _zero_piece_raw(remainder, quads)])
+            coeffs += [mult * s / 2.0] * 2
+            unitaries.append(u)
+            stages += [f"quadrant-{tag}"] * 2
+    count = len(coeffs)
+    dilations = _Terms(np.array(coeffs, dtype=np.complex128), np.concatenate(unitaries),
+                       (Provenance.DILATION,) * count, tuple(stages),
+                       np.zeros(count, dtype=np.intp))
+    raw = _cat(n, [dilations, _zero_piece_raw(remainder[None], quads)])
     spec = TypeISubalgebraSpec.masa(n)
     return _assemble(spec, x, raw, term_budget=8 + 8 * 4 * 3,
                      coeff_budget=148.0 * max(1.0, operator_norm(x)))

@@ -13,6 +13,7 @@ from .decompose import (
     Decomposition,
     VerificationReport,
     type_one_decomp,
+    type_one_stack,
     verify_decomposition,
 )
 from .linalg import RANK_TOL, as_matrix, gram_rank, hs_norm
@@ -83,16 +84,17 @@ class SpanCertificate:
 
 def run_spancert(spec: TypeISubalgebraSpec, rank_tol: float = RANK_TOL,
                  tol: float = RECON_TOL) -> SpanCertificate:
-    """Decompose a whole complement basis and certify the span of the
-    pooled unitaries: the verifier's report over all the decompositions
+    """Decompose a whole complement basis in one :func:`type_one_stack` call
+    and certify the span of the pooled unitaries: the verifier's report over all the decompositions
     passes :func:`report_within` at ``tol`` and the Gram rank, counted at
     the relative threshold ``rank_tol``, equals ``n**2 - dim A`` exactly."""
     n = spec.dimension
     algebra.supported_class(spec, n)
     basis = complement_basis(spec)
     expected = n * n - algebra_dimension(spec)
-    ds = [type_one_decomp(spec, b) for b in basis]
-    rep = verify_decomposition(spec, np.reshape(basis, (len(basis), n, n)), ds)
+    targets = np.reshape(basis, (len(basis), n, n))
+    ds = type_one_stack(spec, targets)
+    rep = verify_decomposition(spec, targets, ds)
     pooled = rep.term_count
     rank = gram_rank(np.concatenate([d.unitaries for d in ds]), rank_tol=rank_tol) if pooled else 0
     passed = report_within(rep, tol) and rank == expected

@@ -108,39 +108,51 @@ class HermEig(NamedTuple):
 def hermitian_eig(h) -> HermEig:
     """Eigendecomposition of a Hermitian matrix by ``numpy.linalg.eigh``.
 
+    Takes one matrix, or a stack ``(..., n, n)`` and decomposes each of its
+    matrices; each result is bit-identical to that matrix's own call.
     Decomposes the Hermitian part ``(h + h*)/2``.  Raises
-    :class:`NotSelfAdjoint` when ``||h - h*||_2`` exceeds
+    :class:`NotSelfAdjoint` when some ``||h - h*||_2`` exceeds
     ``1e-10 * max(1, ||h||_2)``.
     """
-    h = as_matrix(h)
-    norm, skew = hs_norm(np.stack((h, h - h.conj().T)))
-    if skew > 1e-10 * max(1.0, norm):
+    h = as_stack(h)
+    hc = np.swapaxes(h.conj(), -1, -2)
+    norm, skew = hs_norm(np.stack((h, h - hc)))
+    if np.any(skew > 1e-10 * np.maximum(1.0, norm)):
         raise NotSelfAdjoint("input is not self-adjoint within tolerance")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    w, v = np.linalg.eigh((h + hc) / 2.0)
     return HermEig(w, v)
 
 
-def operator_norm(x) -> float:
-    """Largest singular value of ``x``, computed from ``x`` itself (no ``x* x``)."""
-    return float(np.linalg.norm(as_matrix(x), 2))
+def operator_norm(x):
+    """Largest singular value of ``x``, computed from ``x`` itself (no ``x* x``).
+
+    Takes one matrix, or a stack ``(..., n, n)`` and returns the norm of
+    each of its matrices; a single matrix gives a ``float``.
+    """
+    norms = np.linalg.norm(as_stack(x), 2, axis=(-2, -1))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def sqrt_defect(x) -> np.ndarray:
     """Positive square root of ``1 - x**2`` for a self-adjoint contraction.
 
-    The result is self-adjoint, positive semidefinite and commutes with
-    ``x``.  Eigenvalues of ``1 - x**2`` that dip slightly below zero (inputs
-    on the boundary of the unit ball) are clamped to zero; inputs with
-    operator norm beyond ``1 + CLAMP_TOL`` raise :class:`NormExceedsOne`.
+    Takes one matrix, or a stack ``(..., n, n)`` and returns the root of
+    each of its matrices.  The result is self-adjoint, positive
+    semidefinite and commutes with ``x``.  Eigenvalues of ``1 - x**2`` that
+    dip slightly below zero (inputs on the boundary of the unit ball) are
+    clamped to zero; inputs with operator norm beyond ``1 + CLAMP_TOL``
+    raise :class:`NormExceedsOne`.
     """
     w, v = hermitian_eig(x)
-    top = max(abs(float(w[0])), abs(float(w[-1])))
-    if top > 1.0 + CLAMP_TOL:
-        raise NormExceedsOne(f"operator norm {top} exceeds 1")
+    top = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
+    over = top > 1.0 + CLAMP_TOL
+    if np.any(over):
+        raise NormExceedsOne(f"operator norm {float(top[over].flat[0])} exceeds 1")
     d = 1.0 - w**2
     d[d < 0.0] = 0.0
-    r = (v * np.sqrt(d)) @ v.conj().T
-    return (r + r.conj().T) / 2.0
+    vc = np.swapaxes(v.conj(), -1, -2)
+    r = (v * np.sqrt(d)[..., None, :]) @ vc
+    return (r + np.swapaxes(r.conj(), -1, -2)) / 2.0
 
 
 def gram_rank(mats, rank_tol: float = RANK_TOL) -> int:

@@ -279,11 +279,12 @@ def all_pairs_zero_piece_raw(x, pieces):
             block = x[target]
             if not np.any(block):
                 continue
-            entry = decompose._four_unitary_raw(block)
+            entry = decompose._four_unitary_raw(block[None])
             sigma = np.array(lex_derangement(count, alpha, beta))
-            pads = [((rows[others, :, None], rows[sigma[others], None, :]), pad)]
-            parts.append(decompose._padded_pairs(entry, n, target, pads, Provenance.ZERO_DIAG,
-                                                 f"cross-block({alpha},{beta})"))
+            pads = [((slice(None), rows[others, :, None], rows[sigma[others], None, :]), pad)]
+            stages = (f"cross-block({alpha},{beta})",) * len(entry.coeffs)
+            parts.append(decompose._padded_pairs(entry, n, (slice(None),) + target, pads,
+                                                 Provenance.ZERO_DIAG, stages))
     return decompose._cat(n, parts)
 
 
@@ -313,7 +314,7 @@ def cross_part_cases(rng):
 class TestZeroPieceOracle:
     def test_matches_all_pairs_loop(self, rng):
         for name, x, pieces in cross_part_cases(rng):
-            got = decompose._zero_piece_raw(x, decompose._normalize_pieces(len(x), pieces))
+            got = decompose._zero_piece_raw(x[None], decompose._normalize_pieces(len(x), pieces))
             want = all_pairs_zero_piece_raw(x, pieces)
             assert got.coeffs.tobytes() == want.coeffs.tobytes(), name
             assert got.unitaries.tobytes() == want.unitaries.tobytes(), name
@@ -822,6 +823,69 @@ class TestTypeOne:
                 TypeISubalgebraSpec.of_blocks([(2, [2]), (1, [2])]), np.zeros((6, 6))
             )
         assert exc.value.rule == "heterogeneous-atom-dimensions"
+
+
+def same_decomposition(a, b) -> bool:
+    """Every field of two decompositions has the same bit pattern."""
+    return (
+        a.spec is b.spec
+        and all(getattr(a, f).shape == getattr(b, f).shape
+                and getattr(a, f).tobytes() == getattr(b, f).tobytes()
+                for f in ("target", "coeffs", "unitaries"))
+        and (a.provenance, a.stages, a.term_budget) == (b.provenance, b.stages, b.term_budget)
+        and np.float64(a.coeff_budget).tobytes() == np.float64(b.coeff_budget).tobytes()
+    )
+
+
+def mixed_targets(spec):
+    """Complement elements of ``spec``: Gaussian ones at two scales, a zero
+    target and a unitary multiple (the fast path)."""
+    n = spec.dimension
+    return np.array([
+        algebra.random_complement_element(spec, 11),
+        np.zeros((n, n)),
+        0.75 * witness_unitary(spec),
+        1e-3 * algebra.random_complement_element(spec, 12),
+        algebra.random_complement_element(spec, 13),
+    ])
+
+
+class TestTypeOneStack:
+    def test_each_target_as_if_alone(self, rng):
+        c4 = TypeISubalgebraSpec.of_blocks([(2, [2]), (2, [2])],
+                                           conjugation=random_unitary(rng, 8))
+        fast = set()
+        for name, spec in spec_grid() + [("c4-conjugated", c4)]:
+            xs = mixed_targets(spec)
+            alone = [type_one_decomp(spec, x) for x in xs]
+            if any(t.stage == "unitary-multiple" for t in alone[2].terms):
+                fast.add(name)
+            for order in (slice(None), slice(None, None, -1)):
+                stacked = decompose.type_one_stack(spec, xs[order])
+                assert len(stacked) == len(xs), name
+                assert all(map(same_decomposition, stacked, alone[order])), name
+        # the unitary multiple of a lone scalar atom is one fast-path term
+        assert {"c2-k1-m2", "c2-k1-m4", "c2-k1-m6"} <= fast
+
+    def test_empty_stack(self):
+        spec = TypeISubalgebraSpec.masa(3)
+        assert decompose.type_one_stack(spec, np.zeros((0, 3, 3))) == ()
+
+    def test_not_in_complement_names_the_target(self):
+        spec = TypeISubalgebraSpec.atoms((2, 2))
+        xs = mixed_targets(spec)
+        xs[3] = np.eye(4)
+        with pytest.raises(NotInComplement, match=r"^target 3: conditional expectation"):
+            decompose.type_one_stack(spec, xs)
+        with pytest.raises(NotInComplement) as exc:
+            decompose.type_one_stack(spec, xs[3:4])
+        assert str(exc.value) == (
+            "conditional expectation has norm 1.000e+00; project the input first"
+        )
+
+    def test_rejects_a_single_matrix(self):
+        with pytest.raises(DimensionMismatch):
+            decompose.type_one_stack(TypeISubalgebraSpec.masa(2), np.zeros((2, 2)))
 
 
 class TestVerify:

@@ -224,6 +224,81 @@ class TestSqrtDefect:
             linalg.sqrt_defect([[0, 1], [0, 0]])
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def contraction_stack(rng, n):
+    """Self-adjoint contractions of size ``n`` in one stack: random ones, a
+    zero matrix, one of operator norm ``1 + 1e-12`` (its defect is clamped)
+    and one of subnormal norm."""
+    mats = [random_hermitian(rng, n) for _ in range(4)]
+    mats = [h / linalg.operator_norm(h) for h in mats]
+    h = random_hermitian(rng, n)
+    mats += [h * ((1.0 + 1e-12) / linalg.operator_norm(h)), np.zeros((n, n)),
+             1e-310 * random_hermitian(rng, n)]
+    return np.array(mats, dtype=np.complex128)
+
+
+class TestStackedKernels:
+    """``operator_norm``, ``hermitian_eig`` and ``sqrt_defect`` on a stack
+    give, matrix by matrix, the bits of one call per matrix."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_stack_matches_per_matrix(self, rng, n):
+        stack = contraction_stack(rng, n)
+        general = np.concatenate([stack, [random_complex(rng, (n, n)),
+                                          2.5 * random_unitary(rng, n),
+                                          1e-310 * random_complex(rng, (n, n))]])
+        norms = linalg.operator_norm(general)
+        eig = linalg.hermitian_eig(stack)
+        roots = linalg.sqrt_defect(stack)
+        assert norms.shape == (len(general),) and roots.shape == stack.shape
+        for got, m in zip(norms.tolist(), general):
+            alone = linalg.operator_norm(m)
+            assert type(alone) is float and same_bits(got, alone)
+        for i, m in enumerate(stack):
+            w, v = linalg.hermitian_eig(m)
+            assert same_bits(eig.eigenvalues[i], w) and same_bits(eig.eigenvectors[i], v)
+            assert same_bits(roots[i], linalg.sqrt_defect(m))
+        grid = linalg.operator_norm(general[:6].reshape(2, 3, n, n))
+        assert same_bits(grid.ravel(), norms[:6])
+        assert same_bits(linalg.sqrt_defect(stack[:6].reshape(3, 2, n, n)).reshape(6, n, n),
+                         roots[:6])
+
+    def test_clamped_and_subnormal_members(self, rng):
+        stack = contraction_stack(rng, 5)
+        assert np.abs(linalg.hermitian_eig(stack[4]).eigenvalues).max() > 1.0
+        assert linalg.operator_norm(stack[6]) < np.finfo(np.float64).tiny
+        roots = linalg.sqrt_defect(stack)
+        assert np.array_equal(roots[5], np.eye(5))
+        assert linalg.hs_norm(roots[4] @ roots[4] + stack[4] @ stack[4] - np.eye(5)) <= 1e-10
+
+    def test_empty_stack(self):
+        assert linalg.operator_norm(np.zeros((0, 3, 3))).shape == (0,)
+        assert linalg.sqrt_defect(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("kernel", [linalg.hermitian_eig, linalg.sqrt_defect])
+    def test_one_non_selfadjoint_matrix(self, rng, kernel):
+        stack = contraction_stack(rng, 3)
+        stack[2, 0, 1] += 0.5
+        with pytest.raises(NotSelfAdjoint) as alone:
+            kernel(stack[2])
+        with pytest.raises(NotSelfAdjoint) as stacked:
+            kernel(stack)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_one_matrix_beyond_the_unit_ball(self, rng):
+        stack = contraction_stack(rng, 3)
+        stack[1] *= 1.5
+        with pytest.raises(NormExceedsOne) as alone:
+            linalg.sqrt_defect(stack[1])
+        with pytest.raises(NormExceedsOne) as stacked:
+            linalg.sqrt_defect(stack)
+        assert str(stacked.value) == str(alone.value)
+
+
 class TestUnitarityResidual:
     def test_identity(self):
         assert linalg.unitarity_residual(np.eye(3)) == 0
