@@ -377,20 +377,41 @@ def complement_basis(spec: TypeISubalgebraSpec) -> list:
     Projects the matrix units through the complement projection and runs
     modified Gram-Schmidt (with one re-orthogonalization pass), dropping
     vectors of norm at most ``RANK_TOL``.  The result has exactly
-    ``n**2 - algebra_dimension(spec)`` elements.
+    ``n**2 - algebra_dimension(spec)`` elements, in the order of the units
+    they come from.
 
-    Each step subtracts only the basis vectors whose support (nonzero
-    entries) meets the current support of ``v``, in basis order, found by
-    one vectorized test over the vectors not yet passed.  The skipping is
-    exact: a vector whose support misses ``v``'s has an inner product of
-    exactly zero with ``v``, and subtracting zero times it would leave every
-    entry of ``v`` as it is (``v`` holds no ``-0.0``: the projected units
-    start without one and ``a - b`` gives ``+0.0`` wherever it is zero).
+    A projected unit is solo when it has one nonzero entry and no other
+    projected unit is nonzero there; ``E_A`` left it a multiple of its
+    unit.  A solo unit is orthogonal to every other projected unit, hence
+    to every basis vector, so Gram-Schmidt never changes it: all solo
+    units are normalized at once, and only the others run the loop.
+
+    In the loop, each step subtracts only the basis vectors whose support
+    (nonzero entries) meets the current support of ``v``, in basis order,
+    found by one vectorized test over the vectors not yet passed.  The
+    skipping is exact: a vector whose support misses ``v``'s has an inner
+    product of exactly zero with ``v``, and subtracting zero times it would
+    leave every entry of ``v`` as it is (``v`` holds no ``-0.0``: the
+    projected units start without one and ``a - b`` gives ``+0.0`` wherever
+    it is zero).
     """
     n = spec.dimension
-    basis = []
-    support = np.zeros((n * n, n * n), dtype=bool)
-    for v in complement_project(spec, np.eye(n * n).reshape(n * n, n, n)):
+    units = complement_project(spec, np.eye(n * n).reshape(n * n, n, n))
+    nonzero = units.reshape(n * n, n * n) != 0
+    solo = (np.count_nonzero(nonzero, axis=1) == 1) & (
+        np.count_nonzero(nonzero, axis=0)[np.argmax(nonzero, axis=1)] == 1
+    )
+    lone = units[solo]
+    norms = hs_norm(lone)
+    # an absolute cut: a dependent residual is rounding noise, an
+    # independent one keeps a norm of order 1/n or more
+    kept = norms > RANK_TOL
+    vectors = list(lone[kept] / norms[kept, None, None])
+    found = np.flatnonzero(solo)[kept].tolist()  # the unit of each vector
+    rest = np.flatnonzero(~solo)
+    basis = []  # the loop's vectors
+    support = np.zeros((len(rest), n * n), dtype=bool)
+    for i, v in zip(rest.tolist(), units[rest]):
         for _ in range(2):
             j = 0
             while True:
@@ -401,17 +422,17 @@ def complement_basis(spec: TypeISubalgebraSpec) -> list:
                 v = v - hs_inner(v, basis[j]) * basis[j]
                 j += 1
         norm = hs_norm(v)
-        # an absolute cut: a dependent residual is rounding noise, an
-        # independent one keeps a norm of order 1/n or more
         if norm > RANK_TOL:
             basis.append(v / norm)
             support[len(basis) - 1] = basis[-1].ravel() != 0
+            found.append(i)
+    vectors += basis
     expected = n * n - algebra_dimension(spec)
-    if len(basis) != expected:
+    if len(vectors) != expected:
         raise ArithmeticError(
-            f"complement basis has {len(basis)} elements, expected {expected}"
+            f"complement basis has {len(vectors)} elements, expected {expected}"
         )
-    return basis
+    return [vectors[k] for k in np.argsort(found).tolist()]
 
 
 def _rng_for(spec: TypeISubalgebraSpec, seed: int, stream: int) -> np.random.Generator:

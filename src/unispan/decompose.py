@@ -170,7 +170,7 @@ class _Terms(NamedTuple):
 def _cat(n, parts) -> _Terms:
     """Concatenate term stacks of ``n x n`` unitaries, sorted stably by
     owner: each owner's terms come out in part order, each part's in its
-    own order."""
+    own order.  No parts give the empty stack."""
     parts = [p for p in parts if len(p.coeffs)]
     if len(parts) == 1:
         return parts[0]
@@ -202,79 +202,115 @@ def _merge_key_weights(size: int) -> np.ndarray:
     return weights
 
 
-def _merge_raw(coeffs, unitaries):
-    """Merge terms whose unitaries agree up to a scalar phase.
+def _owner_max(values, own):
+    """The largest of ``values`` over each owner, at every position;
+    ``own`` is ascending and not empty."""
+    new = np.r_[True, own[1:] != own[:-1]]
+    return np.maximum.reduceat(values, np.flatnonzero(new))[np.cumsum(new) - 1]
 
-    Each unitary's phase is pinned at its first entry of dominant modulus;
-    a term joins the earliest cluster whose phase-canonical form is within
+
+def _merge_raw(coeffs, unitaries, owner):
+    """Merge terms whose unitaries agree up to a scalar phase, for all
+    owners of a stack in one pass.
+
+    ``owner`` is the ascending owner array of the terms (all zeros for a
+    single target).  Terms of different owners never merge, and each
+    owner's terms merge exactly as they would alone.  Each unitary's phase
+    is pinned at its first entry of dominant modulus; a term joins the
+    earliest cluster of its owner whose phase-canonical form is within
     ``MERGE_TOL`` of its own in every entry.  A cluster keeps its first
     term's unitary verbatim and later members fold their relative phase
     into the coefficient, so ``(c, -u)`` merges with ``(-c, u)``.  Zero
-    unitaries and coefficients that cancel to noise are dropped.  Returns
-    the cluster coefficients and the index of each cluster's first term.
+    unitaries and coefficients that cancel to noise (against the owner's
+    largest) are dropped.  Returns the cluster coefficients and the index
+    of each cluster's first term, in term order.
 
     Only terms that can join a cluster are compared.  The key ``k`` of a
     phase-canonical row is a weighted sum of its real and imaginary parts
     with fixed weights in ``[1, 2)``; two rows within ``MERGE_TOL`` in every
     entry have keys less than ``4 n**2 MERGE_TOL`` apart.  The window
-    ``8 n**2 MERGE_TOL + 1e-12 max|k|`` leaves room for rounding in the
-    keys.  A term with no other key inside the window is its own cluster,
-    and any other term is compared only with the clusters whose key is
-    inside its window.  (Keys of the moduli ``|u_j|`` would not separate a
-    ``(+v, -v)`` padding pair, whose members have equal moduli.)
+    ``8 n**2 MERGE_TOL + 1e-12 max|k|``, with the owner's ``max|k|``,
+    leaves room for rounding in the keys.  Sorted by ``(owner, key)``, the
+    terms fall into runs of consecutive keys of one owner inside the
+    window, and no cluster spans two runs: two keys inside one window have
+    every sorted gap between them inside it too, and a rounded difference
+    keeps that order.  A term alone in its run is its own cluster, a run of
+    two is decided by one comparison of its two rows, and only longer runs
+    compare term by term.  (Keys of the moduli ``|u_j|`` would not separate
+    a ``(+v, -v)`` padding pair, whose members have equal moduli.)
     """
     count, n, _ = unitaries.shape
     flat = unitaries.reshape(count, n * n)
     mags = np.abs(flat)
     peaks = mags.max(axis=1, initial=0.0)
     live = np.flatnonzero(peaks)  # the terms that are not zero unitaries
+    if not live.size:
+        return coeffs[live], live
     lead = flat[live, np.argmax(mags[live] >= 0.5 * peaks[live, None], axis=1)]
     # np.hypot rounds like the scalar abs(), so every phase and canonical
     # row is bit-identical to the one a term-by-term loop computes
     phases = lead / np.hypot(lead.real, lead.imag)
-    canon = flat[live] * np.conj(phases)[:, None]
+    canon = (flat if len(live) == count else flat[live]) * np.conj(phases)[:, None]
     keys = canon.view(np.float64) @ _merge_key_weights(n * n)
-    window = 8 * n * n * MERGE_TOL + 1e-12 * np.abs(keys).max(initial=0.0)
-    order = np.argsort(keys)
-    close = keys[order[1:]] - keys[order[:-1]] <= window
+    own = owner[live]
+    window = 8 * n * n * MERGE_TOL + 1e-12 * _owner_max(np.abs(keys), own)
+    order = np.lexsort((keys, own))
+    lo, hi = order[:-1], order[1:]
+    close = (own[lo] == own[hi]) & (keys[hi] - keys[lo] <= window[lo])
     summed = coeffs[live]  # indexed by position in ``live`` from here on
     if close.any():
-        paired = np.zeros(len(live), dtype=bool)
-        paired[order[:-1][close]] = True
-        paired[order[1:][close]] = True
-        first = np.ones(len(live), dtype=bool)  # False once a term joins a cluster
-        heads = np.empty(len(live), dtype=np.intp)  # the paired terms' cluster heads
-        reps = []  # [summed coeff, position, phase] per cluster of paired terms
-        for pos in np.flatnonzero(paired).tolist():
-            coeff, phase = summed[pos], phases[pos]
-            near = np.flatnonzero(np.abs(keys[heads[: len(reps)]] - keys[pos]) <= window)
-            hits = near[np.max(np.abs(canon[pos] - canon[heads[near]]), axis=1) <= MERGE_TOL]
-            if hits.size:
-                rep = reps[hits[0]]
-                rep[0] += coeff * phase / rep[2]
-                first[pos] = False
-            else:
-                heads[len(reps)] = pos
-                reps.append([coeff, pos, phase])
-        for coeff, pos, _ in reps:
+        head = np.arange(len(live))  # each term's cluster head
+        starts = np.flatnonzero(np.r_[True, ~close])
+        sizes = np.diff(np.r_[starts, len(live)])
+        pair = np.sort(order[starts[sizes == 2, None] + np.arange(2)], axis=1)
+        same = np.max(np.abs(canon[pair[:, 1]] - canon[pair[:, 0]]), axis=1) <= MERGE_TOL
+        head[pair[same, 1]] = pair[same, 0]
+        for start, size in zip(starts[sizes > 2].tolist(), sizes[sizes > 2].tolist()):
+            members = np.sort(order[start : start + size]).tolist()
+            clusters = members[:1]  # the run's cluster heads, in term order
+            for pos in members[1:]:
+                hits = np.flatnonzero(
+                    np.max(np.abs(canon[pos] - canon[clusters]), axis=1) <= MERGE_TOL
+                )
+                if hits.size:
+                    head[pos] = clusters[hits[0]]
+                else:
+                    clusters.append(pos)
+        first = head == np.arange(len(live))
+        joined = np.flatnonzero(~first)
+        heads = head[joined].tolist()
+        # [summed coeff, position, phase] per cluster that others join; the
+        # fold stays in NumPy scalar arithmetic, in term order, because the
+        # array complex product rounds differently from the scalar one
+        reps = {h: [summed[h], h, phases[h]] for h in heads}
+        for pos, h in zip(joined.tolist(), heads):
+            coeff, phase, rep = summed[pos], phases[pos], reps[h]
+            rep[0] += coeff * phase / rep[2]
+        for coeff, pos, _ in reps.values():
             summed[pos] = coeff
-        live, summed = live[first], summed[first]
+        live, summed, own = live[first], summed[first], own[first]
     mags = np.hypot(summed.real, summed.imag)
-    big = mags > 1e-15 * mags.max(initial=0.0)
+    big = mags > 1e-15 * _owner_max(mags, own)
     return summed[big], live[big]
 
 
-def _assemble(spec, target, raw, term_budget, coeff_budget):
-    """The merged :class:`Decomposition` of the raw terms ``raw``."""
-    coeffs, kept = _merge_raw(raw.coeffs, raw.unitaries)
+def _assemble(spec, targets, raw, term_budget, coeff_budgets):
+    """One merged :class:`Decomposition` per target of the stack
+    ``targets``, sliced from one merge of the raw terms ``raw`` of all of
+    them; ``coeff_budgets`` holds each target's coefficient budget."""
+    coeffs, kept = _merge_raw(raw.coeffs, raw.unitaries, raw.owner)
     if len(kept) == len(raw.coeffs):  # nothing merged or dropped
         unitaries, provenance, stages = raw.unitaries, raw.provenance, raw.stages
     else:
         unitaries = raw.unitaries[kept]
         provenance = tuple(raw.provenance[i] for i in kept.tolist())
         stages = tuple(raw.stages[i] for i in kept.tolist())
-    return Decomposition(spec, target, coeffs, unitaries, provenance, stages,
-                         term_budget, coeff_budget)
+    ends = np.searchsorted(raw.owner[kept], np.arange(len(targets) + 1)).tolist()
+    return tuple(
+        Decomposition(spec, x, coeffs[lo:hi], unitaries[lo:hi], provenance[lo:hi],
+                      stages[lo:hi], term_budget, budget)
+        for x, lo, hi, budget in zip(targets, ends, ends[1:], coeff_budgets)
+    )
 
 
 def _padded_pairs(entry, n, target, pads, prov, stages):
@@ -317,6 +353,8 @@ def _two_unitary_raw(y, owner, stage):
     """The pair ``(1/2, u), (1/2, u*)`` with ``u = y + i*sqrt(1 - y**2)``
     for each self-adjoint contraction of the stack ``y``."""
     count, g, _ = y.shape
+    if not count:
+        return _cat(g, ())
     u = y + 1j * sqrt_defect(y)
     return _Terms(np.full(2 * count, 0.5, dtype=np.complex128),
                   np.stack((u, _adjoint(u)), axis=1).reshape(2 * count, g, g),
@@ -367,12 +405,16 @@ def _four_unitary_raw(x, stage="selfadjoint-split"):
     """At most four unitary terms for each matrix of the stack ``x``."""
     g = x.shape[-1]
     live = np.flatnonzero(np.any(x, axis=(1, 2)))
+    if not live.size:
+        return _cat(g, ())
     s = operator_norm(x[live])
     live, s = live[s != 0.0], s[s != 0.0]
     cand = _divide_by_norm(x[live], s)
     fast = unitarity_residual(cand) <= FAST_PATH_TOL
     parts = [_unitary_multiples(live, s, cand, fast)]
     slow = live[~fast]
+    if not slow.size:
+        return parts[0]
     for part, mult, tag in _selfadjoint_parts(x[slow]):
         sp = operator_norm(part)
         nz = sp != 0.0
@@ -391,7 +433,7 @@ def four_unitary(x) -> Decomposition:
     """
     x = as_matrix(x)
     raw = _four_unitary_raw(x[None])
-    return _assemble(None, x, raw, term_budget=4, coeff_budget=2.0 * operator_norm(x))
+    return _assemble(None, x[None], raw, 4, [2.0 * operator_norm(x)])[0]
 
 
 def canonical_trace_zero_unitary(d: int) -> np.ndarray:
@@ -529,13 +571,8 @@ def zero_piece_diagonal_decomp(x, pieces) -> Decomposition:
         raise PieceDiagonalNotZero("a piece-diagonal block is not zero")
     raw = _zero_piece_raw(x[None], rows)
     count = len(rows)
-    return _assemble(
-        None,
-        x,
-        raw,
-        term_budget=8 * count * (count - 1),
-        coeff_budget=2.0 * operator_norm(x) * count * (count - 1),
-    )
+    return _assemble(None, x[None], raw, 8 * count * (count - 1),
+                     [2.0 * operator_norm(x) * count * (count - 1)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -579,17 +616,23 @@ def _scalar_case_raw(x):
     if np.any(_abs_normalized_trace(x) > 1e-9 * np.maximum(1.0, hs_norm(x))):
         raise NotTraceZero("input trace is not zero within tolerance")
     live = np.flatnonzero(np.any(x, axis=(1, 2)))
+    if not live.size:
+        return _cat(m, ())
     s = operator_norm(x[live])
     cand = _divide_by_norm(x[live], s)
     fast = ((unitarity_residual(cand) <= FAST_PATH_TOL)
             & (_abs_normalized_trace(cand) <= FAST_PATH_TOL))
     parts = [_unitary_multiples(live, s, cand, fast)]
     slow = live[~fast]
+    if not slow.size:
+        return parts[0]
     y = x[slow]
     g = m // 2
     corner = np.zeros((len(slow), g, g), dtype=np.complex128)
     for part, mult, tag in _selfadjoint_parts(y[:, :g, :g] + y[:, g:, g:]):
         nz = np.flatnonzero(np.any(part, axis=(1, 2)))
+        if not nz.size:
+            continue
         sp = np.maximum(1.0, operator_norm(part[nz]))
         u1, u2, u3 = selfadjoint_corner_dilation(part[nz] / sp[:, None, None])
         count = 2 * len(nz)
@@ -662,13 +705,7 @@ def amplify_entry(entry_decomp: Decomposition, k: int, position, v_pad) -> Decom
                        k, np.full(count, s - 1), np.full(count, t - 1), pad)
     target = np.zeros((k * g, k * g), dtype=np.complex128)
     target[(s - 1) * g : s * g, (t - 1) * g : t * g] = entry_decomp.reconstruction()
-    return _assemble(
-        None,
-        target,
-        raw,
-        term_budget=2 * count,
-        coeff_budget=entry_decomp.coeff_sum,
-    )
+    return _assemble(None, target[None], raw, 2 * count, [entry_decomp.coeff_sum])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +779,7 @@ def type_one_stack(spec: TypeISubalgebraSpec, xs) -> Tuple[Decomposition, ...]:
     ``atom-completion(block,atom)``; a lone atom, as in c2, needs none) and
     carry the cross-atom part on block permutations over pieces of size
     ``gcd`` of the atom dimensions.  Every stage runs once over all blocks
-    of all targets; each target's terms are merged on their own, so each
+    of all targets, and one merge keeps each target's terms apart, so each
     decomposition is bit-identical to that target's decomposed alone.
     A conjugation, when present, is applied at the boundary.  Raises
     :class:`NotInComplement`, naming the first such target of a longer
@@ -765,12 +802,7 @@ def type_one_stack(spec: TypeISubalgebraSpec, xs) -> Tuple[Decomposition, ...]:
     else:
         raw = _conjugate_terms(_type_one_raw(plan, w.conj().T @ xs @ w), w)
     tb, cf = _type_one_budgets(plan)
-    ends = np.searchsorted(raw.owner, np.arange(len(xs) + 1)).tolist()
-    return tuple(
-        _assemble(spec, x, _Terms(*(field[lo:hi] for field in raw)),
-                  term_budget=tb, coeff_budget=cf * max(1.0, s))
-        for x, lo, hi, s in zip(xs, ends, ends[1:], operator_norm(xs).tolist())
-    )
+    return _assemble(spec, xs, raw, tb, [cf * max(1.0, s) for s in operator_norm(xs).tolist()])
 
 
 def type_one_decomp(spec: TypeISubalgebraSpec, x) -> Decomposition:
@@ -832,8 +864,8 @@ def masa_quadrant_decomp(x) -> Decomposition:
                        np.zeros(count, dtype=np.intp))
     raw = _cat(n, [dilations, _zero_piece_raw(remainder[None], quads)])
     spec = TypeISubalgebraSpec.masa(n)
-    return _assemble(spec, x, raw, term_budget=8 + 8 * 4 * 3,
-                     coeff_budget=148.0 * max(1.0, operator_norm(x)))
+    return _assemble(spec, x[None], raw, 8 + 8 * 4 * 3,
+                     [148.0 * max(1.0, operator_norm(x))])[0]
 
 
 # ---------------------------------------------------------------------------

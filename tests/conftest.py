@@ -38,3 +38,12 @@ def e_unit(n, i, j):
 
 
 MASA2 = TypeISubalgebraSpec.masa(2)
+
+
+def oracle_specs(rng):
+    """Every grid spec, and a two-factor-block c4 in general position."""
+    from unispan.selftest import spec_grid
+
+    c4 = [(2, [2]), (2, [2])]
+    conjugated = TypeISubalgebraSpec.of_blocks(c4, conjugation=random_unitary(rng, 8))
+    return spec_grid() + [("c4-conjugated", conjugated)]

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import e_unit, random_complex, random_unitary
+from conftest import e_unit, oracle_specs, random_complex, random_unitary
 from unispan import algebra, decompose, harness, linalg
 from unispan.algebra import (
     BlockSpec,
@@ -501,11 +501,41 @@ def dense_mgs_basis(spec, rank_tol=RANK_TOL):
     return basis
 
 
-def oracle_specs(rng):
-    """Every grid spec, and a two-factor-block c4 in general position."""
-    c4 = [(2, [2]), (2, [2])]
-    conjugated = TypeISubalgebraSpec.of_blocks(c4, conjugation=random_unitary(rng, 8))
-    return spec_grid() + [("c4-conjugated", conjugated)]
+def reference_complement_basis(spec):
+    """Gram-Schmidt that skips disjoint supports, over every projected
+    unit: the loop ``complement_basis`` runs on the units that are not
+    solo, kept as its reference."""
+    n = spec.dimension
+    basis = []
+    support = np.zeros((n * n, n * n), dtype=bool)
+    for v in complement_project(spec, np.eye(n * n).reshape(n * n, n, n)):
+        for _ in range(2):
+            j = 0
+            while True:
+                hits = np.flatnonzero(np.any(support[j : len(basis)] & (v.ravel() != 0), axis=1))
+                if not hits.size:
+                    break
+                j += int(hits[0])
+                v = v - hs_inner(v, basis[j]) * basis[j]
+                j += 1
+        norm = hs_norm(v)
+        if norm > RANK_TOL:
+            basis.append(v / norm)
+            support[len(basis) - 1] = basis[-1].ravel() != 0
+    return basis
+
+
+def random_layouts(rng, count):
+    """Layouts of two or three blocks, some factor ``k >= 2``, dimension
+    at most 12 (supported or not: the basis does not ask)."""
+    out = []
+    while len(out) < count:
+        blocks = [(int(rng.integers(1, 4)), [int(m) for m in rng.integers(1, 4, rng.integers(1, 3))])
+                  for _ in range(int(rng.integers(2, 4)))]
+        spec = TypeISubalgebraSpec.of_blocks(blocks)
+        if max(k for k, _ in blocks) >= 2 and spec.dimension <= 12:
+            out.append((f"random-{blocks}", spec))
+    return out
 
 
 def oracle_expectation(spec, x):
@@ -533,6 +563,28 @@ class TestOracles:
         e = conditional_expectation(spec, -np.eye(2, dtype=np.complex128))
         assert np.signbit(e.real[0, 1]) and e.tobytes() == kron_loop_expectation(
             spec, -np.eye(2, dtype=np.complex128)).tobytes()
+
+    def test_basis_matches_the_full_loop(self, rng):
+        specs = oracle_specs(rng) + [
+            ("c1-masa-n16", TypeISubalgebraSpec.masa(16)),
+            ("c1-masa-n24", TypeISubalgebraSpec.masa(24)),
+            ("c2-k4-m4", TypeISubalgebraSpec.of_blocks([(4, [4])])),
+        ] + random_layouts(rng, 20)
+        for name, spec in specs:
+            got, want = complement_basis(spec), reference_complement_basis(spec)
+            assert isinstance(got, list) and len(got) == len(want), name
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), name
+
+    def test_solo_units_of_the_masa(self):
+        # a projected unit with one nonzero entry that no other projected
+        # unit touches: the 56 off-diagonal units of masa(8); each diagonal
+        # unit projects to zero
+        n = 8
+        units = complement_project(TypeISubalgebraSpec.masa(n),
+                                   np.eye(n * n).reshape(n * n, n, n)).reshape(n * n, n * n) != 0
+        per_entry = units.sum(axis=0)
+        solo = [u for u in units if u.sum() == 1 and per_entry[u].tolist() == [1]]
+        assert len(solo) == 56
 
     def test_basis_matches_dense_gram_schmidt(self, rng):
         for name, spec in oracle_specs(rng):

@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import e_unit, random_complex, random_hermitian, random_unitary
-from unispan import algebra, decompose, linalg
+from conftest import e_unit, oracle_specs, random_complex, random_hermitian, random_unitary
+from unispan import algebra, decompose, harness, linalg
 from unispan.algebra import TypeISubalgebraSpec, membership_residual
 from unispan.decompose import (
     MERGE_TOL,
@@ -328,10 +328,12 @@ class TestZeroPieceOracle:
             sigma[0] = 0
 
 
-def merge_input(raw):
-    """``_merge_raw``'s arguments for a list of ``(coeff, unitary, prov, stage)``."""
+def merge_input(raw, owner=0):
+    """``_merge_raw``'s arguments for a list of ``(coeff, unitary, prov,
+    stage)`` whose terms all belong to ``owner``."""
     return (np.array([c for c, _, _, _ in raw], dtype=complex),
-            np.array([u for _, u, _, _ in raw], dtype=complex))
+            np.array([u for _, u, _, _ in raw], dtype=complex),
+            np.full(len(raw), owner, dtype=np.intp))
 
 
 def reference_merge(terms):
@@ -366,11 +368,12 @@ def reference_merge(terms):
     return [(c, i) for c, i, _ in reps if abs(c) > 1e-15 * top]
 
 
-def merge_case(rng):
-    """A shuffled raw term list built to stress the merge: ``(+v, -v)``
-    padding pairs, unit-modulus multiples, zero unitaries, cancelling
-    coefficients and perturbations on both sides of ``MERGE_TOL``."""
-    n = int(rng.integers(1, 5))
+def merge_case(rng, n=None):
+    """A shuffled raw term list of ``n x n`` unitaries (``n`` drawn from 1
+    to 4 unless given) built to stress the merge: ``(+v, -v)`` padding
+    pairs, unit-modulus multiples, zero unitaries, cancelling coefficients
+    and perturbations on both sides of ``MERGE_TOL``."""
+    n = int(rng.integers(1, 5)) if n is None else n
     m = Provenance.MASTER
     bases = [random_unitary(rng, n) for _ in range(3)]
     bases.append(np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], n))
@@ -436,6 +439,37 @@ class TestMerge:
         ]
         # each cluster keeps its first term's unitary verbatim: a, b and w
         assert kept.tolist()[:3] == [0, 1, 3]
+
+    def test_stacked_merge_matches_reference_per_owner(self, rng):
+        n = 3
+        m = Provenance.MASTER
+        u = random_unitary(rng, n)
+        for _ in range(40):
+            same = merge_case(rng, n)
+            lists = {
+                0: merge_case(rng, n),
+                2: same,  # owner 1 has no terms
+                3: same,  # the same list under a second owner
+                4: [(complex(*rng.standard_normal(2)), np.zeros((n, n), dtype=complex), m, "z")
+                    for _ in range(3)],
+                # five phase multiples of one unitary: a run of five close keys
+                5: [(complex(*rng.standard_normal(2)),
+                     np.exp(1j * rng.uniform(0, 2 * np.pi)) * u, m, "phase") for _ in range(5)]
+                   + merge_case(rng, n),
+                # the same rule at other scales: the drop threshold is per owner
+                7: [(1e-20 * c, v, p, t) for c, v, p, t in merge_case(rng, n)],
+                8: [(1e20 * c, v, p, t) for c, v, p, t in merge_case(rng, n)],
+            }
+            parts = [merge_input(raw, owner) for owner, raw in lists.items()]
+            coeffs, kept = decompose._merge_raw(*(np.concatenate(f) for f in zip(*parts)))
+            want_kept, want_coeffs, offset = [], [], 0
+            for raw in lists.values():
+                ref = reference_merge(raw)
+                want_kept += [offset + i for _, i in ref]
+                want_coeffs += [c for c, _ in ref]
+                offset += len(raw)
+            assert kept.tolist() == want_kept
+            assert coeffs.tobytes() == np.array(want_coeffs, dtype=complex).tobytes()
 
 
 class TestCornerDilation:
@@ -852,10 +886,8 @@ def mixed_targets(spec):
 
 class TestTypeOneStack:
     def test_each_target_as_if_alone(self, rng):
-        c4 = TypeISubalgebraSpec.of_blocks([(2, [2]), (2, [2])],
-                                           conjugation=random_unitary(rng, 8))
         fast = set()
-        for name, spec in spec_grid() + [("c4-conjugated", c4)]:
+        for name, spec in oracle_specs(rng):
             xs = mixed_targets(spec)
             alone = [type_one_decomp(spec, x) for x in xs]
             if any(t.stage == "unitary-multiple" for t in alone[2].terms):
@@ -866,6 +898,37 @@ class TestTypeOneStack:
                 assert all(map(same_decomposition, stacked, alone[order])), name
         # the unitary multiple of a lone scalar atom is one fast-path term
         assert {"c2-k1-m2", "c2-k1-m4", "c2-k1-m6"} <= fast
+
+    def test_equal_term_lists_stay_with_their_target(self, rng):
+        # x, x, -x and 1j*x give one term list under four owners, which a
+        # merge across targets would fold into the first
+        for name, spec in oracle_specs(rng):
+            x = algebra.random_complement_element(spec, 21)
+            xs = np.array([x, x, -x, 1j * x])
+            alone = [type_one_decomp(spec, y) for y in xs]
+            assert all(map(same_decomposition, decompose.type_one_stack(spec, xs), alone)), name
+
+    def test_mixed_scales_merge_on_their_own(self, rng):
+        # each target's drop threshold and key window come from its own terms
+        for name, spec in oracle_specs(rng):
+            xs = np.array([s * algebra.random_complement_element(spec, 30 + i)
+                           for i, s in enumerate((2.0**-40, 1e-3, 1.0, 1e3))])
+            alone = [type_one_decomp(spec, y) for y in xs]
+            assert all(map(same_decomposition, decompose.type_one_stack(spec, xs), alone)), name
+
+    def test_no_kernel_call_on_an_empty_stack(self, monkeypatch):
+        calls = []
+        for name in ("operator_norm", "sqrt_defect", "unitarity_residual"):
+            kernel = getattr(decompose, name)
+
+            def counted(x, kernel=kernel, name=name):
+                calls.append((name, np.shape(x)))
+                return kernel(x)
+
+            monkeypatch.setattr(decompose, name, counted)
+        for _, spec in spec_grid():
+            harness.run_spancert(spec)
+        assert calls and not [c for c in calls if c[1][:-2] == (0,)]
 
     def test_empty_stack(self):
         spec = TypeISubalgebraSpec.masa(3)
