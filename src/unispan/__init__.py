@@ -21,16 +21,12 @@ from .decompose import (
     Provenance,
     UnitaryTerm,
     VerificationReport,
-    amplify_entry,
     four_unitary,
     masa_quadrant_decomp,
     selfadjoint_corner_dilation,
-    two_unitary_selfadjoint,
     type_one_decomp,
     type_one_stack,
     verify_decomposition,
-    witness_unitary,
-    zero_piece_diagonal_decomp,
 )
 from .linalg import (
     HermEig,
@@ -41,7 +37,6 @@ from .linalg import (
     normalized_trace,
     operator_norm,
     sqrt_defect,
-    trace,
     unitarity_residual,
 )
 
@@ -58,7 +53,6 @@ __all__ = [
     "UnitaryTerm",
     "VerificationReport",
     "algebra_dimension",
-    "amplify_entry",
     "complement_basis",
     "complement_project",
     "conditional_expectation",
@@ -74,13 +68,9 @@ __all__ = [
     "random_algebra_element",
     "selfadjoint_corner_dilation",
     "sqrt_defect",
-    "trace",
-    "two_unitary_selfadjoint",
     "type_one_decomp",
     "type_one_stack",
     "unitarity_residual",
     "validate_spec",
     "verify_decomposition",
-    "witness_unitary",
-    "zero_piece_diagonal_decomp",
 ]

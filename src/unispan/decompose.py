@@ -27,19 +27,15 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import algebra
-from .algebra import TypeISubalgebraSpec, atom_layouts
+from .algebra import TypeISubalgebraSpec
 from .errors import (
-    BadPosition,
     DiagonalNotZero,
     DimensionMismatch,
     NotDivisibleBy4,
     NotInComplement,
     NotTraceZero,
-    PaddingNotUnitary,
-    PieceDiagonalNotZero,
     SinglePiece,
     UnispanError,
-    UnsupportedConfiguration,
 )
 from .linalg import (
     as_matrix,
@@ -362,16 +358,6 @@ def _two_unitary_raw(y, owner, stage):
                   np.repeat(owner, 2))
 
 
-def two_unitary_selfadjoint(x) -> Decomposition:
-    """Write a self-adjoint contraction as the mean of ``u`` and ``u*``.
-
-    ``u = x + i*sqrt(1 - x**2)``; the two coefficients are both ``1/2``.
-    """
-    x = as_matrix(x)
-    raw = _two_unitary_raw(x[None], np.zeros(1, dtype=np.intp), "selfadjoint-pair")
-    return Decomposition(None, x, *raw[:4], term_budget=2, coeff_budget=1.0)
-
-
 def _selfadjoint_parts(z):
     """``(part, mult, tag)`` for the real and imaginary self-adjoint parts
     of ``z = h + i*k`` (one matrix or a stack): ``(h, 1, "real")`` and
@@ -393,34 +379,42 @@ def _divide_by_norm(x, s):
     return x / s[:, None, None]
 
 
-def _unitary_multiples(owner, s, cand, fast):
-    """The one-term decompositions ``(s, x/s)`` of the entries ``fast`` selects."""
-    count = int(np.count_nonzero(fast))
-    return _Terms(s[fast].astype(np.complex128), cand[fast],
-                  (Provenance.FOUR_UNITARY,) * count, ("unitary-multiple",) * count,
-                  owner[fast])
+def _unitary_multiples(x, trace_free=False):
+    """Split the unitary multiples off the stack ``x``.
 
-
-def _four_unitary_raw(x, stage="selfadjoint-split"):
-    """At most four unitary terms for each matrix of the stack ``x``."""
-    g = x.shape[-1]
+    Returns the one-term decompositions ``(s, x/s)``, ``s = ||x||``, of the
+    matrices whose ``x/s`` is unitary (and, with ``trace_free``, has zero
+    trace) within ``FAST_PATH_TOL``, and the indices of the other nonzero
+    matrices.  Zero matrices are in neither, and a stack of zero matrices
+    calls no kernel."""
     live = np.flatnonzero(np.any(x, axis=(1, 2)))
     if not live.size:
-        return _cat(g, ())
+        return _cat(x.shape[-1], ()), live
     s = operator_norm(x[live])
     live, s = live[s != 0.0], s[s != 0.0]
     cand = _divide_by_norm(x[live], s)
     fast = unitarity_residual(cand) <= FAST_PATH_TOL
-    parts = [_unitary_multiples(live, s, cand, fast)]
-    slow = live[~fast]
+    if trace_free:
+        fast &= _abs_normalized_trace(cand) <= FAST_PATH_TOL
+    count = int(np.count_nonzero(fast))
+    multiples = _Terms(s[fast].astype(np.complex128), cand[fast],
+                       (Provenance.FOUR_UNITARY,) * count, ("unitary-multiple",) * count,
+                       live[fast])
+    return multiples, live[~fast]
+
+
+def _four_unitary_raw(x, stage="selfadjoint-split"):
+    """At most four unitary terms for each matrix of the stack ``x``."""
+    multiples, slow = _unitary_multiples(x)
     if not slow.size:
-        return parts[0]
+        return multiples
+    parts = [multiples]
     for part, mult, tag in _selfadjoint_parts(x[slow]):
         sp = operator_norm(part)
         nz = sp != 0.0
         two = _two_unitary_raw(_divide_by_norm(part[nz], sp[nz]), slow[nz], f"{stage}-{tag}")
         parts.append(two._replace(coeffs=np.repeat(mult * sp[nz], 2) * two.coeffs))
-    return _cat(g, parts)
+    return _cat(x.shape[-1], parts)
 
 
 def four_unitary(x) -> Decomposition:
@@ -445,24 +439,6 @@ def canonical_trace_zero_unitary(d: int) -> np.ndarray:
         return np.diag(np.array([(-1.0 + 0j) ** j for j in range(d)]))
     omega = np.exp(2j * np.pi / d)
     return np.diag(omega ** np.arange(d))
-
-
-def witness_unitary(spec: TypeISubalgebraSpec) -> np.ndarray:
-    """A single unitary lying in the complement of the subalgebra.
-
-    Atoms of multiplicity at least 2 carry a root-of-unity diagonal; when
-    multiplicity-1 atoms are present the witness permutes basis vectors (or
-    whole atoms of a common dimension) fixed-point-freely instead.
-    """
-    w = algebra._witness_on(spec.dimension, atom_layouts(spec))
-    if w is None:
-        raise UnsupportedConfiguration(
-            "no-witness", "no complement unitary construction covers this layout"
-        )
-    wconj = spec.conjugation
-    if wconj is not None:
-        w = wconj @ w @ wconj.conj().T
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -509,26 +485,22 @@ def _derangement(count: int, alpha: int, beta: int) -> np.ndarray:
     return sigma
 
 
-def _normalize_pieces(n, pieces):
-    """The pieces as rows of a ``(count, g)`` index array."""
-    arrs = [np.asarray(list(p), dtype=np.intp) for p in pieces]
-    if len(arrs) < 2:
-        raise SinglePiece(f"got {len(arrs)} piece(s), need at least 2")
-    g = len(arrs[0])
-    if any(len(a) != g for a in arrs) or g < 1:
-        raise DimensionMismatch("pieces must have equal positive size")
-    rows = np.stack(arrs)
-    flat = rows.ravel()
-    if len(np.unique(flat)) != len(flat) or flat.min() < 0 or flat.max() >= n:
-        raise DimensionMismatch("pieces must be disjoint index sets inside [0, n)")
-    return rows
-
-
 def _zero_piece_raw(x, rows):
-    """:func:`zero_piece_diagonal_decomp` of each matrix of the stack ``x``
-    on checked ``(count, g)`` piece rows; the piece-diagonal blocks are
-    skipped, not checked.  All nonzero cross blocks of all matrices are
-    split in one :func:`_four_unitary_raw` call."""
+    """Block-permutation terms for the cross blocks of each matrix of the
+    stack ``x``, over the disjoint, equal-size pieces of the ``(count, g)``
+    index rows ``rows`` (``count >= 2``).
+
+    Every nonzero cross block ``(alpha, beta)`` is split by
+    :func:`_four_unitary_raw`, all of them in one call, and each of its
+    unitaries is carried to block ``(alpha, beta)`` of the fixed-point-free
+    block permutation :func:`lex_derangement` ``(count, alpha, beta)``.
+    The other blocks of the permutation hold identity pads, in a
+    ``(+v, -v)`` pair that cancels everywhere but at the target block.
+    Every unitary is a generalized block permutation with zero
+    piece-diagonal.  The piece-diagonal blocks of ``x`` are skipped, not
+    checked.  ``p`` pieces cost at most ``8p(p-1)`` terms and ``2||x||
+    p(p-1)`` coefficient mass per matrix; :func:`_type_one_budgets` holds
+    that bound."""
     n = x.shape[-1]
     count, g = rows.shape
     # index pairs (rows[a][:, None], rows[b][None, :]) address block (a, b),
@@ -551,28 +523,6 @@ def _zero_piece_raw(x, rows):
     names = [f"cross-block({a},{b})" for a, b in zip(alpha.tolist(), beta.tolist())]
     return _padded_pairs(entry._replace(owner=owner[cell]), n, target, pads,
                          Provenance.ZERO_DIAG, [names[c] for c in cell.tolist()])
-
-
-def zero_piece_diagonal_decomp(x, pieces) -> Decomposition:
-    """Decompose a matrix whose piece-diagonal blocks vanish.
-
-    ``pieces`` partitions (part of) the index set into equal-size groups.
-    Every nonzero off-diagonal block is split by :func:`four_unitary` and
-    each of its unitaries is carried around a fixed-point-free block
-    permutation, padded with identity blocks in a ``+/-`` pair that cancels
-    everywhere except at the target block.  All produced unitaries are
-    generalized block permutations with zero piece-diagonal; ``p`` pieces
-    cost at most ``8p(p-1)`` terms and ``2||x|| p(p-1)`` coefficient mass.
-    """
-    x = as_matrix(x)
-    rows = _normalize_pieces(x.shape[0], pieces)
-    scale = max(1.0, float(np.max(np.abs(x))))
-    if np.max(np.abs(x[rows[:, :, None], rows[:, None, :]])) > 1e-12 * scale:
-        raise PieceDiagonalNotZero("a piece-diagonal block is not zero")
-    raw = _zero_piece_raw(x[None], rows)
-    count = len(rows)
-    return _assemble(None, x[None], raw, 8 * count * (count - 1),
-                     [2.0 * operator_norm(x) * count * (count - 1)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -615,17 +565,10 @@ def _scalar_case_raw(x):
     m = x.shape[-1]
     if np.any(_abs_normalized_trace(x) > 1e-9 * np.maximum(1.0, hs_norm(x))):
         raise NotTraceZero("input trace is not zero within tolerance")
-    live = np.flatnonzero(np.any(x, axis=(1, 2)))
-    if not live.size:
-        return _cat(m, ())
-    s = operator_norm(x[live])
-    cand = _divide_by_norm(x[live], s)
-    fast = ((unitarity_residual(cand) <= FAST_PATH_TOL)
-            & (_abs_normalized_trace(cand) <= FAST_PATH_TOL))
-    parts = [_unitary_multiples(live, s, cand, fast)]
-    slow = live[~fast]
+    multiples, slow = _unitary_multiples(x, trace_free=True)
     if not slow.size:
-        return parts[0]
+        return multiples
+    parts = [multiples]
     y = x[slow]
     g = m // 2
     corner = np.zeros((len(slow), g, g), dtype=np.complex128)
@@ -661,7 +604,10 @@ def _scalar_case_raw(x):
 
 def _amplify_raw(entry, k, s0, t0, pad):
     """Lift each entry term to block ``(s0, t0)`` of a ``k x k`` grid, with
-    ``s0`` and ``t0`` given per term (0-based)."""
+    ``s0`` and ``t0`` given per term (0-based).  Each entry unitary ``u``
+    becomes a ``(+pad, -pad)`` pair: ``u`` in block ``(s0, t0)`` and the
+    pads in one block of every other block row and column, so each summand
+    is unitary and the pair averages to the single-entry embedding."""
     g = pad.shape[0]
     count = len(entry.coeffs)
     terms = np.arange(count)
@@ -676,36 +622,6 @@ def _amplify_raw(entry, k, s0, t0, pad):
               (cols[:, 1:] * g)[..., None, None] + span), pad)]
     stages = [f"entry-move({s + 1},{t + 1})" for s, t in zip(s0.tolist(), t0.tolist())]
     return _padded_pairs(entry, k * g, target, pads, Provenance.AMPLIFY, stages)
-
-
-def amplify_entry(entry_decomp: Decomposition, k: int, position, v_pad) -> Decomposition:
-    """Lift a corner decomposition to the ``(s, t)`` slot of a ``k x k`` grid.
-
-    Every corner unitary ``u`` becomes the pair ``u (+) v_pad (+) ...`` and
-    ``u (+) (-v_pad) (+) ...``, its blocks placed by index so that ``u``
-    lands in slot ``(s, t)`` (1-based) and the pads fill one block of every
-    other row and column.  The pair averages to the single-entry embedding
-    while each summand stays unitary.
-    """
-    s, t = position
-    if not (1 <= s <= k and 1 <= t <= k):
-        raise BadPosition(f"position {position} outside the {k} x {k} grid")
-    pad = as_matrix(v_pad)
-    if unitarity_residual(pad) > 1e-8:
-        raise PaddingNotUnitary("padding matrix is not unitary")
-    g = pad.shape[0]
-    entry = entry_decomp.unitaries
-    if entry.shape[1:] != pad.shape:
-        raise DimensionMismatch("entry unitaries and padding differ in size")
-    if np.any(unitarity_residual(entry) > 1e-8):
-        raise PaddingNotUnitary("an entry term is not unitary")
-    count = len(entry)
-    raw = _amplify_raw(_Terms(entry_decomp.coeffs, entry, entry_decomp.provenance,
-                              entry_decomp.stages, np.zeros(count, dtype=np.intp)),
-                       k, np.full(count, s - 1), np.full(count, t - 1), pad)
-    target = np.zeros((k * g, k * g), dtype=np.complex128)
-    target[(s - 1) * g : s * g, (t - 1) * g : t * g] = entry_decomp.reconstruction()
-    return _assemble(None, target[None], raw, 2 * count, [entry_decomp.coeff_sum])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,6 @@ class NotTraceZero(UnispanError):
     """A trace-zero matrix was required."""
 
 
-class PieceDiagonalNotZero(UnispanError):
-    """The piece-diagonal blocks of the input are not (numerically) zero."""
-
-
 class NotDivisibleBy4(UnispanError):
     """The quadrant construction needs a dimension divisible by 4."""
 
@@ -35,14 +31,6 @@ class DiagonalNotZero(UnispanError):
 
 class SinglePiece(UnispanError):
     """At least two pieces are required."""
-
-
-class BadPosition(UnispanError):
-    """An entry position lies outside the block grid."""
-
-
-class PaddingNotUnitary(UnispanError):
-    """The padding matrix supplied to an amplification is not unitary."""
 
 
 class NotInComplement(UnispanError):

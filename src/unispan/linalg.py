@@ -35,11 +35,6 @@ def as_stack(x) -> np.ndarray:
     return arr
 
 
-def trace(x) -> complex:
-    """Plain matrix trace."""
-    return complex(np.trace(as_matrix(x)))
-
-
 def normalized_trace(x) -> complex:
     """Trace divided by the dimension; equals 1 on the identity."""
     x = as_matrix(x)

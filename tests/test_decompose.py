@@ -26,18 +26,14 @@ from unispan.decompose import (
     Decomposition,
     Provenance,
     VerificationReport,
-    amplify_entry,
     canonical_trace_zero_unitary,
     four_unitary,
     lex_derangement,
     masa_quadrant_decomp,
     selfadjoint_corner_dilation,
     set_fault_injection,
-    two_unitary_selfadjoint,
     type_one_decomp,
     verify_decomposition,
-    witness_unitary,
-    zero_piece_diagonal_decomp,
 )
 from unispan.harness import report_within
 from unispan.selftest import expectation_axioms_suite, spec_grid
@@ -48,14 +44,11 @@ from unispan.serialize import (
     decomposition_to_json,
 )
 from unispan.errors import (
-    BadPosition,
     DiagonalNotZero,
     DimensionMismatch,
     NotDivisibleBy4,
     NotInComplement,
     NotTraceZero,
-    PaddingNotUnitary,
-    PieceDiagonalNotZero,
     SinglePiece,
     UnsupportedConfiguration,
 )
@@ -74,44 +67,47 @@ def term_map(d, ndigits=10):
 
 
 def assert_terms_equal(d, expected, atol=1e-12):
-    assert len(d.terms) == len(expected)
+    """The terms of ``d``, a decomposition or raw term stacks, are
+    ``expected`` up to order."""
+    assert len(d.coeffs) == len(expected)
     remaining = list(expected)
-    for t in d.terms:
+    for c, w in zip(d.coeffs.tolist(), d.unitaries):
         for i, (coeff, u) in enumerate(remaining):
-            if np.allclose(t.unitary, u, atol=atol) and abs(t.coeff - coeff) <= atol:
+            if np.allclose(w, u, atol=atol) and abs(c - coeff) <= atol:
                 remaining.pop(i)
                 break
         else:
-            raise AssertionError(f"unexpected term {t.coeff}:\n{t.unitary}")
+            raise AssertionError(f"unexpected term {c}:\n{w}")
 
 
 class TestTwoUnitary:
     def test_zero_input(self):
-        d = two_unitary_selfadjoint(np.zeros((2, 2)))
-        assert_terms_equal(d, [(0.5, 1j * np.eye(2)), (0.5, -1j * np.eye(2))])
+        raw = decompose._two_unitary_raw(np.zeros((1, 2, 2)), np.zeros(1, dtype=np.intp), "")
+        assert_terms_equal(raw, [(0.5, 1j * np.eye(2)), (0.5, -1j * np.eye(2))])
 
     def test_half_spectrum(self):
-        d = two_unitary_selfadjoint(np.diag([0.5, -0.5]))
+        raw = decompose._two_unitary_raw(np.diag([0.5, -0.5])[None], np.zeros(1, dtype=np.intp), "")
         u = np.diag([np.exp(1j * np.pi / 3), np.exp(2j * np.pi / 3)])
-        assert_terms_equal(d, [(0.5, u), (0.5, u.conj().T)])
+        assert_terms_equal(raw, [(0.5, u), (0.5, u.conj().T)])
 
     def test_selfadjoint_unitary_degenerate(self):
         x = np.diag([1.0, -1.0])
-        d = two_unitary_selfadjoint(x)
-        assert len(d.terms) == 2
-        for t in d.terms:
-            assert t.coeff == 0.5
-            np.testing.assert_allclose(t.unitary, x, atol=1e-14)
+        raw = decompose._two_unitary_raw(x[None], np.zeros(1, dtype=np.intp), "")
+        assert raw.coeffs.tolist() == [0.5, 0.5]
+        for u in raw.unitaries:
+            np.testing.assert_allclose(u, x, atol=1e-14)
 
     def test_random_reconstruction(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(1, 9))
-            h = random_hermitian(rng, n)
-            h /= max(linalg.operator_norm(h), 1e-300)
-            d = two_unitary_selfadjoint(h)
-            rep = verify_decomposition(None, h, d)
-            assert rep.recon_residual <= 1e-12
-            assert rep.max_unitarity_residual <= 1e-12
+        # one call per size decomposes a stack of contractions, each into
+        # the pair that its owner index names
+        for n in range(1, 9):
+            hs = np.array([random_hermitian(rng, n) for _ in range(4)])
+            hs /= linalg.operator_norm(hs)[:, None, None]
+            raw = decompose._two_unitary_raw(hs, np.arange(4), "pair")
+            assert raw.owner.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+            recon = (raw.coeffs[:, None, None] * raw.unitaries).reshape(4, 2, n, n).sum(axis=1)
+            assert np.max(linalg.hs_norm(recon - hs)) <= 1e-12
+            assert np.max(linalg.unitarity_residual(raw.unitaries)) <= 1e-12
 
 
 class TestFourUnitary:
@@ -148,6 +144,27 @@ class TestFourUnitary:
             assert rep.coeff_sum <= 2 * linalg.operator_norm(x) + 1e-9
             assert rep.recon_residual <= 1e-12
             assert rep.max_unitarity_residual <= 1e-12
+
+
+class TestUnitaryMultiples:
+    def test_split_with_and_without_the_trace_test(self):
+        # zero, a unitary multiple with trace, a trace-free unitary
+        # multiple and a matrix that is neither
+        x = np.array([np.zeros((2, 2)), 2.0 * np.eye(2), 3.0 * np.diag([1.0, -1.0]),
+                      [[1.0, 2.0], [0.0, 1.0]]], dtype=complex)
+        for trace_free, fast, slow in ((False, [1, 2], [3]), (True, [2], [1, 3])):
+            multiples, rest = decompose._unitary_multiples(x, trace_free)
+            assert multiples.owner.tolist() == fast
+            assert rest.tolist() == slow
+            assert multiples.stages == ("unitary-multiple",) * len(fast)
+            recon = multiples.coeffs[:, None, None] * multiples.unitaries
+            np.testing.assert_allclose(recon, x[fast], atol=1e-15)
+
+    def test_zero_stack_calls_no_kernel(self, monkeypatch):
+        monkeypatch.setattr(decompose, "operator_norm", None)
+        multiples, rest = decompose._unitary_multiples(np.zeros((3, 2, 2), dtype=complex))
+        assert len(multiples.coeffs) == len(rest) == 0
+        assert multiples.unitaries.shape == (0, 2, 2)
 
 
 @settings(max_examples=25, deadline=None)
@@ -189,14 +206,18 @@ class TestLexDerangement:
 
 
 class TestZeroPieceDiagonal:
+    """The block-permutation stage, reached through layouts whose
+    complement elements have no atom part: their cross part is all of
+    them."""
+
     def test_single_unit(self):
         x = e_unit(2, 0, 1)
-        d = zero_piece_diagonal_decomp(x, [[0], [1]])
+        d = type_one_decomp(TypeISubalgebraSpec.masa(2), x)
         assert_terms_equal(d, [(0.5, S), (0.5, T)])
 
     def test_merged_masa_pair(self):
         x = np.array([[0, 2], [3, 0]], dtype=complex)
-        d = zero_piece_diagonal_decomp(x, [[0], [1]])
+        d = type_one_decomp(TypeISubalgebraSpec.masa(2), x)
         assert_terms_equal(d, [(2.5, S), (-0.5, T)])
         assert verify_decomposition(None, x, d).recon_residual == 0
 
@@ -204,69 +225,46 @@ class TestZeroPieceDiagonal:
         v = random_unitary(rng, 2)
         x = np.zeros((4, 4), dtype=complex)
         x[:2, 2:] = v
-        d = zero_piece_diagonal_decomp(x, [range(2), range(2, 4)])
+        d = type_one_decomp(TypeISubalgebraSpec.atoms((2, 2)), x)
         expected_plus = np.block([[np.zeros((2, 2)), v], [np.eye(2), np.zeros((2, 2))]])
         expected_minus = np.block([[np.zeros((2, 2)), v], [-np.eye(2), np.zeros((2, 2))]])
         assert_terms_equal(d, [(0.5, expected_plus), (0.5, expected_minus)])
 
     def test_noncontiguous_pieces(self, rng):
+        # M_2 (x) (C + C): the two atoms sit on the indices [0, 2] and [1, 3]
+        spec = TypeISubalgebraSpec.of_blocks([(2, [1, 1])])
+        assert algebra.layout_plan(spec.blocks).pieces.tolist() == [[0, 2], [1, 3]]
         x = np.zeros((4, 4), dtype=complex)
-        pieces = [[0, 2], [1, 3]]
         x[np.ix_([0, 2], [1, 3])] = random_complex(rng, (2, 2))
-        d = zero_piece_diagonal_decomp(x, pieces)
-        rep = verify_decomposition(None, x, d)
+        d = type_one_decomp(spec, x)
+        assert {t.stage.split("(")[0] for t in d.terms} == {"cross-block"}
+        rep = verify_decomposition(spec, x, d)
         assert rep.recon_residual <= 1e-14
         assert rep.max_unitarity_residual <= 1e-13
+        assert rep.max_membership_residual <= 1e-13
 
     def test_random_many_pieces(self, rng):
-        for count, g in ((3, 1), (4, 2), (5, 1)):
-            n = count * g
-            pieces = [range(i * g, (i + 1) * g) for i in range(count)]
+        for spec in (TypeISubalgebraSpec.masa(3), TypeISubalgebraSpec.masa(5),
+                     TypeISubalgebraSpec.atoms((2, 2, 2, 2))):
+            pieces = algebra.layout_plan(spec.blocks).pieces
+            n = spec.dimension
             x = random_complex(rng, (n, n))
             for p in pieces:
                 x[np.ix_(p, p)] = 0
-            d = zero_piece_diagonal_decomp(x, pieces)
-            rep = verify_decomposition(None, x, d)
+            d = type_one_decomp(spec, x)
+            rep = verify_decomposition(spec, x, d)
             assert rep.recon_residual <= 1e-13
             assert rep.max_unitarity_residual <= 1e-13
-            assert rep.term_count <= d.term_budget
+            assert rep.term_count <= 8 * len(pieces) * (len(pieces) - 1) <= d.term_budget
             for t in d.terms:
                 for p in pieces:
                     assert np.max(np.abs(t.unitary[np.ix_(p, p)])) == 0
-
-    def test_errors(self):
-        with pytest.raises(SinglePiece):
-            zero_piece_diagonal_decomp(np.zeros((2, 2)), [range(2)])
-        with pytest.raises(PieceDiagonalNotZero):
-            zero_piece_diagonal_decomp(np.eye(2), [[0], [1]])
-        with pytest.raises(DimensionMismatch):
-            zero_piece_diagonal_decomp(np.zeros((4, 4)), [[0, 1], [2]])
-        with pytest.raises(DimensionMismatch):
-            zero_piece_diagonal_decomp(np.zeros((4, 4)), [[0, 1], [1, 2]])
-        with pytest.raises(DimensionMismatch):
-            zero_piece_diagonal_decomp(np.zeros((4, 4)), [[0, 1], [3, 4]])
-
-    def test_pieces_validated_once_and_generators_accepted(self, rng, monkeypatch):
-        calls = []
-        real = decompose._normalize_pieces
-
-        def counting(n, pieces):
-            calls.append(n)
-            return real(n, pieces)
-
-        monkeypatch.setattr(decompose, "_normalize_pieces", counting)
-        x = random_complex(rng, (4, 4))
-        x[:2, :2] = x[2:, 2:] = 0
-        d = zero_piece_diagonal_decomp(x, (iter(p) for p in (range(2), range(2, 4))))
-        assert calls == [4]
-        assert d.term_budget == 16
-        assert verify_decomposition(None, x, d).recon_residual <= 1e-14
 
 
 def all_pairs_zero_piece_raw(x, pieces):
     """The zero-piece-diagonal construction as a loop over all block pairs."""
     n = x.shape[0]
-    rows = decompose._normalize_pieces(n, pieces)
+    rows = np.array(pieces)
     count, g = rows.shape
     pad = np.eye(g, dtype=np.complex128)[None]
     parts = []
@@ -314,7 +312,7 @@ def cross_part_cases(rng):
 class TestZeroPieceOracle:
     def test_matches_all_pairs_loop(self, rng):
         for name, x, pieces in cross_part_cases(rng):
-            got = decompose._zero_piece_raw(x[None], decompose._normalize_pieces(len(x), pieces))
+            got = decompose._zero_piece_raw(x[None], np.array(pieces))
             want = all_pairs_zero_piece_raw(x, pieces)
             assert got.coeffs.tobytes() == want.coeffs.tobytes(), name
             assert got.unitaries.tobytes() == want.unitaries.tobytes(), name
@@ -597,30 +595,50 @@ class TestMasaQuadrant:
             masa_quadrant_decomp(np.eye(4))
 
 
+def layout_witness(spec):
+    """The complement unitary ``algebra._witness_on`` builds on all atoms of
+    ``spec`` in standard position, or ``None``."""
+    return algebra._witness_on(spec.dimension, algebra.atom_layouts(spec))
+
+
 class TestWitness:
     def test_masa_two(self):
-        np.testing.assert_allclose(
-            witness_unitary(TypeISubalgebraSpec.masa(2)), S
-        )
+        np.testing.assert_allclose(layout_witness(TypeISubalgebraSpec.masa(2)), S)
 
     def test_scalar_three(self):
-        w = witness_unitary(TypeISubalgebraSpec.scalar(3))
+        w = layout_witness(TypeISubalgebraSpec.scalar(3))
         omega = np.exp(2j * np.pi / 3)
         np.testing.assert_allclose(np.diag(w), [1, omega, omega**2], atol=1e-14)
 
     def test_scalar_four(self):
-        w = witness_unitary(TypeISubalgebraSpec.scalar(4))
+        w = layout_witness(TypeISubalgebraSpec.scalar(4))
         np.testing.assert_allclose(np.diag(w), [1, 1j, -1, -1j], atol=1e-14)
 
     def test_membership_on_grid(self, grid_specs):
         for name, spec in grid_specs:
-            w = witness_unitary(spec)
+            w = layout_witness(spec)
             assert linalg.unitarity_residual(w) <= 1e-12, name
             assert membership_residual(spec, w) <= 1e-12, name
 
+    def test_completion_pads_on_grid(self, grid_specs):
+        # the pad of an even atom is a witness on the other atoms: zero on
+        # the atom's own block, unitary once the atom's identity is added
+        padded = 0
+        for name, spec in grid_specs:
+            plan = algebra.layout_plan(spec.blocks)
+            for a, pad in zip(plan.atoms, plan.pads):
+                if pad is None:
+                    continue
+                padded += 1
+                own = np.zeros_like(pad)
+                own[a.indices, a.indices] = 1.0
+                assert not np.any(pad[np.ix_(a.indices, a.indices)]), name
+                assert linalg.unitarity_residual(pad + own) <= 1e-12, name
+                assert membership_residual(spec, pad) <= 1e-12, name
+        assert padded
+
     def test_single_point_masa_has_no_witness(self):
-        with pytest.raises(UnsupportedConfiguration):
-            witness_unitary(TypeISubalgebraSpec.masa(1))
+        assert layout_witness(TypeISubalgebraSpec.masa(1)) is None
 
 
 def hand_decomposition(terms):
@@ -635,14 +653,32 @@ def hand_decomposition(terms):
     )
 
 
+def trace_free_unitary(rng):
+    """A random ``2 x 2`` unitary with zero trace."""
+    w = random_unitary(rng, 2)
+    return w @ np.diag([1.0, -1.0]) @ w.conj().T
+
+
+def entry_block(k, s, t, u):
+    """The ``2k x 2k`` matrix with ``u`` in entry ``(s, t)`` (1-based) of a
+    ``k x k`` grid of ``2 x 2`` blocks, zero elsewhere: a complement
+    element of ``M_k (x) 1_2`` when ``u`` has zero trace."""
+    x = np.zeros((2 * k, 2 * k), dtype=complex)
+    x[2 * (s - 1) : 2 * s, 2 * (t - 1) : 2 * t] = u
+    return x
+
+
 class TestAmplify:
+    """The entry-move stage, reached through one atom ``M_k (x) 1_2`` and a
+    trace-free unitary entry, which the scalar case keeps as one term; the
+    pad is ``canonical_trace_zero_unitary(2)``."""
+
     def test_identity_of_the_trick(self, rng):
-        u = random_unitary(rng, 2)
-        v = random_unitary(rng, 2)
-        d = amplify_entry(hand_decomposition([(1.0, u)]), 2, (1, 1), v)
-        expect = np.zeros((4, 4), dtype=complex)
-        expect[:2, :2] = u
-        np.testing.assert_allclose(d.reconstruction(), expect, atol=1e-13)
+        u = trace_free_unitary(rng)
+        v = canonical_trace_zero_unitary(2)
+        x = entry_block(2, 1, 1, u)
+        d = type_one_decomp(TypeISubalgebraSpec.of_blocks([(2, [2])]), x)
+        np.testing.assert_allclose(d.reconstruction(), x, atol=1e-13)
         assert_terms_equal(
             d,
             [
@@ -653,7 +689,7 @@ class TestAmplify:
 
     def test_sigma3_padding_example(self):
         s3 = np.diag([1.0, -1.0]).astype(complex)
-        d = amplify_entry(hand_decomposition([(1.0, s3)]), 2, (1, 1), s3)
+        d = type_one_decomp(TypeISubalgebraSpec.of_blocks([(2, [2])]), entry_block(2, 1, 1, s3))
         assert_terms_equal(
             d,
             [(0.5, np.diag([1.0, -1, 1, -1])), (0.5, np.diag([1.0, -1, -1, 1]))],
@@ -664,10 +700,11 @@ class TestAmplify:
 
     def test_move_bookkeeping_oracle(self, rng):
         # oracle: build the expected matrices with explicit permutations
-        u = random_unitary(rng, 2)
+        u = trace_free_unitary(rng)
         v = canonical_trace_zero_unitary(2)
         k, s, t = 3, 2, 3
-        d = amplify_entry(hand_decomposition([(1.0, u)]), k, (s, t), v)
+        x = entry_block(k, s, t, u)
+        d = type_one_decomp(TypeISubalgebraSpec.of_blocks([(k, [2])]), x)
         left = np.eye(k)
         left[[0, s - 1]] = left[[s - 1, 0]]
         right = np.eye(k)
@@ -682,18 +719,8 @@ class TestAmplify:
                 (0.5, np.kron(left, np.eye(2)) @ blocks @ np.kron(right, np.eye(2)))
             )
         assert_terms_equal(d, expected)
-        target = np.zeros((6, 6), dtype=complex)
-        target[(s - 1) * 2 : s * 2, (t - 1) * 2 : t * 2] = u
-        np.testing.assert_allclose(d.reconstruction(), target, atol=1e-13)
-
-    def test_errors(self, rng):
-        u = random_unitary(rng, 2)
-        with pytest.raises(BadPosition):
-            amplify_entry(hand_decomposition([(1.0, u)]), 2, (0, 1), u)
-        with pytest.raises(PaddingNotUnitary):
-            amplify_entry(hand_decomposition([(1.0, u)]), 2, (1, 1), 0.5 * u)
-        with pytest.raises(PaddingNotUnitary):
-            amplify_entry(hand_decomposition([(1.0, 0.5 * u)]), 2, (1, 1), u)
+        assert {t.stage for t in d.terms} == {f"entry-move({s},{t})"}
+        np.testing.assert_allclose(d.reconstruction(), x, atol=1e-13)
 
 
 class TestAtomicAbelian:
@@ -875,10 +902,13 @@ def mixed_targets(spec):
     """Complement elements of ``spec``: Gaussian ones at two scales, a zero
     target and a unitary multiple (the fast path)."""
     n = spec.dimension
+    witness, w = layout_witness(spec), spec.conjugation
+    if w is not None:
+        witness = w @ witness @ w.conj().T
     return np.array([
         algebra.random_complement_element(spec, 11),
         np.zeros((n, n)),
-        0.75 * witness_unitary(spec),
+        0.75 * witness,
         1e-3 * algebra.random_complement_element(spec, 12),
         algebra.random_complement_element(spec, 13),
     ])
@@ -1132,17 +1162,19 @@ def traceless(rng, m):
 
 
 def cross_block_case(rng):
+    # zero atom blocks leave only the cross part to carry the fault
+    spec = TypeISubalgebraSpec.atoms((2, 2))
     x = random_complex(rng, (4, 4))
     x[:2, :2] = x[2:, 2:] = 0
-    return None, x, lambda: zero_piece_diagonal_decomp(x, [[0, 1], [2, 3]])
+    return spec, x, lambda: type_one_decomp(spec, x)
 
 
 def entry_move_case(rng):
-    u = random_unitary(rng, 2)
-    x = np.zeros((6, 6), dtype=complex)
-    x[2:4, 4:6] = u
-    pad = canonical_trace_zero_unitary(2)
-    return None, x, lambda: amplify_entry(hand_decomposition([(1.0, u)]), 3, (2, 3), pad)
+    # a trace-free unitary entry is one inner term, so only the entry-move
+    # pairs can carry the fault
+    spec = TypeISubalgebraSpec.of_blocks([(3, [2])])
+    x = entry_block(3, 2, 3, trace_free_unitary(rng))
+    return spec, x, lambda: type_one_decomp(spec, x)
 
 
 def atom_completion_case(rng):

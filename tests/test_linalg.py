@@ -34,11 +34,10 @@ class TestTrace:
         assert linalg.normalized_trace(np.eye(3)) == 1
 
     def test_symmetric_diagonal(self):
-        assert linalg.trace(np.diag([1.0, -1.0])) == 0
+        assert linalg.normalized_trace(np.diag([1.0, -1.0])) == 0
 
     def test_hand_sum(self):
         x = np.array([[1, 2], [3, 4]], dtype=complex)
-        assert linalg.trace(x) == 5
         assert linalg.normalized_trace(x) == 2.5
 
 
