@@ -135,14 +135,6 @@ class AtomLayout(NamedTuple):
     indices: np.ndarray
 
 
-def atom_layouts(spec: TypeISubalgebraSpec) -> tuple:
-    """Per-atom index layout in standard position.
-
-    Cached per layout (``spec.blocks``); the index arrays are read-only.
-    """
-    return layout_plan(spec.blocks).atoms
-
-
 def algebra_dimension(spec: TypeISubalgebraSpec) -> int:
     """Linear dimension of the subalgebra, ``sum_i k_i**2 * d_i``."""
     return sum(b.k**2 * len(b.atom_mults) for b in spec.blocks)
@@ -304,8 +296,6 @@ def _classify(n: int, atoms: tuple, pads: tuple) -> SpecClass:
 def _witness_on(n, atoms):
     """Full-space unitary supported on the given atoms, with zero
     conditional expectation there; ``None`` when no construction applies."""
-    if not atoms:
-        return None
     out = np.zeros((n, n), dtype=np.complex128)
     if all(a.m >= 2 for a in atoms):
         for a in atoms:
@@ -371,14 +361,14 @@ def membership_residual(spec: TypeISubalgebraSpec, x):
     return hs_norm(conditional_expectation(spec, x))
 
 
-def complement_basis(spec: TypeISubalgebraSpec) -> list:
-    """HS-orthonormal basis of the complement.
+def complement_basis(spec: TypeISubalgebraSpec) -> np.ndarray:
+    """HS-orthonormal basis of the complement, as a stack ``(N, n, n)``.
 
     Projects the matrix units through the complement projection and runs
     modified Gram-Schmidt (with one re-orthogonalization pass), dropping
-    vectors of norm at most ``RANK_TOL``.  The result has exactly
-    ``n**2 - algebra_dimension(spec)`` elements, in the order of the units
-    they come from.
+    vectors of norm at most ``RANK_TOL``.  The stack holds exactly
+    ``N = n**2 - algebra_dimension(spec)`` elements, in the order of the
+    units they come from.
 
     A projected unit is solo when it has one nonzero entry and no other
     projected unit is nonzero there; ``E_A`` left it a multiple of its
@@ -406,16 +396,16 @@ def complement_basis(spec: TypeISubalgebraSpec) -> list:
     # an absolute cut: a dependent residual is rounding noise, an
     # independent one keeps a norm of order 1/n or more
     kept = norms > RANK_TOL
-    vectors = list(lone[kept] / norms[kept, None, None])
     found = np.flatnonzero(solo)[kept].tolist()  # the unit of each vector
     rest = np.flatnonzero(~solo)
-    basis = []  # the loop's vectors
+    basis = np.empty((len(rest), n, n), dtype=np.complex128)  # the loop's vectors
+    size = 0
     support = np.zeros((len(rest), n * n), dtype=bool)
     for i, v in zip(rest.tolist(), units[rest]):
         for _ in range(2):
             j = 0
             while True:
-                hits = np.flatnonzero(np.any(support[j : len(basis)] & (v.ravel() != 0), axis=1))
+                hits = np.flatnonzero(np.any(support[j:size] & (v.ravel() != 0), axis=1))
                 if not hits.size:
                     break
                 j += int(hits[0])
@@ -423,16 +413,17 @@ def complement_basis(spec: TypeISubalgebraSpec) -> list:
                 j += 1
         norm = hs_norm(v)
         if norm > RANK_TOL:
-            basis.append(v / norm)
-            support[len(basis) - 1] = basis[-1].ravel() != 0
+            basis[size] = v / norm
+            support[size] = basis[size].ravel() != 0
+            size += 1
             found.append(i)
-    vectors += basis
+    vectors = np.concatenate((lone[kept] / norms[kept, None, None], basis[:size]))
     expected = n * n - algebra_dimension(spec)
     if len(vectors) != expected:
         raise ArithmeticError(
             f"complement basis has {len(vectors)} elements, expected {expected}"
         )
-    return [vectors[k] for k in np.argsort(found).tolist()]
+    return vectors[np.argsort(found)]
 
 
 def _rng_for(spec: TypeISubalgebraSpec, seed: int, stream: int) -> np.random.Generator:
@@ -456,7 +447,7 @@ def random_algebra_element(spec: TypeISubalgebraSpec, seed: int) -> np.ndarray:
     rng = _rng_for(spec, seed, 0)
     n = spec.dimension
     out = np.zeros((n, n), dtype=np.complex128)
-    for a in atom_layouts(spec):
+    for a in layout_plan(spec.blocks).atoms:
         y = _standard_normal_complex(rng, (a.k, a.k))
         out[np.ix_(a.indices, a.indices)] = np.kron(y, np.eye(a.m))
     w = spec.conjugation

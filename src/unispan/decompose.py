@@ -34,10 +34,9 @@ from .errors import (
     NotDivisibleBy4,
     NotInComplement,
     NotTraceZero,
-    SinglePiece,
-    UnispanError,
 )
 from .linalg import (
+    adjoint,
     as_matrix,
     as_stack,
     hs_norm,
@@ -336,11 +335,6 @@ def _conjugate_terms(raw, w):
     return raw._replace(unitaries=w @ raw.unitaries @ w.conj().T)
 
 
-def _adjoint(x):
-    """The adjoint of every matrix of a stack."""
-    return np.swapaxes(x.conj(), -1, -2)
-
-
 # ---------------------------------------------------------------------------
 # elementary splits
 
@@ -353,7 +347,7 @@ def _two_unitary_raw(y, owner, stage):
         return _cat(g, ())
     u = y + 1j * sqrt_defect(y)
     return _Terms(np.full(2 * count, 0.5, dtype=np.complex128),
-                  np.stack((u, _adjoint(u)), axis=1).reshape(2 * count, g, g),
+                  np.stack((u, adjoint(u)), axis=1).reshape(2 * count, g, g),
                   (Provenance.FOUR_UNITARY,) * (2 * count), (stage,) * (2 * count),
                   np.repeat(owner, 2))
 
@@ -362,7 +356,7 @@ def _selfadjoint_parts(z):
     """``(part, mult, tag)`` for the real and imaginary self-adjoint parts
     of ``z = h + i*k`` (one matrix or a stack): ``(h, 1, "real")`` and
     ``(k, 1j, "imag")``."""
-    zc = _adjoint(z)
+    zc = adjoint(z)
     return (((z + zc) / 2.0, 1.0, "real"), ((z - zc) / 2.0j, 1.0j, "imag"))
 
 
@@ -403,7 +397,7 @@ def _unitary_multiples(x, trace_free=False):
     return multiples, live[~fast]
 
 
-def _four_unitary_raw(x, stage="selfadjoint-split"):
+def _four_unitary_raw(x):
     """At most four unitary terms for each matrix of the stack ``x``."""
     multiples, slow = _unitary_multiples(x)
     if not slow.size:
@@ -412,7 +406,8 @@ def _four_unitary_raw(x, stage="selfadjoint-split"):
     for part, mult, tag in _selfadjoint_parts(x[slow]):
         sp = operator_norm(part)
         nz = sp != 0.0
-        two = _two_unitary_raw(_divide_by_norm(part[nz], sp[nz]), slow[nz], f"{stage}-{tag}")
+        two = _two_unitary_raw(_divide_by_norm(part[nz], sp[nz]), slow[nz],
+                               f"selfadjoint-split-{tag}")
         parts.append(two._replace(coeffs=np.repeat(mult * sp[nz], 2) * two.coeffs))
     return _cat(x.shape[-1], parts)
 
@@ -445,42 +440,26 @@ def canonical_trace_zero_unitary(d: int) -> np.ndarray:
 # fixed-point-free block permutations (the zero-piece-diagonal workhorse)
 
 
-def lex_derangement(count: int, alpha: int, beta: int) -> list:
-    """Lexicographically smallest fixed-point-free permutation with
-    ``sigma(alpha) = beta`` (``alpha != beta``, ``count >= 2``).
-
-    Greedy with a one-step completability check: a partial assignment
-    extends to a derangement unless exactly one slot remains and its only
-    remaining value is itself.
-    """
-    if count < 2:
-        raise SinglePiece("need at least two pieces")
-    if alpha == beta:
-        raise UnispanError("a fixed-point-free map cannot fix alpha")
-    sigma = [-1] * count
-    sigma[alpha] = beta
-    free = sorted(set(range(count)) - {beta})
-    slots = [p for p in range(count) if p != alpha]
-    for si, pos in enumerate(slots):
-        rest = len(slots) - si - 1
-        for v in free:
-            if v == pos:
-                continue
-            remaining = [w for w in free if w != v]
-            if rest == 1 and remaining == [slots[-1]]:
-                continue
-            sigma[pos] = v
-            free.remove(v)
-            break
-        else:  # pragma: no cover - impossible for count >= 2
-            raise UnispanError("derangement construction failed")
-    return sigma
-
-
 @lru_cache(maxsize=4096)
 def _derangement(count: int, alpha: int, beta: int) -> np.ndarray:
-    """:func:`lex_derangement` as a read-only index array, memoized."""
-    sigma = np.array(lex_derangement(count, alpha, beta), dtype=np.intp)
+    """The lexicographically smallest fixed-point-free permutation of
+    ``count >= 2`` pieces with ``sigma(alpha) = beta``, as a read-only
+    index array, memoized.
+
+    Greedy with one repair swap: every slot but ``alpha``, in order, takes
+    the smallest free value other than itself, and a last slot left holding
+    only itself swaps values with the slot before.
+    """
+    sigma = np.empty(count, dtype=np.intp)
+    sigma[alpha] = beta
+    free = [v for v in range(count) if v != beta]
+    slots = [p for p in range(count) if p != alpha]
+    for pos in slots:  # ``free`` is ascending: skip its head if that is ``pos``
+        sigma[pos] = free.pop(int(free[0] == pos and len(free) > 1))
+    last = slots[-1]
+    if sigma[last] == last:
+        before = slots[-2]
+        sigma[before], sigma[last] = last, sigma[before]
     sigma.setflags(write=False)
     return sigma
 
@@ -493,7 +472,7 @@ def _zero_piece_raw(x, rows):
     Every nonzero cross block ``(alpha, beta)`` is split by
     :func:`_four_unitary_raw`, all of them in one call, and each of its
     unitaries is carried to block ``(alpha, beta)`` of the fixed-point-free
-    block permutation :func:`lex_derangement` ``(count, alpha, beta)``.
+    block permutation :func:`_derangement` ``(count, alpha, beta)``.
     The other blocks of the permutation hold identity pads, in a
     ``(+v, -v)`` pair that cancels everywhere but at the target block.
     Every unitary is a generalized block permutation with zero
@@ -584,7 +563,7 @@ def _scalar_case_raw(x):
                             (Provenance.DILATION,) * count, (f"diag-dilation-{tag}",) * count,
                             np.repeat(slow[nz], 2)))
         corner[nz] = corner[nz] - (mult * sp)[:, None, None] * u3[:, :g, g:]
-    balanced = _four_unitary_raw(y[:, g:, g:], stage="balanced")
+    balanced = _four_unitary_raw(y[:, g:, g:])
     u = balanced.unitaries
     lifted = np.block([[-u, np.zeros_like(u)], [np.zeros_like(u), u]])
     count = len(u)
@@ -630,14 +609,13 @@ def _amplify_raw(entry, k, s0, t0, pad):
 
 def _single_block_raw(k, m, x):
     """Factor-entrywise decomposition inside one atom ``M_k (x) C*1_m`` of
-    each matrix of the stack ``x``: all nonzero ``m x m`` entries of all
-    matrices go through one scalar-case call."""
+    each matrix of the stack ``x``: all ``m x m`` entries of all matrices
+    go through one scalar-case call."""
     if k == 1:
         return _scalar_case_raw(x)
     entries = x.reshape(len(x), k, m, k, m).swapaxes(2, 3).reshape(-1, m, m)
-    live = np.flatnonzero(np.any(entries, axis=(1, 2)))
-    inner = _scalar_case_raw(entries[live])
-    owner, cell = np.divmod(live[inner.owner], k * k)
+    inner = _scalar_case_raw(entries)
+    owner, cell = np.divmod(inner.owner, k * k)
     s0, t0 = np.divmod(cell, k)
     return _amplify_raw(inner._replace(owner=owner), k, s0, t0, canonical_trace_zero_unitary(m))
 
@@ -651,13 +629,10 @@ def _type_one_raw(plan: algebra.LayoutPlan, x):
     cross = x.copy()
     for a, pad in zip(plan.atoms, plan.pads):
         block = (slice(None),) + np.ix_(a.indices, a.indices)
-        comp = x[block]
         cross[block] = 0.0
         if a.m < 2:
             continue
-        live = np.flatnonzero(np.any(comp, axis=(1, 2)))
-        atom_terms = _single_block_raw(a.k, a.m, comp[live])
-        atom_terms = atom_terms._replace(owner=live[atom_terms.owner])
+        atom_terms = _single_block_raw(a.k, a.m, x[block])
         if pad is None:  # a lone atom is the whole space: nothing to complete
             parts.append(atom_terms)
             continue

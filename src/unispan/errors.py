@@ -29,10 +29,6 @@ class DiagonalNotZero(UnispanError):
     """A zero-diagonal matrix was required."""
 
 
-class SinglePiece(UnispanError):
-    """At least two pieces are required."""
-
-
 class NotInComplement(UnispanError):
     """The input does not lie in the orthogonal complement of the subalgebra."""
 

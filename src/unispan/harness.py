@@ -92,9 +92,8 @@ def run_spancert(spec: TypeISubalgebraSpec, rank_tol: float = RANK_TOL,
     algebra.supported_class(spec, n)
     basis = complement_basis(spec)
     expected = n * n - algebra_dimension(spec)
-    targets = np.reshape(basis, (len(basis), n, n))
-    ds = type_one_stack(spec, targets)
-    rep = verify_decomposition(spec, targets, ds)
+    ds = type_one_stack(spec, basis)
+    rep = verify_decomposition(spec, basis, ds)
     pooled = rep.term_count
     rank = gram_rank(np.concatenate([d.unitaries for d in ds]), rank_tol=rank_tol) if pooled else 0
     passed = report_within(rep, tol) and rank == expected

@@ -35,6 +35,11 @@ def as_stack(x) -> np.ndarray:
     return arr
 
 
+def adjoint(x) -> np.ndarray:
+    """The conjugate transpose of every matrix of a stack ``(..., n, n)``."""
+    return np.swapaxes(x.conj(), -1, -2)
+
+
 def normalized_trace(x) -> complex:
     """Trace divided by the dimension; equals 1 on the identity."""
     x = as_matrix(x)
@@ -86,7 +91,7 @@ def unitarity_residual(x):
     each of its matrices; a single matrix gives a ``float``.
     """
     x = as_stack(x)
-    return hs_norm(np.swapaxes(x.conj(), -1, -2) @ x - np.eye(x.shape[-1]))
+    return hs_norm(adjoint(x) @ x - np.eye(x.shape[-1]))
 
 
 class HermEig(NamedTuple):
@@ -110,7 +115,7 @@ def hermitian_eig(h) -> HermEig:
     ``1e-10 * max(1, ||h||_2)``.
     """
     h = as_stack(h)
-    hc = np.swapaxes(h.conj(), -1, -2)
+    hc = adjoint(h)
     norm, skew = hs_norm(np.stack((h, h - hc)))
     if np.any(skew > 1e-10 * np.maximum(1.0, norm)):
         raise NotSelfAdjoint("input is not self-adjoint within tolerance")
@@ -145,9 +150,8 @@ def sqrt_defect(x) -> np.ndarray:
         raise NormExceedsOne(f"operator norm {float(top[over].flat[0])} exceeds 1")
     d = 1.0 - w**2
     d[d < 0.0] = 0.0
-    vc = np.swapaxes(v.conj(), -1, -2)
-    r = (v * np.sqrt(d)[..., None, :]) @ vc
-    return (r + np.swapaxes(r.conj(), -1, -2)) / 2.0
+    r = (v * np.sqrt(d)[..., None, :]) @ adjoint(v)
+    return (r + adjoint(r)) / 2.0
 
 
 def gram_rank(mats, rank_tol: float = RANK_TOL) -> int:

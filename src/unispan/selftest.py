@@ -18,6 +18,7 @@ from .decompose import (
     four_unitary,
     masa_quadrant_decomp,
     type_one_decomp,
+    type_one_stack,
     verify_decomposition,
 )
 from .errors import ParseError, UnispanError
@@ -162,19 +163,20 @@ def decomposition_soundness_suite(grid, seed, trials):
     per_spec = max(1, trials // len(grid))
     worst = [0.0, 0.0, 0.0]
     for name, spec in grid:
-        for t in range(per_spec):
-            x = algebra.random_complement_element(spec, _key(seed * 104729 + t))
-            d = type_one_decomp(spec, x)
-            rep = verify_decomposition(spec, x, d)
-            worst[0] = max(worst[0], rep.recon_residual)
-            worst[1] = max(worst[1], rep.max_unitarity_residual)
-            worst[2] = max(worst[2], rep.max_membership_residual)
-            assert report_within(rep), f"{name}: {rep}"
-            assert d.term_budget is not None and rep.term_count <= d.term_budget, (
-                f"{name}: {rep.term_count} terms exceed budget {d.term_budget}"
+        xs = np.array([algebra.random_complement_element(spec, _key(seed * 104729 + t))
+                       for t in range(per_spec)])
+        ds = type_one_stack(spec, xs)
+        rep = verify_decomposition(spec, xs, ds)
+        worst[0] = max(worst[0], rep.recon_residual)
+        worst[1] = max(worst[1], rep.max_unitarity_residual)
+        worst[2] = max(worst[2], rep.max_membership_residual)
+        assert report_within(rep), f"{name}: {rep}"
+        for d in ds:
+            assert d.term_budget is not None and len(d.coeffs) <= d.term_budget, (
+                f"{name}: {len(d.coeffs)} terms exceed budget {d.term_budget}"
             )
-            assert d.coeff_budget is not None and rep.coeff_sum <= d.coeff_budget + 1e-9, (
-                f"{name}: coefficient sum {rep.coeff_sum:.3f} exceeds "
+            assert d.coeff_budget is not None and d.coeff_sum <= d.coeff_budget + 1e-9, (
+                f"{name}: coefficient sum {d.coeff_sum:.3f} exceeds "
                 f"budget {d.coeff_budget:.3f}"
             )
     return (
@@ -206,11 +208,12 @@ def cross_path_suite(grid, seed, trials):
     per = max(1, min(trials // 5, 20))
     for n in sizes:
         spec = TypeISubalgebraSpec.masa(n)
-        for t in range(per):
-            x = algebra.random_complement_element(spec, _key(seed * 31 + t))
-            for d in (type_one_decomp(spec, x), masa_quadrant_decomp(x)):
-                rep = verify_decomposition(spec, x, d)
-                assert report_within(rep), f"masa n={n}: {rep}"
+        xs = np.array([algebra.random_complement_element(spec, _key(seed * 31 + t))
+                       for t in range(per)])
+        reps = [verify_decomposition(spec, xs, type_one_stack(spec, xs))]
+        reps += [verify_decomposition(spec, x, masa_quadrant_decomp(x)) for x in xs]
+        for rep in reps:
+            assert report_within(rep), f"masa n={n}: {rep}"
     return f"quadrant and default masa paths agree on sizes {sizes}"
 
 
@@ -219,14 +222,10 @@ def selfadjoint_closure_suite(grid, seed, trials):
     for name, spec in grid:
         x = algebra.random_complement_element(spec, _key(seed * 53 + 1))
         x = (x + x.conj().T) / 2
-        d = type_one_decomp(spec, x)
-        adj = sum(
-            (np.conj(t.coeff) * t.unitary.conj().T for t in d.terms),
-            np.zeros_like(x),
-        )
-        assert linalg.hs_norm(adj - x) <= decompose.RECON_TOL, f"{name}: adjoint reconstruction"
         alpha = 0.37 - 1.9j
-        d2 = type_one_decomp(spec, alpha * x)
+        d, d2 = type_one_stack(spec, np.array([x, alpha * x]))
+        adj = np.sum(np.conj(d.coeffs)[:, None, None] * linalg.adjoint(d.unitaries), axis=0)
+        assert linalg.hs_norm(adj - x) <= decompose.RECON_TOL, f"{name}: adjoint reconstruction"
         recon = linalg.hs_norm(d2.reconstruction() - alpha * x)
         assert recon <= decompose.RECON_TOL * abs(alpha), f"{name}: scaled reconstruction"
     return "adjoint closure and scaling compatibility hold on the grid"

@@ -14,7 +14,6 @@ from unispan.algebra import (
     SpecClass,
     TypeISubalgebraSpec,
     algebra_dimension,
-    atom_layouts,
     complement_basis,
     complement_project,
     conditional_expectation,
@@ -141,7 +140,7 @@ def reference_validate_spec(spec: TypeISubalgebraSpec, n: int) -> SpecClass:
       multiplicity 1 or even, and every even atom has a paddable remainder.
     * anything else is UNSUPPORTED, with a machine-readable ``reason``.
     """
-    atoms = atom_layouts(spec)
+    atoms = algebra.layout_plan(spec.blocks).atoms
     dim = spec.dimension
     if dim != n:
         raise DimensionMismatch(f"spec covers dimension {dim}, ambient is {n}")
@@ -231,7 +230,7 @@ class TestEnvelopeOracle:
 class TestLayout:
     def test_factor_major_order(self):
         spec = TypeISubalgebraSpec.of_blocks([(2, [2, 1]), (1, [2])])
-        atoms = atom_layouts(spec)
+        atoms = algebra.layout_plan(spec.blocks).atoms
         # block 0 has s = 3: atom 0 rows (a, t) -> a*3 + t, atom 1 -> a*3 + 2
         np.testing.assert_array_equal(atoms[0].indices, [0, 1, 3, 4])
         np.testing.assert_array_equal(atoms[1].indices, [2, 5])
@@ -241,18 +240,18 @@ class TestLayout:
     def test_cached_layout_indices_are_read_only(self):
         spec = TypeISubalgebraSpec.of_blocks([(2, [2, 1]), (1, [2])])
         same_layout = TypeISubalgebraSpec.of_blocks([(2, [2, 1]), (1, [2])])
-        assert atom_layouts(spec) is atom_layouts(same_layout)
-        for a in atom_layouts(spec):
+        plan = algebra.layout_plan(spec.blocks)
+        assert plan is algebra.layout_plan(same_layout.blocks)
+        for a in plan.atoms:
             with pytest.raises(ValueError):
                 a.indices[0] = 5
-        plan = algebra.layout_plan(spec.blocks)
         for group in plan.groups:
             for arr in (group.rows, group.cols, group.eye):
                 with pytest.raises(ValueError):
                     arr[(0,) * arr.ndim] = 5
         with pytest.raises(ValueError):
             plan.pieces[0, 0] = 5
-        np.testing.assert_array_equal(atom_layouts(spec)[0].indices, [0, 1, 3, 4])
+        np.testing.assert_array_equal(plan.atoms[0].indices, [0, 1, 3, 4])
 
     def test_plan_pads_are_cached_witnesses_of_the_other_atoms(self, rng, grid_specs):
         c4 = TypeISubalgebraSpec.of_blocks([(2, [2]), (2, [2])],
@@ -418,6 +417,8 @@ class TestComplementBasis:
         assert len(complement_basis(TypeISubalgebraSpec.masa(2))) == 2
         assert len(complement_basis(TypeISubalgebraSpec.scalar(2))) == 3
         assert len(complement_basis(TypeISubalgebraSpec.of_blocks([(2, [2])]))) == 12
+        empty = complement_basis(TypeISubalgebraSpec.masa(1))
+        assert (empty.shape, empty.dtype) == ((0, 1, 1), np.complex128)
 
     def test_orthonormal_and_in_complement(self, grid_specs):
         for name, spec in grid_specs[:6]:
@@ -479,7 +480,7 @@ class TestRandomElements:
 def kron_loop_expectation(spec, x):
     """``E_A`` in standard position, one ``np.kron`` per atom."""
     out = np.zeros_like(x)
-    for a in atom_layouts(spec):
+    for a in algebra.layout_plan(spec.blocks).atoms:
         rows, cols = a.indices[:, None], a.indices
         sub = x[..., rows, cols].reshape(x.shape[:-2] + (a.k, a.m, a.k, a.m))
         partial = np.einsum("...atbt->...ab", sub) / a.m
@@ -572,8 +573,8 @@ class TestOracles:
         ] + random_layouts(rng, 20)
         for name, spec in specs:
             got, want = complement_basis(spec), reference_complement_basis(spec)
-            assert isinstance(got, list) and len(got) == len(want), name
-            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), name
+            assert got.shape == (len(want), spec.dimension, spec.dimension), name
+            assert got.dtype == np.complex128 and got.tobytes() == np.array(want).tobytes(), name
 
     def test_solo_units_of_the_masa(self):
         # a projected unit with one nonzero entry that no other projected
