@@ -18,6 +18,7 @@ from .algebra import (
 )
 from .decompose import (
     Decomposition,
+    DecompositionStack,
     Provenance,
     UnitaryTerm,
     VerificationReport,
@@ -46,6 +47,7 @@ __all__ = [
     "BlockSpec",
     "ClassKind",
     "Decomposition",
+    "DecompositionStack",
     "HermEig",
     "Provenance",
     "SpecClass",

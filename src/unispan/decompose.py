@@ -19,7 +19,7 @@ sum directly and shares nothing with the construction beyond the numeric
 kernels.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Tuple
@@ -128,6 +128,83 @@ class Decomposition:
     @property
     def coeff_sum(self) -> float:
         return float(sum(map(abs, self.coeffs.tolist())))
+
+    @classmethod
+    def _of_views(cls, *values):
+        """An instance holding ``values`` as they are, in field order: no
+        copy and no check, for the read-only slices of a stack."""
+        d = object.__new__(cls)
+        d.__dict__.update(zip(_DECOMPOSITION_FIELDS, values))
+        return d
+
+
+_DECOMPOSITION_FIELDS = tuple(f.name for f in fields(Decomposition))
+
+
+@dataclass(frozen=True, eq=False)
+class DecompositionStack:
+    """The decompositions of a stack of ``B`` targets, held as one term pool.
+
+    ``coeffs (T,)`` and ``unitaries (T, n, n)`` hold every target's terms,
+    target by target: target ``i`` owns terms ``offsets[i]`` to
+    ``offsets[i + 1]``.  ``provenance`` and ``stages`` are parallel tuples
+    over the pool, ``targets`` has shape ``(B, n, n)``, and ``term_budget``
+    and ``coeff_budgets`` (one per target) carry the static bounds of the
+    construction.
+
+    It is a sequence of :class:`Decomposition`: ``len``, iteration,
+    unpacking, negative indices and slices (which give tuples) work, and
+    ``stack[i]`` is target ``i``'s decomposition as views into the pool, not
+    a copy.  The arrays are read-only views of the ones given, not copies;
+    a stack equals a tuple of the same decompositions, so an empty one
+    equals ``()``.
+    """
+
+    spec: Optional[TypeISubalgebraSpec]
+    targets: np.ndarray
+    coeffs: np.ndarray
+    unitaries: np.ndarray
+    offsets: Tuple[int, ...]
+    provenance: Tuple[Provenance, ...]
+    stages: Tuple[str, ...]
+    term_budget: Optional[int]
+    coeff_budgets: Tuple[Optional[float], ...]
+
+    def __post_init__(self):
+        for name in ("targets", "coeffs", "unitaries"):
+            a = np.ascontiguousarray(getattr(self, name), dtype=np.complex128).view()
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        for name in ("offsets", "provenance", "stages", "coeff_budgets"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        count = len(self.coeffs)
+        if (self.targets.ndim != 3 or self.coeffs.ndim != 1 or self.unitaries.ndim != 3
+                or len(self.unitaries) != count or len(self.provenance) != count
+                or len(self.stages) != count or len(self.offsets) != len(self.targets) + 1
+                or len(self.coeff_budgets) != len(self.targets)
+                or self.offsets[0] != 0 or self.offsets[-1] != count):
+            raise DimensionMismatch("term pool, offsets and targets differ in length")
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __getitem__(self, i):
+        picked = range(len(self))[i]
+        if isinstance(picked, range):
+            return tuple(map(self._one, picked))
+        return self._one(picked)
+
+    def __iter__(self):
+        return map(self._one, range(len(self)))
+
+    def __eq__(self, other):
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def _one(self, i: int) -> Decomposition:
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return Decomposition._of_views(
+            self.spec, self.targets[i], self.coeffs[lo:hi], self.unitaries[lo:hi],
+            self.provenance[lo:hi], self.stages[lo:hi], self.term_budget, self.coeff_budgets[i])
 
 
 @dataclass(frozen=True)
@@ -290,9 +367,9 @@ def _merge_raw(coeffs, unitaries, owner):
 
 
 def _assemble(spec, targets, raw, term_budget, coeff_budgets):
-    """One merged :class:`Decomposition` per target of the stack
-    ``targets``, sliced from one merge of the raw terms ``raw`` of all of
-    them; ``coeff_budgets`` holds each target's coefficient budget."""
+    """The merged :class:`DecompositionStack` of the targets ``targets``,
+    from one merge of the raw terms ``raw`` of all of them;
+    ``coeff_budgets`` holds each target's coefficient budget."""
     coeffs, kept = _merge_raw(raw.coeffs, raw.unitaries, raw.owner)
     if len(kept) == len(raw.coeffs):  # nothing merged or dropped
         unitaries, provenance, stages = raw.unitaries, raw.provenance, raw.stages
@@ -300,12 +377,9 @@ def _assemble(spec, targets, raw, term_budget, coeff_budgets):
         unitaries = raw.unitaries[kept]
         provenance = tuple(raw.provenance[i] for i in kept.tolist())
         stages = tuple(raw.stages[i] for i in kept.tolist())
-    ends = np.searchsorted(raw.owner[kept], np.arange(len(targets) + 1)).tolist()
-    return tuple(
-        Decomposition(spec, x, coeffs[lo:hi], unitaries[lo:hi], provenance[lo:hi],
-                      stages[lo:hi], term_budget, budget)
-        for x, lo, hi, budget in zip(targets, ends, ends[1:], coeff_budgets)
-    )
+    offsets = np.searchsorted(raw.owner[kept], np.arange(len(targets) + 1))
+    return DecompositionStack(spec, _freeze(targets), coeffs, unitaries, tuple(offsets.tolist()),
+                              provenance, stages, term_budget, tuple(coeff_budgets))
 
 
 def _padded_pairs(entry, n, target, pads, prov, stages):
@@ -661,9 +735,10 @@ def _type_one_budgets(plan: algebra.LayoutPlan):
     return tb, cf
 
 
-def type_one_stack(spec: TypeISubalgebraSpec, xs) -> Tuple[Decomposition, ...]:
+def type_one_stack(spec: TypeISubalgebraSpec, xs) -> DecompositionStack:
     """Decompose a stack ``(B, n, n)`` of complement elements against any
-    supported type I spec; returns one :class:`Decomposition` per target.
+    supported type I spec; returns the :class:`DecompositionStack` of all
+    their terms, whose item ``i`` is target ``i``'s :class:`Decomposition`.
 
     One path for every class (c1-c4): decompose inside each even atom,
     complete those terms across the other atoms in cancelling pairs (stage
@@ -763,33 +838,63 @@ def masa_quadrant_decomp(x) -> Decomposition:
 # independent verification
 
 
+def _pool(ds, shape):
+    """The coefficients, unitaries and term offsets of the decompositions
+    ``ds`` of ``shape`` targets, concatenated into one pool."""
+    try:
+        coeffs = np.concatenate([np.empty(0, dtype=np.complex128)] + [e.coeffs for e in ds])
+        us = np.concatenate([np.empty((0,) + shape, dtype=np.complex128)]
+                            + [e.unitaries for e in ds])
+    except ValueError:
+        raise DimensionMismatch("term dimension differs from the target") from None
+    return coeffs, us, np.cumsum([0] + [len(e.coeffs) for e in ds]).tolist()
+
+
+def _reconstructions(coeffs, us, offsets) -> np.ndarray:
+    """Each target's sum of its slice of the pooled products, one
+    ``np.sum(..., axis=0)`` per target, stacked; the pooled products are
+    freed on return."""
+    products = coeffs[:, None, None] * us
+    return np.array([np.sum(products[lo:hi], axis=0) for lo, hi in zip(offsets, offsets[1:])],
+                    dtype=np.complex128)
+
+
 def verify_decomposition(spec, x, d) -> VerificationReport:
     """Recompute the sum and all residuals of a decomposition from scratch.
 
     ``x`` is one target with its :class:`Decomposition` ``d``, or a stack
-    ``(B, n, n)`` of targets with a sequence of ``B`` decompositions; a
-    single target is a stack of one.  The report holds the largest
+    ``(B, n, n)`` of targets with their :class:`DecompositionStack` or a
+    sequence of ``B`` decompositions; a single target is a stack of one,
+    and a sequence is pooled once on entry.  The report holds the largest
     reconstruction residual over the targets, the largest unitarity and
     membership residuals over all terms, the total term count and the
-    largest coefficient sum.  Shares only the numeric kernels with the
-    constructions; membership is checked through the conditional
-    expectation.
+    largest coefficient sum.  Each target's reconstruction is one
+    ``np.sum(..., axis=0)`` over its slice of the pooled products, which
+    adds in the same order as :meth:`Decomposition.reconstruction`.  Shares
+    only the numeric kernels with the constructions; membership is checked
+    through the conditional expectation.
     """
     x = as_stack(x)
     if x.ndim == 2:
         x, d = x[None], (d,)
     if x.ndim != 3 or len(x) != len(d):
         raise DimensionMismatch(f"{len(d)} decompositions for targets of shape {x.shape}")
-    if any(e.unitaries.shape[1:] != x.shape[1:] for e in d):
+    if isinstance(d, DecompositionStack):
+        coeffs, us, offsets = d.coeffs, d.unitaries, d.offsets
+    else:
+        coeffs, us, offsets = _pool(d, x.shape[1:])
+    if us.shape[1:] != x.shape[1:]:
         raise DimensionMismatch("term dimension differs from the target")
-    us = np.concatenate([np.empty((0,) + x.shape[1:], dtype=np.complex128)]
-                        + [e.unitaries for e in d])
-    recon = np.array([e.reconstruction() for e in d], dtype=np.complex128).reshape(x.shape)
+    recon = _reconstructions(coeffs, us, offsets).reshape(x.shape)
+    recon_residual = float(np.max(hs_norm(recon - x), initial=0.0))
     member = 0.0 if spec is None else algebra.membership_residual(spec, us)
+    unitarity = float(np.max(unitarity_residual(us), initial=0.0))
+    moduli = list(map(abs, coeffs.tolist()))
     return VerificationReport(
-        recon_residual=float(np.max(hs_norm(recon - x), initial=0.0)),
-        max_unitarity_residual=float(np.max(unitarity_residual(us), initial=0.0)),
+        recon_residual=recon_residual,
+        max_unitarity_residual=unitarity,
         max_membership_residual=float(np.max(member, initial=0.0)),
         term_count=len(us),
-        coeff_sum=max((e.coeff_sum for e in d), default=0.0),
+        coeff_sum=max((float(sum(moduli[lo:hi])) for lo, hi in zip(offsets, offsets[1:])),
+                      default=0.0),
     )

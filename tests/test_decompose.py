@@ -975,6 +975,145 @@ class TestTypeOneStack:
             decompose.type_one_stack(TypeISubalgebraSpec.masa(2), np.zeros((2, 2)))
 
 
+class TestDecompositionStack:
+    def test_items_are_read_only_views_of_the_pool(self, rng):
+        spec = TypeISubalgebraSpec.of_blocks([(2, [2]), (2, [2])])
+        xs = mixed_targets(spec)
+        ds = decompose.type_one_stack(spec, xs)
+        for name in ("targets", "coeffs", "unitaries"):
+            assert getattr(ds, name).flags.writeable is False, name
+        for i, d in enumerate(ds):
+            lo, hi = ds.offsets[i], ds.offsets[i + 1]
+            assert d.unitaries.flags.writeable is False and d.coeffs.flags.writeable is False
+            if hi > lo:
+                assert np.shares_memory(d.unitaries, ds.unitaries)
+                assert np.shares_memory(d.coeffs, ds.coeffs)
+            assert np.shares_memory(d.target, ds.targets)
+            assert (d.coeff_budget, d.term_budget) == (ds.coeff_budgets[i], ds.term_budget)
+            with pytest.raises(ValueError):
+                d.target[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ds.unitaries[0, 0, 0] = 1.0
+        # the targets are the stack's own copy
+        assert not np.shares_memory(ds.targets, xs)
+        xs[0, 0, 1] = 9.0
+        assert ds.targets[0, 0, 1] != 9.0
+
+    def test_sequence_protocol(self):
+        spec = TypeISubalgebraSpec.of_blocks([(1, [2, 2])])
+        xs = mixed_targets(spec)
+        ds = decompose.type_one_stack(spec, xs)
+        assert len(ds) == len(xs) == len(list(ds))
+        for i in range(len(ds)):
+            assert same_decomposition(ds[i - len(ds)], ds[i])
+        assert all(map(same_decomposition, ds[1:3], [ds[1], ds[2]]))
+        for i in (len(ds), -len(ds) - 1):
+            with pytest.raises(IndexError):
+                ds[i]
+        d, d2 = decompose.type_one_stack(spec, xs[:2])
+        assert same_decomposition(d, ds[0]) and same_decomposition(d2, ds[1])
+
+    def test_inconsistent_offsets_are_rejected(self):
+        spec = TypeISubalgebraSpec.masa(3)
+        ds = decompose.type_one_stack(spec, mixed_targets(spec))
+        for offsets in (ds.offsets[:-1], (1,) + ds.offsets[1:], ds.offsets[:-1] + (0,)):
+            with pytest.raises(DimensionMismatch):
+                dataclasses.replace(ds, offsets=offsets)
+
+
+def certificate_parts(spec):
+    """The complement basis of ``spec``, its decomposition stack and the
+    verifier's report, as :func:`harness.run_spancert` makes them."""
+    basis = algebra.complement_basis(spec)
+    ds = decompose.type_one_stack(spec, basis)
+    return basis, ds, verify_decomposition(spec, basis, ds)
+
+
+def with_terms(ds, i, coeffs, unitaries):
+    """``ds`` with target ``i``'s terms replaced by ``coeffs, unitaries``."""
+    lo, hi = ds.offsets[i], ds.offsets[i + 1]
+    shift = len(coeffs) - (hi - lo)
+    return dataclasses.replace(
+        ds,
+        coeffs=np.concatenate((ds.coeffs[:lo], coeffs, ds.coeffs[hi:])),
+        unitaries=np.concatenate((ds.unitaries[:lo], unitaries, ds.unitaries[hi:])),
+        offsets=ds.offsets[: i + 1] + tuple(o + shift for o in ds.offsets[i + 1 :]),
+        provenance=ds.provenance[:lo] + (Provenance.MASTER,) * len(coeffs) + ds.provenance[hi:],
+        stages=ds.stages[:lo] + ("",) * len(coeffs) + ds.stages[hi:],
+    )
+
+
+@pytest.fixture
+def gram_calls(monkeypatch):
+    """The argument shapes of every :func:`gram_rank` call the harness makes."""
+    calls = []
+
+    def counted(mats, rank_tol=linalg.RANK_TOL):
+        calls.append(np.shape(mats))
+        return linalg.gram_rank(mats, rank_tol=rank_tol)
+
+    monkeypatch.setattr(harness, "gram_rank", counted)
+    return calls
+
+
+class TestSpanRank:
+    def test_bound_decides_where_gram_rank_gives_n(self, rng, gram_calls):
+        conjugated = [
+            TypeISubalgebraSpec.of_blocks(blocks, conjugation=random_unitary(rng, n))
+            for blocks, n in (([(1, [1] * 4)], 4), ([(1, [1, 1, 2])], 4),
+                              ([(2, [2]), (2, [2])], 8))
+        ]
+        extra = [TypeISubalgebraSpec.masa(16), TypeISubalgebraSpec.of_blocks([(4, [4])]),
+                 TypeISubalgebraSpec.of_blocks([(3, [2])])]
+        for spec in [spec for _, spec in spec_grid()] + extra + conjugated:
+            basis, ds, rep = certificate_parts(spec)
+            assert harness.span_rank(basis, ds, rep) == len(basis), spec
+            assert not gram_calls, spec
+            assert linalg.gram_rank(ds.unitaries) == len(basis), spec
+
+    def test_undecided_bound_falls_back_to_gram_rank(self, gram_calls):
+        # each doctored pool puts one input of the bound out of its range:
+        # target 0 loses its terms (sqrt(N) eps >= 1), or gains a cancelling
+        # pair of size 1e6 (S c large) or of identities (delta = 1, and the
+        # identity's direction, which only the membership bound sees)
+        for blocks in ([(1, [1] * 4)], [(2, [2])], [(2, [2]), (2, [2])]):
+            spec = TypeISubalgebraSpec.of_blocks(blocks)
+            basis, ds, _ = certificate_parts(spec)
+            d, size, one = ds[0], len(basis), np.eye(spec.dimension)[None]
+            cases = [
+                (with_terms(ds, 0, np.zeros(0), d.unitaries[:0]),
+                 lambda rep: np.sqrt(size) * rep.recon_residual >= 1.0, None),
+                (with_terms(ds, 0, np.r_[d.coeffs, 1e6, -1e6],
+                            np.concatenate((d.unitaries, d.unitaries[:1], d.unitaries[:1]))),
+                 lambda rep: report_within(rep) and rep.coeff_sum > 1e6, size),
+                (with_terms(ds, 0, np.r_[d.coeffs, 0.5, -0.5],
+                            np.concatenate((d.unitaries, one, one))),
+                 lambda rep: rep.max_membership_residual == 1.0 and report_within(
+                     dataclasses.replace(rep, max_membership_residual=0.0)), size + 1),
+            ]
+            for pool, premise, expected in cases:
+                rep = verify_decomposition(spec, basis, pool)
+                assert premise(rep), blocks
+                rank = harness.span_rank(basis, pool, rep)
+                assert gram_calls == [pool.unitaries.shape], blocks
+                assert rank == linalg.gram_rank(pool.unitaries), blocks
+                assert expected in (None, rank), blocks
+                gram_calls.clear()
+
+    def test_tiny_rank_tol_falls_back_to_gram_rank(self, gram_calls):
+        # below 8 (T + n**2) u gram_rank counts rounding noise (masa(4): 13
+        # of 12 at 1e-20), and --rank-tol keeps that meaning
+        for blocks in ([(1, [1] * 4)], [(2, [2])], [(2, [2]), (2, [2])]):
+            spec = TypeISubalgebraSpec.of_blocks(blocks)
+            _, ds, _ = certificate_parts(spec)
+            for rank_tol in (1e-300, 1e-20):
+                cert = harness.run_spancert(spec, rank_tol=rank_tol)
+                assert gram_calls == [ds.unitaries.shape], (blocks, rank_tol)
+                assert cert.gram_rank == linalg.gram_rank(ds.unitaries, rank_tol=rank_tol)
+                gram_calls.clear()
+        assert harness.run_spancert(TypeISubalgebraSpec.masa(4), rank_tol=1e-20).gram_rank == 13
+
+
 class TestVerify:
     def test_exact_hand_built(self):
         d = hand_decomposition([(0.5, S), (0.5, T)])
@@ -1057,6 +1196,10 @@ class TestVerify:
             ds = [type_one_decomp(spec, x) for x in xs]
             rep = verify_decomposition(spec, xs, ds)
             assert bits(rep) == bits(fold(spec, xs, ds)), name
+            # the pool of one stack sums each target in the same order
+            pooled = decompose.type_one_stack(spec, xs)
+            assert bits(verify_decomposition(spec, xs, pooled)) == bits(
+                verify_decomposition(spec, xs, tuple(pooled))) == bits(rep), name
             assert rep.term_count == sum(len(d.coeffs) for d in ds)
             assert bits(verify_decomposition(spec, xs[0][None], ds[:1])) == bits(
                 verify_decomposition(spec, xs[0], ds[0])), name
