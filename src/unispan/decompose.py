@@ -19,6 +19,7 @@ sum directly and shares nothing with the construction beyond the numeric
 kernels.
 """
 
+import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -129,6 +130,11 @@ class Decomposition:
     def coeff_sum(self) -> float:
         return float(sum(map(abs, self.coeffs.tolist())))
 
+    @property
+    def offsets(self) -> Tuple[int, int]:
+        """``(0, T)``: the whole term list belongs to the one target."""
+        return 0, len(self.coeffs)
+
     @classmethod
     def _of_views(cls, *values):
         """An instance holding ``values`` as they are, in field order: no
@@ -153,11 +159,10 @@ class DecompositionStack:
     construction.
 
     It is a sequence of :class:`Decomposition`: ``len``, iteration,
-    unpacking, negative indices and slices (which give tuples) work, and
+    unpacking and integer indices (negative ones too) work, and
     ``stack[i]`` is target ``i``'s decomposition as views into the pool, not
-    a copy.  The arrays are read-only views of the ones given, not copies;
-    a stack equals a tuple of the same decompositions, so an empty one
-    equals ``()``.
+    a copy.  A slice raises :class:`TypeError`.  The arrays are read-only
+    views of the ones given, not copies.
     """
 
     spec: Optional[TypeISubalgebraSpec]
@@ -188,23 +193,15 @@ class DecompositionStack:
     def __len__(self) -> int:
         return len(self.targets)
 
-    def __getitem__(self, i):
-        picked = range(len(self))[i]
-        if isinstance(picked, range):
-            return tuple(map(self._one, picked))
-        return self._one(picked)
-
-    def __iter__(self):
-        return map(self._one, range(len(self)))
-
-    def __eq__(self, other):
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-    def _one(self, i: int) -> Decomposition:
+    def __getitem__(self, i: int) -> Decomposition:
+        i = range(len(self))[operator.index(i)]
         lo, hi = self.offsets[i], self.offsets[i + 1]
         return Decomposition._of_views(
             self.spec, self.targets[i], self.coeffs[lo:hi], self.unitaries[lo:hi],
             self.provenance[lo:hi], self.stages[lo:hi], self.term_budget, self.coeff_budgets[i])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -403,10 +400,6 @@ def _padded_pairs(entry, n, target, pads, prov, stages):
     return _Terms(np.repeat(entry.coeffs / 2.0, 2), u.reshape(2 * count, n, n),
                   (prov,) * (2 * count), tuple(s for s in stages for _ in signs),
                   np.repeat(entry.owner, 2))
-
-
-def _conjugate_terms(raw, w):
-    return raw._replace(unitaries=w @ raw.unitaries @ w.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +759,8 @@ def type_one_stack(spec: TypeISubalgebraSpec, xs) -> DecompositionStack:
     if w is None:
         raw = _type_one_raw(plan, xs)
     else:
-        raw = _conjugate_terms(_type_one_raw(plan, w.conj().T @ xs @ w), w)
+        raw = _type_one_raw(plan, w.conj().T @ xs @ w)
+        raw = raw._replace(unitaries=w @ raw.unitaries @ w.conj().T)
     tb, cf = _type_one_budgets(plan)
     return _assemble(spec, xs, raw, tb, [cf * max(1.0, s) for s in operator_norm(xs).tolist()])
 
@@ -838,18 +832,6 @@ def masa_quadrant_decomp(x) -> Decomposition:
 # independent verification
 
 
-def _pool(ds, shape):
-    """The coefficients, unitaries and term offsets of the decompositions
-    ``ds`` of ``shape`` targets, concatenated into one pool."""
-    try:
-        coeffs = np.concatenate([np.empty(0, dtype=np.complex128)] + [e.coeffs for e in ds])
-        us = np.concatenate([np.empty((0,) + shape, dtype=np.complex128)]
-                            + [e.unitaries for e in ds])
-    except ValueError:
-        raise DimensionMismatch("term dimension differs from the target") from None
-    return coeffs, us, np.cumsum([0] + [len(e.coeffs) for e in ds]).tolist()
-
-
 def _reconstructions(coeffs, us, offsets) -> np.ndarray:
     """Each target's sum of its slice of the pooled products, one
     ``np.sum(..., axis=0)`` per target, stacked; the pooled products are
@@ -862,13 +844,13 @@ def _reconstructions(coeffs, us, offsets) -> np.ndarray:
 def verify_decomposition(spec, x, d) -> VerificationReport:
     """Recompute the sum and all residuals of a decomposition from scratch.
 
-    ``x`` is one target with its :class:`Decomposition` ``d``, or a stack
-    ``(B, n, n)`` of targets with their :class:`DecompositionStack` or a
-    sequence of ``B`` decompositions; a single target is a stack of one,
-    and a sequence is pooled once on entry.  The report holds the largest
-    reconstruction residual over the targets, the largest unitarity and
-    membership residuals over all terms, the total term count and the
-    largest coefficient sum.  Each target's reconstruction is one
+    ``x`` is one target ``(n, n)`` with its :class:`Decomposition` ``d``, or
+    a stack ``(B, n, n)`` of targets with their :class:`DecompositionStack`;
+    both are read in place, through their ``coeffs``, ``unitaries`` and
+    ``offsets`` (``(0, T)`` for a single decomposition).  The report holds
+    the largest reconstruction residual over the targets, the largest
+    unitarity and membership residuals over all terms, the total term count
+    and the largest coefficient sum.  Each target's reconstruction is one
     ``np.sum(..., axis=0)`` over its slice of the pooled products, which
     adds in the same order as :meth:`Decomposition.reconstruction`.  Shares
     only the numeric kernels with the constructions; membership is checked
@@ -876,13 +858,10 @@ def verify_decomposition(spec, x, d) -> VerificationReport:
     """
     x = as_stack(x)
     if x.ndim == 2:
-        x, d = x[None], (d,)
-    if x.ndim != 3 or len(x) != len(d):
-        raise DimensionMismatch(f"{len(d)} decompositions for targets of shape {x.shape}")
-    if isinstance(d, DecompositionStack):
-        coeffs, us, offsets = d.coeffs, d.unitaries, d.offsets
-    else:
-        coeffs, us, offsets = _pool(d, x.shape[1:])
+        x = x[None]
+    coeffs, us, offsets = d.coeffs, d.unitaries, d.offsets
+    if x.ndim != 3 or len(offsets) != len(x) + 1:
+        raise DimensionMismatch(f"{len(offsets) - 1} term lists for targets of shape {x.shape}")
     if us.shape[1:] != x.shape[1:]:
         raise DimensionMismatch("term dimension differs from the target")
     recon = _reconstructions(coeffs, us, offsets).reshape(x.shape)

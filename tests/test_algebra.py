@@ -1,17 +1,15 @@
 """Algebra-model tests: spec classification, layout, conditional
 expectation axioms, complement bases and random elements."""
 
-import itertools
-
 import numpy as np
 import pytest
 
 from conftest import e_unit, oracle_specs, random_complex, random_unitary
+from envelope_sweep import atom_slice, reference_validate_spec, small_layouts, sweep
 from unispan import algebra, decompose, harness, linalg
 from unispan.algebra import (
     BlockSpec,
     ClassKind,
-    SpecClass,
     TypeISubalgebraSpec,
     algebra_dimension,
     complement_basis,
@@ -123,95 +121,6 @@ class TestClassification:
             TypeISubalgebraSpec(blocks=())
 
 
-# The classification of the previous release, with its two hand-derived
-# padding rules, kept verbatim as the reference for the envelope.
-def reference_validate_spec(spec: TypeISubalgebraSpec, n: int) -> SpecClass:
-    """Check the layout against the ambient dimension and classify the spec.
-
-    Envelope rules:
-
-    * C1: every ``k = 1`` and every ``m = 1`` (the diagonal masa).
-    * C2: exactly one atom, ``m`` even ``>= 2`` (covers ``C*1_m`` at
-      ``k = 1``).
-    * C3: every ``k = 1``, at least two atoms, each multiplicity 1 or even,
-      and every even atom leaves at least two ambient dimensions to pad
-      against.
-    * C4: at least two atoms of one common dimension ``k*m``, each
-      multiplicity 1 or even, and every even atom has a paddable remainder.
-    * anything else is UNSUPPORTED, with a machine-readable ``reason``.
-    """
-    atoms = algebra.layout_plan(spec.blocks).atoms
-    dim = spec.dimension
-    if dim != n:
-        raise DimensionMismatch(f"spec covers dimension {dim}, ambient is {n}")
-
-    def unsupported(rule, detail):
-        return SpecClass(ClassKind.UNSUPPORTED, n, atoms, rule, detail)
-
-    all_k1 = all(a.k == 1 for a in atoms)
-    if all_k1 and all(a.m == 1 for a in atoms):
-        return SpecClass(ClassKind.C1_MASA, n, atoms)
-    if len(atoms) == 1:
-        a = atoms[0]
-        if a.m >= 2 and a.m % 2 == 0:
-            return SpecClass(ClassKind.C2_SINGLE_ATOM, n, atoms)
-        if a.m == 1:
-            return unsupported(
-                "single-full-matrix-atom",
-                "the lone atom is a full matrix block; the complement is {0}",
-            )
-        return unsupported("odd-atom-rank", f"single atom of odd multiplicity {a.m}")
-    bad = [a for a in atoms if a.m >= 3 and a.m % 2 == 1]
-    if bad:
-        a = bad[0]
-        return unsupported(
-            "odd-atom-rank", f"atom (block {a.block}, atom {a.atom}) has multiplicity {a.m}"
-        )
-    if all_k1:
-        for a in atoms:
-            if a.m >= 2 and n - a.dim < 2:
-                return unsupported(
-                    "isolated-even-atom",
-                    f"even atom of rank {a.m} leaves only {n - a.dim} "
-                    "dimension(s) to pad against",
-                )
-        return SpecClass(ClassKind.C3_ATOMIC_ABELIAN, n, atoms)
-    dims = {a.dim for a in atoms}
-    if len(dims) > 1:
-        return unsupported(
-            "heterogeneous-atom-dimensions", f"atom dimensions {sorted(dims)} differ"
-        )
-    if len(atoms) == 2:
-        for a, other in ((atoms[0], atoms[1]), (atoms[1], atoms[0])):
-            if a.m >= 2 and other.m == 1:
-                return unsupported(
-                    "no-padding-partner",
-                    "the remaining atom is a full matrix block and carries "
-                    "no complement unitary",
-                )
-    return SpecClass(ClassKind.C4_HOMOGENEOUS_TYPE1, n, atoms)
-
-
-def small_layouts(max_n=9, max_blocks=3, max_atoms=4):
-    """Every layout of dimension at most ``max_n``: ordered tuples of up to
-    ``max_blocks`` blocks ``(k, (m, ...))`` of up to ``max_atoms`` atoms."""
-    def blocks_within(budget):
-        for k in range(1, budget + 1):
-            for count in range(1, max_atoms + 1):
-                for ms in itertools.product(range(1, budget // k + 1), repeat=count):
-                    if k * sum(ms) <= budget:
-                        yield k, ms
-
-    def extend(prefix, used):
-        if prefix:
-            yield prefix
-        if len(prefix) < max_blocks:
-            for k, ms in blocks_within(max_n - used):
-                yield from extend(prefix + [(k, ms)], used + k * sum(ms))
-
-    return list(extend([], 0))
-
-
 class TestEnvelopeOracle:
     def test_every_small_layout_classifies_as_the_reference(self):
         layouts = small_layouts()
@@ -225,6 +134,14 @@ class TestEnvelopeOracle:
             rules.add(want.reason)
         assert rules == {None, "single-full-matrix-atom", "odd-atom-rank", "isolated-even-atom",
                          "heterogeneous-atom-dimensions", "no-padding-partner"}
+
+
+class TestEnvelopeSweep:
+    def test_one_layout_per_atom_multiset_is_certified(self):
+        counts, failures = sweep(atom_slice(small_layouts()))
+        assert failures == []
+        assert counts == {"layouts": 64, "supported": 64, "unsupported": 0, "failures": 0,
+                          "fallbacks": 0}
 
 
 class TestLayout:

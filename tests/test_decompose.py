@@ -956,7 +956,8 @@ class TestTypeOneStack:
 
     def test_empty_stack(self):
         spec = TypeISubalgebraSpec.masa(3)
-        assert decompose.type_one_stack(spec, np.zeros((0, 3, 3))) == ()
+        ds = decompose.type_one_stack(spec, np.zeros((0, 3, 3)))
+        assert len(ds) == 0 and list(ds) == []
 
     def test_not_in_complement_names_the_target(self):
         spec = TypeISubalgebraSpec.atoms((2, 2))
@@ -1006,7 +1007,8 @@ class TestDecompositionStack:
         assert len(ds) == len(xs) == len(list(ds))
         for i in range(len(ds)):
             assert same_decomposition(ds[i - len(ds)], ds[i])
-        assert all(map(same_decomposition, ds[1:3], [ds[1], ds[2]]))
+        with pytest.raises(TypeError):
+            ds[1:3]
         for i in (len(ds), -len(ds) - 1):
             with pytest.raises(IndexError):
                 ds[i]
@@ -1194,27 +1196,31 @@ class TestVerify:
             xs = np.concatenate((algebra.complement_basis(spec), [
                 s * algebra.random_complement_element(spec, 1) for s in (1e-3, 50.0)]))
             ds = [type_one_decomp(spec, x) for x in xs]
-            rep = verify_decomposition(spec, xs, ds)
-            assert bits(rep) == bits(fold(spec, xs, ds)), name
             # the pool of one stack sums each target in the same order
-            pooled = decompose.type_one_stack(spec, xs)
-            assert bits(verify_decomposition(spec, xs, pooled)) == bits(
-                verify_decomposition(spec, xs, tuple(pooled))) == bits(rep), name
+            rep = verify_decomposition(spec, xs, decompose.type_one_stack(spec, xs))
+            assert bits(rep) == bits(fold(spec, xs, ds)), name
             assert rep.term_count == sum(len(d.coeffs) for d in ds)
-            assert bits(verify_decomposition(spec, xs[0][None], ds[:1])) == bits(
-                verify_decomposition(spec, xs[0], ds[0])), name
+            assert bits(verify_decomposition(spec, xs[:1], decompose.type_one_stack(
+                spec, xs[:1]))) == bits(verify_decomposition(spec, xs[0], ds[0])), name
 
     def test_empty_stack(self):
+        empty = decompose.type_one_stack(TypeISubalgebraSpec.masa(2), np.zeros((0, 2, 2)))
         for spec in (None, TypeISubalgebraSpec.masa(2)):
-            rep = verify_decomposition(spec, np.zeros((0, 2, 2)), [])
+            rep = verify_decomposition(spec, np.zeros((0, 2, 2)), empty)
             assert rep == VerificationReport(0.0, 0.0, 0.0, 0, 0.0)
 
     def test_stack_length_differs_from_decompositions(self):
+        spec = TypeISubalgebraSpec.masa(2)
+        xs = mixed_targets(spec)
+        ds = decompose.type_one_stack(spec, xs)
         d = hand_decomposition([(0.5, S), (0.5, T)])
-        for xs, ds in ((np.zeros((2, 2, 2)), [d]), (np.zeros((1, 2, 2)), [d, d]),
-                       (np.zeros((0, 2, 2)), [d]), (np.zeros((1, 1, 2, 2)), [d])):
+        cases = [(xs[1:], ds), (np.concatenate((xs, xs[:1])), ds), (xs[:0], ds), (xs[None], ds),
+                 (np.zeros((2, 2, 2)), d), (np.zeros((0, 2, 2)), d)]
+        for targets, terms in cases:
             with pytest.raises(DimensionMismatch):
-                verify_decomposition(None, xs, ds)
+                verify_decomposition(spec, targets, terms)
+        with pytest.raises(AttributeError):
+            verify_decomposition(spec, xs, list(ds))
 
     def test_term_shape_differs_from_target(self):
         d = Decomposition(
