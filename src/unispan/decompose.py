@@ -10,9 +10,10 @@ with a fixed-point-free block pattern, and padding always comes in
 ``(+v, -v)`` pairs, all built by :func:`_padded_pairs`, so it cancels in
 the reconstruction without ever leaving the complement.
 
-:func:`type_one_decomp` is the one entry point for every supported spec:
-it decomposes inside each atom, completes those terms across the other
-atoms, and carries the cross-atom part on block permutations.
+:func:`type_one_stack` is the one entry point for every supported spec,
+and :func:`type_one_decomp` is its stack of one: it decomposes inside each
+atom, completes those terms across the other atoms, and carries the
+cross-atom part on block permutations.
 
 :func:`verify_decomposition` is the independent check; it recomputes the
 sum directly and shares nothing with the construction beyond the numeric
@@ -379,23 +380,23 @@ def _assemble(spec, targets, raw, term_budget, coeff_budgets):
                               provenance, stages, term_budget, tuple(coeff_budgets))
 
 
-def _padded_pairs(entry, n, target, pads, prov, stages):
+def _padded_pairs(entry, n, target, pad, prov, stages):
     """Turn each entry term ``(c, w)`` of the stack ``entry`` into two
     ``n x n`` terms of coefficient ``c/2``: zero but for ``sign * block`` at
-    every ``(index, block)`` of ``pads`` and ``w`` at ``target``, with signs
-    ``+1`` and ``-1`` so the pads cancel.  An index addresses the ``(T, n, n)``
-    stack of one sign: led by a slice it places the same block(s) in every
-    term, led by an index array over the terms one set per term.
-    ``stages`` names each entry term's stage.  Every ``(+v, -v)`` padding
-    pair is built here, all pairs of one call in one ``(2T, n, n)`` stack
-    with one assignment per pad and sign and one per sign for the targets."""
+    ``index`` of the pad ``(index, block)`` and ``w`` at ``target``, with
+    signs ``+1`` and ``-1`` so the pads cancel.  An index addresses the
+    ``(T, n, n)`` stack of one sign: led by a slice it places the same
+    block(s) in every term, led by an index array over the terms one set per
+    term.  ``stages`` names each entry term's stage.  Every ``(+v, -v)``
+    padding pair is built here, all pairs of one call in one ``(2T, n, n)``
+    stack with one assignment per sign for the pads and one for the
+    targets."""
     signs = (1.0, 1.0) if _FAULT_INJECTION else (1.0, -1.0)
     count = len(entry.coeffs)
+    index, block = pad
     u = np.zeros((count, 2, n, n), dtype=np.complex128)
-    for index, block in pads:
-        for i, sign in enumerate(signs):
-            u[:, i][index] = sign * block
-    for i in range(2):
+    for i, sign in enumerate(signs):
+        u[:, i][index] = sign * block
         u[:, i][target] = entry.unitaries
     return _Terms(np.repeat(entry.coeffs / 2.0, 2), u.reshape(2 * count, n, n),
                   (prov,) * (2 * count), tuple(s for s in stages for _ in signs),
@@ -504,7 +505,7 @@ def canonical_trace_zero_unitary(d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# fixed-point-free block permutations (the zero-piece-diagonal workhorse)
+# block permutations (cross blocks and entry moves)
 
 
 @lru_cache(maxsize=4096)
@@ -531,44 +532,58 @@ def _derangement(count: int, alpha: int, beta: int) -> np.ndarray:
     return sigma
 
 
-def _zero_piece_raw(x, rows):
-    """Block-permutation terms for the cross blocks of each matrix of the
-    stack ``x``, over the disjoint, equal-size pieces of the ``(count, g)``
-    index rows ``rows`` (``count >= 2``).
+def _entry_move(k: int, s: int, t: int) -> np.ndarray:
+    """The permutation ``tau(0,t) tau(0,s)`` of ``k`` slots, where
+    ``tau(0,j)`` swaps slots ``0`` and ``j``: it maps ``s`` to ``t``."""
+    tau_s, tau_t = np.arange(k), np.arange(k)
+    tau_s[[0, s]], tau_t[[0, t]] = (s, 0), (t, 0)
+    return tau_t[tau_s]
 
-    Every nonzero cross block ``(alpha, beta)`` is split by
-    :func:`_four_unitary_raw`, all of them in one call, and each of its
-    unitaries is carried to block ``(alpha, beta)`` of the fixed-point-free
-    block permutation :func:`_derangement` ``(count, alpha, beta)``.
-    The other blocks of the permutation hold identity pads, in a
+
+def _block_grid_raw(x, rows, inner, permutation, pad, prov, name):
+    """Block-permutation terms for each matrix of the stack ``x`` over the
+    disjoint, equal-size pieces of the ``(count, g)`` index rows ``rows``.
+
+    Every nonzero block ``(alpha, beta)`` is split by ``inner``, all of them
+    in one call, and each of its unitaries is carried to block
+    ``(alpha, beta)`` of the block permutation ``sigma =
+    permutation(count, alpha, beta)``, ``sigma[alpha] = beta``.  Every other
+    block ``(q, sigma[q])`` holds the ``g x g`` unitary ``pad``, in a
     ``(+v, -v)`` pair that cancels everywhere but at the target block.
-    Every unitary is a generalized block permutation with zero
-    piece-diagonal.  The piece-diagonal blocks of ``x`` are skipped, not
-    checked.  ``p`` pieces cost at most ``8p(p-1)`` terms and ``2||x||
-    p(p-1)`` coefficient mass per matrix; :func:`_type_one_budgets` holds
-    that bound."""
+    ``name(alpha, beta)`` is the stage of the block's terms."""
     n = x.shape[-1]
-    count, g = rows.shape
+    count = len(rows)
     # index pairs (rows[a][:, None], rows[b][None, :]) address block (a, b),
     # and stacked ones address one block per row of a piece list
     blocks = x[:, rows[:, None, :, None], rows[None, :, None, :]]  # (B, count, count, g, g)
-    nonzero = np.any(blocks, axis=(3, 4))
-    nonzero[:, np.arange(count), np.arange(count)] = False
-    owner, alpha, beta = np.nonzero(nonzero)  # row-major, like a loop per target
-    entry = _four_unitary_raw(blocks[owner, alpha, beta])
-    cell = entry.owner  # the cross block each term splits
-    sigma = np.array([_derangement(count, a, b) for a, b in zip(alpha.tolist(), beta.tolist())],
+    # row-major, like a loop per target
+    owner, alpha, beta = np.nonzero(np.any(blocks, axis=(3, 4)))
+    entry = inner(blocks[owner, alpha, beta])
+    cell = entry.owner  # the block each term splits
+    sigma = np.array([permutation(count, a, b) for a, b in zip(alpha.tolist(), beta.tolist())],
                      dtype=np.intp).reshape(-1, count)[cell]
     others = np.arange(count - 1)  # the pieces other than alpha, in order
     others = others + (others >= alpha[cell, None])
     terms = np.arange(len(cell))[:, None, None]
     target = (terms, rows[alpha[cell], :, None], rows[beta[cell], None, :])
     moved = np.take_along_axis(sigma, others, axis=1)
-    pads = [((terms[..., None], rows[others][..., None], rows[moved][:, :, None, :]),
-             np.eye(g, dtype=np.complex128))]
-    names = [f"cross-block({a},{b})" for a, b in zip(alpha.tolist(), beta.tolist())]
-    return _padded_pairs(entry._replace(owner=owner[cell]), n, target, pads,
-                         Provenance.ZERO_DIAG, [names[c] for c in cell.tolist()])
+    at = (terms[..., None], rows[others][..., None], rows[moved][:, :, None, :])
+    names = [name(a, b) for a, b in zip(alpha.tolist(), beta.tolist())]
+    return _padded_pairs(entry._replace(owner=owner[cell]), n, target, (at, pad), prov,
+                         [names[c] for c in cell.tolist()])
+
+
+def _zero_piece_raw(x, rows):
+    """The block grid of the cross blocks of each matrix of the stack ``x``,
+    whose piece-diagonal blocks over the ``(count, g)`` rows ``rows``
+    (``count >= 2``) must be zero: :func:`_four_unitary_raw` splits, on
+    :func:`_derangement` with identity pads, so every unitary has zero
+    piece-diagonal.  ``p`` pieces cost at most ``8p(p-1)`` terms and
+    ``2||x|| p(p-1)`` coefficient mass per matrix; :func:`_type_one_budgets`
+    holds that bound."""
+    return _block_grid_raw(x, rows, _four_unitary_raw, _derangement,
+                           np.eye(rows.shape[1], dtype=np.complex128), Provenance.ZERO_DIAG,
+                           "cross-block({},{})".format)
 
 
 # ---------------------------------------------------------------------------
@@ -645,46 +660,19 @@ def _scalar_case_raw(x):
 
 
 # ---------------------------------------------------------------------------
-# amplification (placing a corner decomposition into a k x k block grid)
-
-
-def _amplify_raw(entry, k, s0, t0, pad):
-    """Lift each entry term to block ``(s0, t0)`` of a ``k x k`` grid, with
-    ``s0`` and ``t0`` given per term (0-based).  Each entry unitary ``u``
-    becomes a ``(+pad, -pad)`` pair: ``u`` in block ``(s0, t0)`` and the
-    pads in one block of every other block row and column, so each summand
-    is unitary and the pair averages to the single-entry embedding."""
-    g = pad.shape[0]
-    count = len(entry.coeffs)
-    terms = np.arange(count)
-    rows = np.tile(np.arange(k), (count, 1))
-    cols = rows.copy()
-    rows[terms, 0], cols[terms, 0] = s0, t0
-    rows[terms, s0], cols[terms, t0] = 0, 0
-    span = np.arange(g)
-    target = (terms[:, None, None], (s0 * g)[:, None, None] + span[:, None],
-              (t0 * g)[:, None, None] + span)
-    pads = [((terms[:, None, None, None], (rows[:, 1:] * g)[..., None, None] + span[:, None],
-              (cols[:, 1:] * g)[..., None, None] + span), pad)]
-    stages = [f"entry-move({s + 1},{t + 1})" for s, t in zip(s0.tolist(), t0.tolist())]
-    return _padded_pairs(entry, k * g, target, pads, Provenance.AMPLIFY, stages)
-
-
-# ---------------------------------------------------------------------------
 # the class-by-class complement decompositions
 
 
 def _single_block_raw(k, m, x):
     """Factor-entrywise decomposition inside one atom ``M_k (x) C*1_m`` of
-    each matrix of the stack ``x``: all ``m x m`` entries of all matrices
-    go through one scalar-case call."""
+    each matrix of the stack ``x``: the block grid of every nonzero
+    ``m x m`` entry of every matrix, split in one scalar-case call, on
+    :func:`_entry_move` with trace-zero pads.  Zero entries are skipped."""
     if k == 1:
         return _scalar_case_raw(x)
-    entries = x.reshape(len(x), k, m, k, m).swapaxes(2, 3).reshape(-1, m, m)
-    inner = _scalar_case_raw(entries)
-    owner, cell = np.divmod(inner.owner, k * k)
-    s0, t0 = np.divmod(cell, k)
-    return _amplify_raw(inner._replace(owner=owner), k, s0, t0, canonical_trace_zero_unitary(m))
+    return _block_grid_raw(x, np.arange(k * m).reshape(k, m), _scalar_case_raw, _entry_move,
+                           canonical_trace_zero_unitary(m), Provenance.AMPLIFY,
+                           lambda s, t: f"entry-move({s + 1},{t + 1})")
 
 
 def _type_one_raw(plan: algebra.LayoutPlan, x):
@@ -704,7 +692,7 @@ def _type_one_raw(plan: algebra.LayoutPlan, x):
             parts.append(atom_terms)
             continue
         stages = (f"atom-completion({a.block},{a.atom})",) * len(atom_terms.coeffs)
-        parts.append(_padded_pairs(atom_terms, n, block, [((slice(None),), pad)],
+        parts.append(_padded_pairs(atom_terms, n, block, ((slice(None),), pad),
                                    Provenance.ATOMIC, stages))
     if np.any(cross):
         parts.append(_zero_piece_raw(cross, plan.pieces))

@@ -388,6 +388,8 @@ def decomposition_from_json(obj):
     target = matrix_from_json(obj["target"], "target")
     if _integer(obj.get("n"), "decomposition: 'n'") != target.shape[0]:
         raise ParseError("decomposition: 'n' disagrees with the target shape")
+    if spec is not None and spec.dimension != target.shape[0]:
+        raise ParseError("decomposition: spec dimension sum disagrees with 'n'")
     budget = obj.get("term_budget")
     coeff_budget = obj.get("coeff_budget")
     d = Decomposition(

@@ -282,13 +282,14 @@ class TestExitCodes:
             lambda doc: doc["terms"][0].update(stage=5),
             lambda doc: doc["terms"][0].update(stage=None),
             lambda doc: doc["terms"][0].update(stage=["a"]),
+            lambda doc: doc.update(spec={"blocks": [{"k": 1, "atom_mults": [1, 1, 1, 1]}]}),
         ],
         ids=["nan-coeff", "string-term-budget", "non-list-terms", "nan-coeff-budget",
              "inf-report-coeff-sum", "inf-report-term-count", "fractional-term-budget",
              "fractional-report-term-count", "string-report-recon-residual",
              "bool-report-unitarity-residual", "string-report-membership-residual",
              "bool-report-coeff-sum", "wrong-n", "string-n", "missing-n",
-             "int-stage", "null-stage", "list-stage"],
+             "int-stage", "null-stage", "list-stage", "spec-dimension"],
     )
     def test_malformed_stored_decomposition_is_two(self, capsys, tmp_path, edit):
         inst = tmp_path / "inst.json"

@@ -273,7 +273,7 @@ def all_pairs_zero_piece_raw(x, pieces):
                 continue
             entry = decompose._four_unitary_raw(block[None])
             sigma = decompose._derangement(count, alpha, beta)
-            pads = [((slice(None), rows[others, :, None], rows[sigma[others], None, :]), pad)]
+            pads = ((slice(None), rows[others, :, None], rows[sigma[others], None, :]), pad)
             stages = (f"cross-block({alpha},{beta})",) * len(entry.coeffs)
             parts.append(decompose._padded_pairs(entry, n, (slice(None),) + target, pads,
                                                  Provenance.ZERO_DIAG, stages))
@@ -692,11 +692,13 @@ class TestAmplify:
             assert abs(np.trace(t.unitary[:2, :2])) == 0
             assert abs(np.trace(t.unitary[2:, 2:])) == 0
 
-    def test_move_bookkeeping_oracle(self, rng):
-        # oracle: build the expected matrices with explicit permutations
+    @pytest.mark.parametrize("k, s, t", [(k, s, t) for k in (2, 3, 4)
+                                         for s in range(1, k + 1) for t in range(1, k + 1)])
+    def test_move_bookkeeping_oracle(self, rng, k, s, t):
+        # oracle: build the expected matrices with explicit permutations;
+        # s = t and slot 1 are where a slot swap degenerates to the identity
         u = trace_free_unitary(rng)
         v = canonical_trace_zero_unitary(2)
-        k, s, t = 3, 2, 3
         x = entry_block(k, s, t, u)
         d = type_one_decomp(TypeISubalgebraSpec.of_blocks([(k, [2])]), x)
         left = np.eye(k)
@@ -705,10 +707,8 @@ class TestAmplify:
         right[:, [0, t - 1]] = right[:, [t - 1, 0]]
         expected = []
         for sign in (1.0, -1.0):
-            blocks = np.zeros((k * 2, k * 2), dtype=complex)
+            blocks = np.kron(np.diag([0.0] + [sign] * (k - 1)), v)
             blocks[:2, :2] = u
-            blocks[2:4, 2:4] = sign * v
-            blocks[4:6, 4:6] = sign * v
             expected.append(
                 (0.5, np.kron(left, np.eye(2)) @ blocks @ np.kron(right, np.eye(2)))
             )
