@@ -62,8 +62,11 @@ def _emit(doc, out: str) -> None:
     text = canonical_dumps(doc)
     if out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         write_atomic(out, text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {out}: {exc}") from None
 
 
 _NO_SPEC = "no subalgebra given: use --spec FILE, --class ... or --blocks ..."

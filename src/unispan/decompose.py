@@ -21,7 +21,7 @@ kernels.
 """
 
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Tuple
@@ -96,8 +96,9 @@ class Decomposition:
     construction that produced the terms (``None`` for hand-assembled
     instances).
 
-    The arrays are copied, so later writes to the caller's arrays do not
-    reach the instance.
+    The arrays are read-only views of the ones given, made by
+    :func:`_read_only`: a C-contiguous complex128 array is shared, not
+    copied, and any other input is converted into a new array.
     """
 
     spec: Optional[TypeISubalgebraSpec]
@@ -111,7 +112,7 @@ class Decomposition:
 
     def __post_init__(self):
         for name in ("target", "coeffs", "unitaries"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
         for name in ("provenance", "stages"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         count = len(self.coeffs)
@@ -136,17 +137,6 @@ class Decomposition:
         """``(0, T)``: the whole term list belongs to the one target."""
         return 0, len(self.coeffs)
 
-    @classmethod
-    def _of_views(cls, *values):
-        """An instance holding ``values`` as they are, in field order: no
-        copy and no check, for the read-only slices of a stack."""
-        d = object.__new__(cls)
-        d.__dict__.update(zip(_DECOMPOSITION_FIELDS, values))
-        return d
-
-
-_DECOMPOSITION_FIELDS = tuple(f.name for f in fields(Decomposition))
-
 
 @dataclass(frozen=True, eq=False)
 class DecompositionStack:
@@ -161,9 +151,10 @@ class DecompositionStack:
 
     It is a sequence of :class:`Decomposition`: ``len``, iteration,
     unpacking and integer indices (negative ones too) work, and
-    ``stack[i]`` is target ``i``'s decomposition as views into the pool, not
-    a copy.  A slice raises :class:`TypeError`.  The arrays are read-only
-    views of the ones given, not copies.
+    ``stack[i]`` is target ``i``'s :class:`Decomposition`, constructed from
+    slices of the pool, so it holds views into the pool, not copies.  A
+    slice raises :class:`TypeError`.  The arrays are stored by
+    :func:`_read_only`, as in :class:`Decomposition`.
     """
 
     spec: Optional[TypeISubalgebraSpec]
@@ -178,9 +169,7 @@ class DecompositionStack:
 
     def __post_init__(self):
         for name in ("targets", "coeffs", "unitaries"):
-            a = np.ascontiguousarray(getattr(self, name), dtype=np.complex128).view()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
         for name in ("offsets", "provenance", "stages", "coeff_budgets"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         count = len(self.coeffs)
@@ -197,7 +186,7 @@ class DecompositionStack:
     def __getitem__(self, i: int) -> Decomposition:
         i = range(len(self))[operator.index(i)]
         lo, hi = self.offsets[i], self.offsets[i + 1]
-        return Decomposition._of_views(
+        return Decomposition(
             self.spec, self.targets[i], self.coeffs[lo:hi], self.unitaries[lo:hi],
             self.provenance[lo:hi], self.stages[lo:hi], self.term_budget, self.coeff_budgets[i])
 
@@ -218,9 +207,11 @@ class VerificationReport:
 # term-list plumbing
 
 
-def _freeze(a) -> np.ndarray:
-    """A read-only, C-contiguous complex128 copy of ``a``."""
-    a = np.array(a, dtype=np.complex128, order="C")
+def _read_only(a) -> np.ndarray:
+    """A read-only view of ``a`` as a C-contiguous complex128 array: ``a``
+    itself is shared when it already is one, else converted into a new
+    array."""
+    a = np.asarray(a, dtype=np.complex128, order="C").view()
     a.setflags(write=False)
     return a
 
@@ -348,16 +339,11 @@ def _merge_raw(coeffs, unitaries, owner):
                     clusters.append(pos)
         first = head == np.arange(len(live))
         joined = np.flatnonzero(~first)
-        heads = head[joined].tolist()
-        # [summed coeff, position, phase] per cluster that others join; the
-        # fold stays in NumPy scalar arithmetic, in term order, because the
-        # array complex product rounds differently from the scalar one
-        reps = {h: [summed[h], h, phases[h]] for h in heads}
-        for pos, h in zip(joined.tolist(), heads):
-            coeff, phase, rep = summed[pos], phases[pos], reps[h]
-            rep[0] += coeff * phase / rep[2]
-        for coeff, pos, _ in reps.values():
-            summed[pos] = coeff
+        # each member folds into its head in place; the fold stays in NumPy
+        # scalar arithmetic, in term order, because the array complex
+        # product rounds differently from the scalar one
+        for pos, h in zip(joined.tolist(), head[joined].tolist()):
+            summed[h] += summed[pos] * phases[pos] / phases[h]
         live, summed, own = live[first], summed[first], own[first]
     mags = np.hypot(summed.real, summed.imag)
     big = mags > 1e-15 * _owner_max(mags, own)
@@ -376,7 +362,9 @@ def _assemble(spec, targets, raw, term_budget, coeff_budgets):
         provenance = tuple(raw.provenance[i] for i in kept.tolist())
         stages = tuple(raw.stages[i] for i in kept.tolist())
     offsets = np.searchsorted(raw.owner[kept], np.arange(len(targets) + 1))
-    return DecompositionStack(spec, _freeze(targets), coeffs, unitaries, tuple(offsets.tolist()),
+    # a copy, so no result shares memory with the caller's targets
+    targets = np.array(targets, dtype=np.complex128)
+    return DecompositionStack(spec, targets, coeffs, unitaries, tuple(offsets.tolist()),
                               provenance, stages, term_budget, tuple(coeff_budgets))
 
 
@@ -811,9 +799,13 @@ def masa_quadrant_decomp(x) -> Decomposition:
                        (Provenance.DILATION,) * count, tuple(stages),
                        np.zeros(count, dtype=np.intp))
     raw = _cat(n, [dilations, _zero_piece_raw(remainder[None], quads)])
+    # Budgets: 8 dilation terms plus 8p(p-1) = 96 cross terms at p = 4.
+    # Coefficient mass: at most 4 max(1, ||x||) from the dilations plus
+    # 2p(p-1) ||rem|| = 24 ||rem|| from the cross blocks, where
+    # ||rem|| <= 2 ||x|| + 2 max(1, ||x||) because the corner blocks form a
+    # block permutation; so at most 100 max(1, ||x||), which 148 covers.
     spec = TypeISubalgebraSpec.masa(n)
-    return _assemble(spec, x[None], raw, 8 + 8 * 4 * 3,
-                     [148.0 * max(1.0, operator_norm(x))])[0]
+    return _assemble(spec, x[None], raw, 104, [148.0 * max(1.0, operator_norm(x))])[0]
 
 
 # ---------------------------------------------------------------------------

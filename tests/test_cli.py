@@ -231,6 +231,22 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(out)["rule"] == "odd-atom-rank"
 
+    @pytest.mark.parametrize("flag, path", [
+        ("--in", "missing.json"),
+        ("--in", "a-directory"),
+        ("--out", "missing/x.json"),
+        ("--out", "a-directory"),
+    ])
+    def test_file_that_cannot_be_read_or_written_is_two(self, capsys, tmp_path, flag, path):
+        (tmp_path / "a-directory").mkdir()
+        argv = {"--in": ["decompose"], "--out": ["random-instance", "--class", "c1", "--n", "2"]}
+        code, out, _ = run_cli(capsys, *argv[flag], flag, str(tmp_path / path))
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "parse"
+        assert doc["detail"].startswith("cannot read" if flag == "--in" else "cannot write")
+        assert not list(tmp_path.rglob(".unispan-*"))
+
     def test_parse_error_is_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -580,6 +580,8 @@ class TestMasaQuadrant:
                     assert rep.recon_residual <= 1e-10
                     assert rep.max_unitarity_residual <= 1e-10
                     assert rep.max_membership_residual <= 1e-10
+                    assert rep.term_count <= d.term_budget
+                    assert rep.coeff_sum <= d.coeff_budget + 1e-9
                     np.testing.assert_allclose(d.reconstruction(), x, atol=1e-10)
 
     def test_errors(self):
@@ -1254,10 +1256,27 @@ class TestReadOnlyStorage:
         x[0, 0] = 5.0
         assert np.array_equal(d.target, target)
         assert np.array_equal(d.reconstruction(), recon)
+
+    def test_hand_built_arrays_are_read_only_views(self):
+        target = np.zeros((2, 2), dtype=complex)
         coeffs, unitaries = np.ones(2, dtype=complex), np.stack([np.eye(2, dtype=complex)] * 2)
-        hand = Decomposition(None, np.eye(2), coeffs, unitaries, (Provenance.MASTER,) * 2, ("", ""))
-        coeffs[0], unitaries[0, 0, 0] = 7.0, 7.0
-        assert hand.coeffs[0] == 1.0 and hand.unitaries[0, 0, 0] == 1.0
+        hand = Decomposition(None, target, coeffs, unitaries, (Provenance.MASTER,) * 2, ("", ""))
+        ds = decompose.DecompositionStack(None, target[None], coeffs, unitaries, (0, 2),
+                                          (Provenance.MASTER,) * 2, ("", ""), None, (None,))
+        for held in (hand, ds):
+            assert np.shares_memory(held.coeffs, coeffs)
+            assert np.shares_memory(held.unitaries, unitaries)
+            assert held.coeffs.flags.writeable is False
+        assert np.shares_memory(hand.target, target) and np.shares_memory(ds.targets, target)
+        assert coeffs.flags.writeable and unitaries.flags.writeable and target.flags.writeable
+        coeffs[0] = 7.0
+        assert hand.coeffs[0] == ds.coeffs[0] == 7.0
+        # a list, another dtype or a non-contiguous array is converted
+        converted = Decomposition(None, np.eye(2), [1.0, 1.0], unitaries.transpose(0, 2, 1),
+                                  (Provenance.MASTER,) * 2, ("", ""))
+        assert converted.target.dtype == converted.coeffs.dtype == np.complex128
+        assert converted.unitaries.flags.c_contiguous
+        assert not np.shares_memory(converted.unitaries, unitaries)
 
 
 class TestFaultInjection:
@@ -1369,7 +1388,7 @@ class TestFaultMatrix:
 
     def test_merge_phase_fold(self, monkeypatch):
         mutate(monkeypatch, decompose, decompose._merge_raw,
-               "coeff * phase / rep[2]", "coeff * rep[2] / phase")
+               "phases[pos] / phases[h]", "phases[h] / phases[pos]")
         # the two cross blocks of a self-adjoint x ride on unitaries that
         # agree up to the phase of x[0, 1]
         spec = TypeISubalgebraSpec.masa(2)
