@@ -374,16 +374,8 @@ def complement_basis(spec: TypeISubalgebraSpec) -> np.ndarray:
     projected unit is nonzero there; ``E_A`` left it a multiple of its
     unit.  A solo unit is orthogonal to every other projected unit, hence
     to every basis vector, so Gram-Schmidt never changes it: all solo
-    units are normalized at once, and only the others run the loop.
-
-    In the loop, each step subtracts only the basis vectors whose support
-    (nonzero entries) meets the current support of ``v``, in basis order,
-    found by one vectorized test over the vectors not yet passed.  The
-    skipping is exact: a vector whose support misses ``v``'s has an inner
-    product of exactly zero with ``v``, and subtracting zero times it would
-    leave every entry of ``v`` as it is (``v`` holds no ``-0.0``: the
-    projected units start without one and ``a - b`` gives ``+0.0`` wherever
-    it is zero).
+    units are normalized at once.  The rest run plain modified
+    Gram-Schmidt, twice, against every vector kept so far.
     """
     n = spec.dimension
     units = complement_project(spec, np.eye(n * n).reshape(n * n, n, n))
@@ -400,21 +392,13 @@ def complement_basis(spec: TypeISubalgebraSpec) -> np.ndarray:
     rest = np.flatnonzero(~solo)
     basis = np.empty((len(rest), n, n), dtype=np.complex128)  # the loop's vectors
     size = 0
-    support = np.zeros((len(rest), n * n), dtype=bool)
     for i, v in zip(rest.tolist(), units[rest]):
         for _ in range(2):
-            j = 0
-            while True:
-                hits = np.flatnonzero(np.any(support[j:size] & (v.ravel() != 0), axis=1))
-                if not hits.size:
-                    break
-                j += int(hits[0])
-                v = v - hs_inner(v, basis[j]) * basis[j]
-                j += 1
+            for b in basis[:size]:
+                v = v - hs_inner(v, b) * b
         norm = hs_norm(v)
         if norm > RANK_TOL:
             basis[size] = v / norm
-            support[size] = basis[size].ravel() != 0
             size += 1
             found.append(i)
     vectors = np.concatenate((lone[kept] / norms[kept, None, None], basis[:size]))

@@ -55,7 +55,7 @@ def _read_text(path: str) -> str:
         with open(path) as fh:
             return fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _emit(doc, out: str) -> None:
@@ -66,7 +66,7 @@ def _emit(doc, out: str) -> None:
     try:
         write_atomic(out, text)
     except OSError as exc:
-        raise ParseError(f"cannot write {out}: {exc}") from None
+        raise ParseError(f"cannot write {out}: {exc.strerror}") from None
 
 
 _NO_SPEC = "no subalgebra given: use --spec FILE, --class ... or --blocks ..."

@@ -36,12 +36,14 @@ from .errors import (
     NotDivisibleBy4,
     NotInComplement,
     NotTraceZero,
+    UnispanError,
 )
 from .linalg import (
     adjoint,
     as_matrix,
     as_stack,
     hs_norm,
+    normalized_trace,
     operator_norm,
     sqrt_defect,
     unitarity_residual,
@@ -126,7 +128,7 @@ class Decomposition:
                          self.provenance, self.stages))
 
     def reconstruction(self) -> np.ndarray:
-        return np.sum(self.coeffs[:, None, None] * self.unitaries, axis=0)
+        return _reconstructions(self.coeffs, self.unitaries, self.offsets)[0]
 
     @property
     def coeff_sum(self) -> float:
@@ -205,6 +207,15 @@ class VerificationReport:
 
 # ---------------------------------------------------------------------------
 # term-list plumbing
+
+
+def _finite(x) -> np.ndarray:
+    """``x`` itself once every entry is finite.  A NaN or an infinity would
+    otherwise reach LAPACK, or pass the membership gate, since a NaN
+    residual fails no ``>`` test."""
+    if not np.isfinite(x).all():
+        raise UnispanError("input has a non-finite entry")
+    return x
 
 
 def _read_only(a) -> np.ndarray:
@@ -375,10 +386,11 @@ def _padded_pairs(entry, n, target, pad, prov, stages):
     signs ``+1`` and ``-1`` so the pads cancel.  An index addresses the
     ``(T, n, n)`` stack of one sign: led by a slice it places the same
     block(s) in every term, led by an index array over the terms one set per
-    term.  ``stages`` names each entry term's stage.  Every ``(+v, -v)``
-    padding pair is built here, all pairs of one call in one ``(2T, n, n)``
-    stack with one assignment per sign for the pads and one for the
-    targets."""
+    term.  The target is written after the pad, so a pad may cover the
+    target block: the target replaces it there.  ``stages`` names each entry
+    term's stage.  Every ``(+v, -v)`` padding pair is built here, all pairs
+    of one call in one ``(2T, n, n)`` stack with one assignment per sign for
+    the pads and one for the targets."""
     signs = (1.0, 1.0) if _FAULT_INJECTION else (1.0, -1.0)
     count = len(entry.coeffs)
     index, block = pad
@@ -445,7 +457,8 @@ def _unitary_multiples(x, trace_free=False):
     cand = _divide_by_norm(x[live], s)
     fast = unitarity_residual(cand) <= FAST_PATH_TOL
     if trace_free:
-        fast &= _abs_normalized_trace(cand) <= FAST_PATH_TOL
+        t = normalized_trace(cand)
+        fast &= np.hypot(t.real, t.imag) <= FAST_PATH_TOL
     count = int(np.count_nonzero(fast))
     multiples = _Terms(s[fast].astype(np.complex128), cand[fast],
                        (Provenance.FOUR_UNITARY,) * count, ("unitary-multiple",) * count,
@@ -474,9 +487,10 @@ def four_unitary(x) -> Decomposition:
     Splits into self-adjoint real/imaginary parts, rescales each into the
     unit ball and applies the two-unitary completion; the coefficient sum
     is at most twice the operator norm.  Unitary multiples short-circuit to
-    a single term, the zero matrix to an empty list.
+    a single term, the zero matrix to an empty list.  Raises
+    :class:`UnispanError` on a non-finite entry.
     """
-    x = as_matrix(x)
+    x = _finite(as_matrix(x))
     raw = _four_unitary_raw(x[None])
     return _assemble(None, x[None], raw, 4, [2.0 * operator_norm(x)])[0]
 
@@ -535,10 +549,12 @@ def _block_grid_raw(x, rows, inner, permutation, pad, prov, name):
     Every nonzero block ``(alpha, beta)`` is split by ``inner``, all of them
     in one call, and each of its unitaries is carried to block
     ``(alpha, beta)`` of the block permutation ``sigma =
-    permutation(count, alpha, beta)``, ``sigma[alpha] = beta``.  Every other
-    block ``(q, sigma[q])`` holds the ``g x g`` unitary ``pad``, in a
-    ``(+v, -v)`` pair that cancels everywhere but at the target block.
-    ``name(alpha, beta)`` is the stage of the block's terms."""
+    permutation(count, alpha, beta)``, ``sigma[alpha] = beta``.  The pad
+    covers every block ``(q, sigma[q])``, ``q = alpha`` included, with the
+    ``g x g`` unitary ``pad``, in a ``(+v, -v)`` pair; the target, written
+    after the pad, replaces it at block ``(alpha, beta)``, so the pair
+    cancels everywhere but there.  ``name(alpha, beta)`` is the stage of the
+    block's terms."""
     n = x.shape[-1]
     count = len(rows)
     # index pairs (rows[a][:, None], rows[b][None, :]) address block (a, b),
@@ -550,12 +566,9 @@ def _block_grid_raw(x, rows, inner, permutation, pad, prov, name):
     cell = entry.owner  # the block each term splits
     sigma = np.array([permutation(count, a, b) for a, b in zip(alpha.tolist(), beta.tolist())],
                      dtype=np.intp).reshape(-1, count)[cell]
-    others = np.arange(count - 1)  # the pieces other than alpha, in order
-    others = others + (others >= alpha[cell, None])
     terms = np.arange(len(cell))[:, None, None]
     target = (terms, rows[alpha[cell], :, None], rows[beta[cell], None, :])
-    moved = np.take_along_axis(sigma, others, axis=1)
-    at = (terms[..., None], rows[others][..., None], rows[moved][:, :, None, :])
+    at = (terms[..., None], rows[:, :, None], rows[sigma][:, :, None, :])
     names = [name(a, b) for a, b in zip(alpha.tolist(), beta.tolist())]
     return _padded_pairs(entry._replace(owner=owner[cell]), n, target, (at, pad), prov,
                          [names[c] for c in cell.tolist()])
@@ -600,19 +613,12 @@ def selfadjoint_corner_dilation(y):
     return u1, u2, u3
 
 
-def _abs_normalized_trace(x):
-    """``abs(normalized_trace(x))`` of each matrix of the stack ``x``, with
-    the same rounding."""
-    t = np.trace(x, axis1=-2, axis2=-1)
-    m = x.shape[-1]
-    return np.hypot(t.real / m, t.imag / m)
-
-
 def _scalar_case_raw(x):
     # m is even: each matrix of x is a multiplicity block of an atom
     # validate_spec accepted
     m = x.shape[-1]
-    if np.any(_abs_normalized_trace(x) > 1e-9 * np.maximum(1.0, hs_norm(x))):
+    t = normalized_trace(x)  # np.hypot, not np.abs: it rounds like the scalar abs()
+    if np.any(np.hypot(t.real, t.imag) > 1e-9 * np.maximum(1.0, hs_norm(x))):
         raise NotTraceZero("input trace is not zero within tolerance")
     multiples, slow = _unitary_multiples(x, trace_free=True)
     if not slow.size:
@@ -718,11 +724,13 @@ def type_one_stack(spec: TypeISubalgebraSpec, xs) -> DecompositionStack:
     decomposition is bit-identical to that target's decomposed alone.
     A conjugation, when present, is applied at the boundary.  Raises
     :class:`NotInComplement`, naming the first such target of a longer
-    stack, when ``||E_A(x)||_2 > RECON_TOL * max(1, ||x||_2)``.
+    stack, when ``||E_A(x)||_2 > RECON_TOL * max(1, ||x||_2)``, and
+    :class:`UnispanError` on a non-finite entry.
     """
     xs = as_stack(xs)
     if xs.ndim != 3:
         raise DimensionMismatch(f"expected a stack of shape (B, n, n), got {xs.shape}")
+    _finite(xs)
     algebra.supported_class(spec, xs.shape[-1])
     resid = algebra.membership_residual(spec, xs)
     bad = np.flatnonzero(resid > RECON_TOL * np.maximum(1.0, hs_norm(xs)))
@@ -760,9 +768,10 @@ def masa_quadrant_decomp(x) -> Decomposition:
     parts of the quadrant-diagonal blocks are dilated pairwise by one
     4 x 4-patterned unitary pair, and everything else (including the
     dilation remainders) goes through the zero-piece-diagonal path.  Every
-    produced unitary has zero matrix diagonal.
+    produced unitary has zero matrix diagonal.  Raises
+    :class:`UnispanError` on a non-finite entry.
     """
-    x = as_matrix(x)
+    x = _finite(as_matrix(x))
     n = x.shape[0]
     if n % 4 != 0:
         raise NotDivisibleBy4(f"dimension {n} is not divisible by 4")
@@ -831,8 +840,7 @@ def verify_decomposition(spec, x, d) -> VerificationReport:
     the largest reconstruction residual over the targets, the largest
     unitarity and membership residuals over all terms, the total term count
     and the largest coefficient sum.  Each target's reconstruction is one
-    ``np.sum(..., axis=0)`` over its slice of the pooled products, which
-    adds in the same order as :meth:`Decomposition.reconstruction`.  Shares
+    ``np.sum(..., axis=0)`` over its slice of the pooled products.  Shares
     only the numeric kernels with the constructions; membership is checked
     through the conditional expectation.
     """

@@ -40,10 +40,21 @@ def adjoint(x) -> np.ndarray:
     return np.swapaxes(x.conj(), -1, -2)
 
 
-def normalized_trace(x) -> complex:
-    """Trace divided by the dimension; equals 1 on the identity."""
-    x = as_matrix(x)
-    return complex(np.trace(x)) / x.shape[0]
+def normalized_trace(x):
+    """Trace divided by the dimension; equals 1 on the identity.
+
+    Takes one matrix, or a stack ``(..., n, n)`` and returns the trace of
+    each of its matrices; a single matrix gives a ``complex``.  The real
+    and imaginary parts are divided by ``n`` apart (multiplying by ``1/n``
+    would round differently), so each trace of a stack is bit-identical to
+    that matrix's own call.
+    """
+    x = as_stack(x)
+    n = x.shape[-1]
+    t = np.trace(x, axis1=-2, axis2=-1)
+    out = np.asarray(t.real / n, dtype=np.complex128)
+    out.imag = t.imag / n
+    return complex(out) if out.ndim == 0 else out
 
 
 def hs_inner(x, y) -> complex:

@@ -505,7 +505,12 @@ class TestOracles:
         assert len(solo) == 56
 
     def test_basis_matches_dense_gram_schmidt(self, rng):
-        for name, spec in oracle_specs(rng):
+        specs = oracle_specs(rng)
+        # a conjugated spec has no solo units: every unit runs the loop
+        for name, blocks in (("c2-k1-m4", [(1, [4])]), ("c3-atoms-1-1-2", [(1, [1, 1, 2])])):
+            conj = random_unitary(rng, 4)
+            specs.append((f"{name}-conjugated", TypeISubalgebraSpec.of_blocks(blocks, conj)))
+        for name, spec in specs:
             got, want = complement_basis(spec), dense_mgs_basis(spec)
             assert len(got) == len(want), name
             assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), name

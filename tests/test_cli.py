@@ -245,6 +245,7 @@ class TestExitCodes:
         doc = json.loads(out)
         assert doc["error"] == "parse"
         assert doc["detail"].startswith("cannot read" if flag == "--in" else "cannot write")
+        assert ".unispan-" not in doc["detail"]
         assert not list(tmp_path.rglob(".unispan-*"))
 
     def test_parse_error_is_two(self, capsys, tmp_path):

@@ -48,6 +48,7 @@ from unispan.errors import (
     NotDivisibleBy4,
     NotInComplement,
     NotTraceZero,
+    UnispanError,
     UnsupportedConfiguration,
 )
 
@@ -908,6 +909,23 @@ def mixed_targets(spec):
         1e-3 * algebra.random_complement_element(spec, 12),
         algebra.random_complement_element(spec, 13),
     ])
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("construct, n", [
+        (lambda x: decompose.type_one_stack(TypeISubalgebraSpec.masa(3), [np.zeros((3, 3)), x]), 3),
+        (four_unitary, 3),
+        (masa_quadrant_decomp, 4),
+    ], ids=["type_one_stack", "four_unitary", "masa_quadrant_decomp"])
+    def test_rejected_before_any_kernel(self, capfd, construct, n, bad):
+        # off the diagonal, where a NaN leaves E_A(x) = 0 and a NaN
+        # residual passes the membership gate
+        x = np.zeros((n, n), dtype=complex)
+        x[0, 1] = bad
+        with pytest.raises(UnispanError, match="non-finite"):
+            construct(x)
+        assert capfd.readouterr().err == ""
 
 
 class TestTypeOneStack:

@@ -40,6 +40,24 @@ class TestTrace:
         x = np.array([[1, 2], [3, 4]], dtype=complex)
         assert linalg.normalized_trace(x) == 2.5
 
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_stack_matches_per_matrix(self, rng, n):
+        # n = 3 and 6: multiplying by 1/n instead of dividing would round
+        # differently there
+        stack = random_complex(rng, (2, 5, n, n)) * 10.0 ** rng.integers(-8, 9, (2, 5, 1, 1))
+        got = linalg.normalized_trace(stack)
+        assert got.shape == (2, 5) and got.dtype == np.complex128
+        for m, t in zip(stack.reshape(-1, n, n), got.ravel().tolist()):
+            alone = linalg.normalized_trace(m)
+            assert type(alone) is complex
+            assert alone == t == complex(np.trace(m)) / n
+        tr = np.trace(stack, axis1=-2, axis2=-1)
+        # np.hypot of the parts rounds like the scalar abs(); np.abs of a
+        # complex array need not
+        mods = np.hypot(got.real, got.imag)
+        assert mods.tobytes() == np.hypot(tr.real / n, tr.imag / n).tobytes()
+        assert mods.ravel().tolist() == [abs(t) for t in got.ravel().tolist()]
+
 
 class TestHSInner:
     def test_identity(self):
