@@ -11,10 +11,12 @@ formats each distinct bit pattern of a real stack once (so ``0.0`` and
 ``-0.0`` are separate keys) and joins the tokens into the text of each
 matrix.  The documents built here therefore hold pre-rendered matrix text
 (:class:`_Json`), which :func:`canonical_dumps` copies verbatim; the plain
-data is ``canonical_loads(canonical_dumps(doc))``.  :func:`_fmt_float`
-stays the only float formatter, so a non-finite value raises wherever it
-occurs.  Parsed documents are emitted value by value and print the same
-bytes.
+data is ``canonical_loads(canonical_dumps(doc))``.  A decomposition
+document goes further: its target and unitaries share one formatting
+table, and its ``"terms"`` is the whole term list as one pre-rendered
+text, so :func:`_emit` walks only the envelope.  :func:`_fmt_float` stays
+the only float formatter, so a non-finite value raises wherever it occurs.
+Parsed documents are emitted value by value and print the same bytes.
 """
 
 import json
@@ -33,12 +35,13 @@ from .errors import ParseError, UnispanError
 
 
 def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise UnispanError(f"cannot serialize non-finite value {x!r}")
     s = f"{x:.17g}"
-    # ``g`` writes a lower-case exponent; an integral value gets ".0"
+    # ``g`` writes a lower-case exponent; an integral value gets ".0", and
+    # ``inf`` and ``nan`` hold neither mark
     if "." in s or "e" in s:
         return s
+    if not math.isfinite(x):
+        raise UnispanError(f"cannot serialize non-finite value {x!r}")
     return s + ".0"
 
 
@@ -55,7 +58,8 @@ _SEPARATORS = np.array([",", "],[", "]]"], dtype=object)
 
 def _format_stack(a) -> list:
     """The canonical JSON text of each matrix ``a[t]`` of a real stack
-    ``(T, r, c)`` with ``r, c >= 1``, as :class:`_Json`.
+    ``(T, r, c)`` with ``r, c >= 1``, as a plain string: the caller marks
+    a text as :class:`_Json` where a document holds it.
 
     Each distinct bit pattern is formatted once by :func:`_fmt_float`, so
     ``-0.0`` keeps its sign and a NaN or infinity raises.  ``+0.0`` is set
@@ -73,7 +77,8 @@ def _format_stack(a) -> list:
     place[:, -1] = 1
     place[-1, -1] = 2
     cells = (tokens[:, None] + _SEPARATORS)[index.reshape(count, r * c), place.ravel()]
-    return [_Json("[[" + "".join(m)) for m in cells.tolist()]
+    cells[:, 0] = "[[" + cells[:, 0]
+    return ["".join(m) for m in cells.tolist()]
 
 
 def _emit(obj, out, memo) -> None:
@@ -150,7 +155,7 @@ def matrix_to_json(m) -> dict:
     """``{"re", "im"}`` of a matrix, each as pre-rendered :class:`_Json`."""
     m = np.asarray(m, dtype=np.complex128)
     re, im = _format_stack(np.stack((m.real, m.imag)))
-    return {"re": re, "im": im}
+    return {"re": _Json(re), "im": _Json(im)}
 
 
 def _complex(re, im) -> np.ndarray:
@@ -284,23 +289,34 @@ def report_from_json(obj) -> VerificationReport:
 
 
 def decomposition_to_json(d: Decomposition, report: Optional[VerificationReport] = None) -> dict:
-    u = d.unitaries
-    texts = _format_stack(np.concatenate((u.real, u.imag)))
-    columns = (d.coeffs.real.tolist(), d.coeffs.imag.tolist(), d.provenance, d.stages,
-               texts[:len(u)], texts[len(u):])
+    """The decomposition document of ``d``, with ``report`` when given.
+
+    The target and the unitaries are formatted by one :func:`_format_stack`
+    call, so they share one formatting table, and ``"terms"`` holds the
+    whole term list as one pre-rendered :class:`_Json` text: each
+    coefficient part is formatted once and each distinct ``(provenance,
+    stage)`` label quoted once, and :func:`canonical_dumps` walks only the
+    envelope around it.  The term list as data is
+    ``canonical_loads(canonical_dumps(doc))["terms"]``."""
+    t, u = d.target, d.unitaries
+    count = len(u)
+    texts = _format_stack(np.concatenate((t.real[None], t.imag[None], u.real, u.imag)))
+    coeffs = [_fmt_float(v) for v in d.coeffs.view(np.float64).tolist()]
+    keys = list(zip(d.provenance, d.stages))
+    labels = {(prov, stage): '},"provenance":' + json.dumps(prov.value, ensure_ascii=True)
+              + ',"stage":' + json.dumps(stage, ensure_ascii=True) + ',"unitary":{"re":'
+              for prov, stage in set(keys)}
+    out = ["["]
+    for c_re, c_im, key, u_re, u_im in zip(coeffs[0::2], coeffs[1::2], keys,
+                                           texts[2:2 + count], texts[2 + count:]):
+        out += ('{"coeff":{"re":', c_re, ',"im":', c_im, labels[key], u_re, ',"im":', u_im, "}},")
+    # the last term closes the list where the others write a comma
+    out[-1] = "}}]" if count else "[]"
     doc = {
-        "n": int(d.target.shape[0]),
+        "n": int(t.shape[0]),
         "spec": spec_to_json(d.spec) if d.spec is not None else None,
-        "target": matrix_to_json(d.target),
-        "terms": [
-            {
-                "coeff": {"re": c_re, "im": c_im},
-                "provenance": prov.value,
-                "stage": stage,
-                "unitary": {"re": u_re, "im": u_im},
-            }
-            for c_re, c_im, prov, stage, u_re, u_im in zip(*columns)
-        ],
+        "target": {"re": _Json(texts[0]), "im": _Json(texts[1])},
+        "terms": _Json("".join(out)),
         "term_budget": d.term_budget,
         "coeff_budget": float(d.coeff_budget) if d.coeff_budget is not None else None,
     }

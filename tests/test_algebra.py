@@ -420,9 +420,11 @@ def dense_mgs_basis(spec, rank_tol=RANK_TOL):
 
 
 def reference_complement_basis(spec):
-    """Gram-Schmidt that skips disjoint supports, over every projected
-    unit: the loop ``complement_basis`` runs on the units that are not
-    solo, kept as its reference."""
+    """Gram-Schmidt that skips every basis vector whose support misses
+    ``v``'s, over every projected unit.  ``complement_basis`` runs plain
+    modified Gram-Schmidt on the units that are not solo, so matching this
+    oracle bit for bit checks that support skipping equals the plain loop:
+    an inner product over disjoint supports is exactly zero."""
     n = spec.dimension
     basis = []
     support = np.zeros((n * n, n * n), dtype=bool)

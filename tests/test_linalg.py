@@ -142,6 +142,21 @@ class TestOperatorNorm:
             expected = np.linalg.svd(x, compute_uv=False)[0]
             assert linalg.operator_norm(x) == pytest.approx(expected, rel=1e-11)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (6, 2, 2), (3, 5, 1, 1), (0, 3, 3),
+                                       (2, 0, 4, 4), (7, 5, 5)])
+    def test_bits_equal_numpy_norm(self, rng, shape):
+        stacks = [random_complex(rng, shape), np.zeros(shape, dtype=complex)]
+        for e in (500, -500):
+            x = random_complex(rng, shape)
+            stacks.append(x * 2.0**e)
+            # negative zeros among the scaled entries
+            stacks.append(np.where(rng.random(shape) < 0.5, x * 2.0**e, -0.0))
+        for x in stacks:
+            expected = np.asarray(np.linalg.norm(x, 2, axis=(-2, -1)))
+            got = np.asarray(linalg.operator_norm(x))
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
 
 class TestHermitianEig:
     def test_diagonal_sorted(self):

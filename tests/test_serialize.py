@@ -10,7 +10,13 @@ import pytest
 from conftest import random_complex
 from unispan import harness, serialize
 from unispan.algebra import TypeISubalgebraSpec, random_complement_element
-from unispan.decompose import Decomposition, Provenance, type_one_decomp, verify_decomposition
+from unispan.decompose import (
+    Decomposition,
+    Provenance,
+    VerificationReport,
+    type_one_decomp,
+    verify_decomposition,
+)
 from unispan.errors import ParseError, UnispanError
 from unispan.harness import run_decompose, run_random_instance, run_spancert
 from unispan.selftest import spec_grid
@@ -346,6 +352,29 @@ class TestFastPathByteIdentity:
             _ref_decomposition_to_json(d))
         for m in (d.unitaries[0], d.unitaries[1].T, d.unitaries[2, :2]):
             assert canonical_dumps(matrix_to_json(m)) == _ref_dumps(_ref_matrix_to_json(m))
+
+    @pytest.mark.parametrize("count", [0, 1, 9])
+    def test_hard_labels_and_conjugated_spec(self, count, plain_twin):
+        # the term list is rendered as one text: quoting, key order and
+        # separators must match the value-by-value emitter
+        stages = ['a "quoted" stage', "back\\slash", "new\nline", "café ∈ N⊖A", ""]
+        rng = np.random.default_rng(count)
+        w = np.linalg.qr(random_complex(rng, (3, 3)))[0]
+        spec = TypeISubalgebraSpec.of_blocks([(1, [1, 2])], conjugation=w)
+        hand = _hand_made(count, count=max(count, 1))
+        provenance = [list(Provenance)[i % len(Provenance)] for i in range(count)]
+        d = Decomposition(spec, hand.target, hand.coeffs[:count], hand.unitaries[:count],
+                          provenance, [stages[i % len(stages)] for i in range(count)],
+                          term_budget=12, coeff_budget=1.5)
+        rep = VerificationReport(0.25, 1e-17, -0.0, count, 1.5)
+        doc = decomposition_to_json(d, rep)
+        text = canonical_dumps(doc)
+        assert text == _ref_dumps(plain_twin(lambda: _ref_decomposition_to_json(d, rep)))
+        terms = canonical_loads(text)["terms"]
+        assert len(terms) == count
+        for term in terms:
+            assert type(term) is dict
+            assert list(term) == ["coeff", "provenance", "stage", "unitary"]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("part", ["real", "imag"])
