@@ -31,17 +31,16 @@ import numpy as np
 from . import algebra
 from .algebra import TypeISubalgebraSpec
 from .errors import (
-    DiagonalNotZero,
     DimensionMismatch,
     NotDivisibleBy4,
     NotInComplement,
     NotTraceZero,
-    UnispanError,
 )
 from .linalg import (
     adjoint,
     as_matrix,
     as_stack,
+    finite,
     hs_norm,
     normalized_trace,
     operator_norm,
@@ -207,15 +206,6 @@ class VerificationReport:
 
 # ---------------------------------------------------------------------------
 # term-list plumbing
-
-
-def _finite(x) -> np.ndarray:
-    """``x`` itself once every entry is finite.  A NaN or an infinity would
-    otherwise reach LAPACK, or pass the membership gate, since a NaN
-    residual fails no ``>`` test."""
-    if not np.isfinite(x).all():
-        raise UnispanError("input has a non-finite entry")
-    return x
 
 
 def _read_only(a) -> np.ndarray:
@@ -490,20 +480,15 @@ def four_unitary(x) -> Decomposition:
     a single term, the zero matrix to an empty list.  Raises
     :class:`UnispanError` on a non-finite entry.
     """
-    x = _finite(as_matrix(x))
+    x = finite(as_matrix(x))
     raw = _four_unitary_raw(x[None])
     return _assemble(None, x[None], raw, 4, [2.0 * operator_norm(x)])[0]
 
 
 def canonical_trace_zero_unitary(d: int) -> np.ndarray:
-    """Deterministic trace-zero unitary: ``diag(1, -1, ...)`` for even ``d``,
-    the diagonal of ``d``-th roots of unity otherwise (``d >= 2``)."""
-    if d < 2:
-        raise DimensionMismatch("no trace-zero unitary exists in dimension < 2")
-    if d % 2 == 0:
-        return np.diag(np.array([(-1.0 + 0j) ** j for j in range(d)]))
-    omega = np.exp(2j * np.pi / d)
-    return np.diag(omega ** np.arange(d))
+    """The trace-zero unitary ``diag(1, -1, ...)`` of even ``d >= 2``; the
+    complex powers fix the signs of its zero imaginary parts."""
+    return np.diag(np.array([(-1.0 + 0j) ** j for j in range(d)]))
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +695,19 @@ def _type_one_budgets(plan: algebra.LayoutPlan):
     return tb, cf
 
 
+def _check_complement(spec: TypeISubalgebraSpec, xs) -> None:
+    """The entry check of the complement constructions on a stack ``(B, n, n)``:
+    finite entries, ``spec`` supported and :func:`type_one_stack`'s gate."""
+    finite(xs)
+    algebra.supported_class(spec, xs.shape[-1])
+    resid = algebra.membership_residual(spec, xs)
+    bad = np.flatnonzero(resid > RECON_TOL * np.maximum(1.0, hs_norm(xs)))
+    if bad.size:
+        i = int(bad[0])
+        text = f"conditional expectation has norm {resid[i]:.3e}; project the input first"
+        raise NotInComplement(text if len(xs) == 1 else f"target {i}: {text}")
+
+
 def type_one_stack(spec: TypeISubalgebraSpec, xs) -> DecompositionStack:
     """Decompose a stack ``(B, n, n)`` of complement elements against any
     supported type I spec; returns the :class:`DecompositionStack` of all
@@ -730,14 +728,7 @@ def type_one_stack(spec: TypeISubalgebraSpec, xs) -> DecompositionStack:
     xs = as_stack(xs)
     if xs.ndim != 3:
         raise DimensionMismatch(f"expected a stack of shape (B, n, n), got {xs.shape}")
-    _finite(xs)
-    algebra.supported_class(spec, xs.shape[-1])
-    resid = algebra.membership_residual(spec, xs)
-    bad = np.flatnonzero(resid > RECON_TOL * np.maximum(1.0, hs_norm(xs)))
-    if bad.size:
-        i = int(bad[0])
-        text = f"conditional expectation has norm {resid[i]:.3e}; project the input first"
-        raise NotInComplement(text if len(xs) == 1 else f"target {i}: {text}")
+    _check_complement(spec, xs)
     plan = algebra.layout_plan(spec.blocks)
     w = spec.conjugation
     if w is None:
@@ -768,52 +759,55 @@ def masa_quadrant_decomp(x) -> Decomposition:
     parts of the quadrant-diagonal blocks are dilated pairwise by one
     4 x 4-patterned unitary pair, and everything else (including the
     dilation remainders) goes through the zero-piece-diagonal path.  Every
-    produced unitary has zero matrix diagonal.  Raises
-    :class:`UnispanError` on a non-finite entry.
+    produced unitary has zero matrix diagonal.  ``x`` takes
+    :func:`type_one_stack`'s entry check against the masa before the
+    :class:`NotDivisibleBy4` test, and the diagonal inside that gate is
+    dropped; ``d.target`` and the budgets read ``x`` as given.
     """
-    x = _finite(as_matrix(x))
+    x = as_matrix(x)
     n = x.shape[0]
+    spec = TypeISubalgebraSpec.masa(n)
+    _check_complement(spec, x[None])
     if n % 4 != 0:
         raise NotDivisibleBy4(f"dimension {n} is not divisible by 4")
-    scale = max(1.0, float(np.max(np.abs(x))))
-    if np.max(np.abs(np.diagonal(x))) > 1e-10 * scale:
-        raise DiagonalNotZero("the matrix diagonal is not zero")
     q = n // 4
     quads = np.arange(n).reshape(4, q)
+    diag_blocks = (quads[:, :, None], quads[:, None, :])  # the quadrant-diagonal blocks
+    blocks = x[diag_blocks]
+    blocks[:, range(q), range(q)] = 0.0  # drop the accepted diagonal
     remainder = x.copy()
-    remainder[quads[:, :, None], quads[:, None, :]] = 0.0
-
-    # Each quadrant slot carries its own corner dilation, embedded at
-    # (slot, spare_row) x (slot, spare_col); the two slots of a pair use
-    # complementary spare rows/columns so the result stays unitary.
-    pairs = (((0, 3, 2), (1, 2, 3)), ((2, 1, 0), (3, 0, 1)))
-    coeffs, unitaries, stages = [], [np.zeros((0, n, n), dtype=np.complex128)], []
-    for pair in pairs:
-        blocks = [x[np.ix_(quads[slot], quads[slot])] for slot, _, _ in pair]
-        for (pa, mult, tag), (pb, _, _) in zip(*map(_selfadjoint_parts, blocks)):
-            if not (np.any(pa) or np.any(pb)):
-                continue
-            s = max(1.0, operator_norm(pa), operator_norm(pb))
-            u = np.zeros((2, n, n), dtype=np.complex128)
-            for (slot, row2, col2), p in zip(pair, (pa, pb)):
-                u1, u2, u3 = selfadjoint_corner_dilation(p / s)
-                rows, cols = quads[[slot, row2]].ravel(), quads[[slot, col2]].ravel()
-                u[:, rows[:, None], cols[None, :]] = (u1, u2)
-                remainder[np.ix_(quads[slot], quads[col2])] -= mult * s * u3[:q, q:]
-            coeffs += [mult * s / 2.0] * 2
-            unitaries.append(u)
-            stages += [f"quadrant-{tag}"] * 2
-    count = len(coeffs)
-    dilations = _Terms(np.array(coeffs, dtype=np.complex128), np.concatenate(unitaries),
-                       (Provenance.DILATION,) * count, tuple(stages),
-                       np.zeros(count, dtype=np.intp))
-    raw = _cat(n, [dilations, _zero_piece_raw(remainder[None], quads)])
+    remainder[diag_blocks] = 0.0
+    # Slot j's corner dilation sits at quadrant rows (j, 3 - j) x columns (j, j ^ 2);
+    # the slots of a pair, (0, 1) or (2, 3), use complementary spares: it stays unitary.
+    rows = quads[[[0, 3], [1, 2], [2, 1], [3, 0]]].reshape(4, 2 * q)
+    cols = quads[[[0, 2], [1, 3], [2, 0], [3, 1]]].reshape(4, 2 * q)
+    parts = []
+    for part, mult, tag in _selfadjoint_parts(blocks):
+        pairs = np.flatnonzero(np.any(part, axis=(1, 2)).reshape(2, 2).any(axis=1))
+        if not pairs.size:
+            continue
+        slots = (2 * pairs[:, None] + np.arange(2)).ravel()  # both slots of each live pair
+        s = np.repeat(np.maximum(1.0, operator_norm(part[slots]).reshape(-1, 2).max(axis=1)), 2)
+        u1, u2, u3 = selfadjoint_corner_dilation(part[slots] / s[:, None, None])
+        # u[pair, kind] holds dilation ``kind`` of both slots of the pair
+        u = np.zeros((len(pairs), 2, n, n), dtype=np.complex128)
+        at = (np.arange(len(pairs))[:, None, None, None, None], np.arange(2)[:, None, None],
+              rows[slots].reshape(-1, 2, 1, 2 * q, 1), cols[slots].reshape(-1, 2, 1, 1, 2 * q))
+        u[at] = np.stack((u1, u2), axis=1).reshape(-1, 2, 2, 2 * q, 2 * q)
+        remainder[rows[slots][:, :q, None], cols[slots][:, None, q:]] -= (
+            (mult * s)[:, None, None] * u3[:, :q, q:])
+        count = len(slots)  # two terms of coefficient mult * s / 2 per pair
+        parts.append(_Terms((mult * s / 2.0).astype(np.complex128), u.reshape(count, n, n),
+                            (Provenance.DILATION,) * count, (f"quadrant-{tag}",) * count,
+                            np.repeat(pairs, 2)))
+    dilations = _cat(n, parts)  # pair by pair, real part first
+    raw = _cat(n, [dilations._replace(owner=np.zeros_like(dilations.owner)),
+                   _zero_piece_raw(remainder[None], quads)])
     # Budgets: 8 dilation terms plus 8p(p-1) = 96 cross terms at p = 4.
     # Coefficient mass: at most 4 max(1, ||x||) from the dilations plus
     # 2p(p-1) ||rem|| = 24 ||rem|| from the cross blocks, where
     # ||rem|| <= 2 ||x|| + 2 max(1, ||x||) because the corner blocks form a
     # block permutation; so at most 100 max(1, ||x||), which 148 covers.
-    spec = TypeISubalgebraSpec.masa(n)
     return _assemble(spec, x[None], raw, 104, [148.0 * max(1.0, operator_norm(x))])[0]
 
 

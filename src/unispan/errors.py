@@ -25,10 +25,6 @@ class NotDivisibleBy4(UnispanError):
     """The quadrant construction needs a dimension divisible by 4."""
 
 
-class DiagonalNotZero(UnispanError):
-    """A zero-diagonal matrix was required."""
-
-
 class NotInComplement(UnispanError):
     """The input does not lie in the orthogonal complement of the subalgebra."""
 

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NormExceedsOne, NotSelfAdjoint
+from .errors import DimensionMismatch, NormExceedsOne, NotSelfAdjoint, UnispanError
 
 EIG_TOL = 1e-12
 CLAMP_TOL = 1e-10
@@ -33,6 +33,14 @@ def as_stack(x) -> np.ndarray:
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
         raise DimensionMismatch(f"expected square matrices, got shape {arr.shape}")
     return arr
+
+
+def finite(x) -> np.ndarray:
+    """``x`` itself once every entry is finite, else :class:`UnispanError`: a NaN
+    would reach LAPACK or pass a membership gate, as it fails no ``>`` test."""
+    if not np.isfinite(x).all():
+        raise UnispanError("input has a non-finite entry")
+    return x
 
 
 def adjoint(x) -> np.ndarray:
@@ -121,11 +129,11 @@ def hermitian_eig(h) -> HermEig:
 
     Takes one matrix, or a stack ``(..., n, n)`` and decomposes each of its
     matrices; each result is bit-identical to that matrix's own call.
-    Decomposes the Hermitian part ``(h + h*)/2``.  Raises
-    :class:`NotSelfAdjoint` when some ``||h - h*||_2`` exceeds
-    ``1e-10 * max(1, ||h||_2)``.
+    Decomposes the Hermitian part ``(h + h*)/2``.  Raises :class:`UnispanError`
+    on a non-finite entry, before any arithmetic, and :class:`NotSelfAdjoint`
+    when some ``||h - h*||_2`` exceeds ``1e-10 * max(1, ||h||_2)``.
     """
-    h = as_stack(h)
+    h = finite(as_stack(h))
     hc = adjoint(h)
     norm, skew = hs_norm(np.stack((h, h - hc)))
     if np.any(skew > 1e-10 * np.maximum(1.0, norm)):
@@ -175,7 +183,8 @@ def gram_rank(mats, rank_tol: float = RANK_TOL) -> int:
     Counts eigenvalues above ``rank_tol`` times the largest one.  The
     spectrum is read off the coordinate Gram matrix ``V* V / n`` of
     dimension ``n**2``, which has the same nonzero eigenvalues as
-    ``G = V V* / n`` at any list length.
+    ``G = V V* / n`` at any list length.  A non-finite entry raises
+    :class:`UnispanError` before the product, where ``inf * 0`` would warn.
     """
     if len(mats) == 0:
         raise DimensionMismatch("empty matrix list")
@@ -186,7 +195,7 @@ def gram_rank(mats, rank_tol: float = RANK_TOL) -> int:
     if V.ndim != 3 or V.shape[1] != V.shape[2] or V.shape[1] < 1:
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {V.shape}")
     count, n, _ = V.shape
-    V = V.reshape(count, n * n)
+    V = finite(V.reshape(count, n * n))
     w = hermitian_eig((V.conj().T @ V) / n).eigenvalues
     top = float(w[-1])
     if top <= 0.0:

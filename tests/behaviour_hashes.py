@@ -11,7 +11,9 @@ package under ``--src``:
   ``provenance``, ``stages``), and the ``run_decompose`` document with its
   ok flag for seeded Gaussian inputs at seeds 0-2 and scales 1, 1e-3,
   2**-40 and 1e3;
-* 30 ``four_unitary`` and 18 ``masa_quadrant_decomp`` documents;
+* 30 ``four_unitary`` and 23 ``masa_quadrant_decomp`` documents, five of
+  them for a zero pair of quadrant-diagonal blocks, real-only,
+  imaginary-only and Hermitian inputs and ``n = 16``;
 * the block permutations ``_derangement(count, alpha, beta)`` of every
   ``count <= 32``.
 
@@ -104,6 +106,15 @@ def hashes(unispan, names) -> dict:
         np.fill_diagonal(x, 0.0)
         out[f"masa_quadrant/{i}"] = doc_hash(serialize.decomposition_to_json(
             decompose.masa_quadrant_decomp(x)))
+    x = gaussian((8, 8), 13, 18)
+    zero_pair = x.copy()
+    zero_pair[:4, :4] = 0.0  # the blocks of slots 0 and 1
+    for name, y in (("zero-pair", zero_pair), ("real", x.real), ("imag", 1j * x.imag),
+                    ("hermitian", x + x.conj().T), ("n16", gaussian((16, 16), 13, 19))):
+        y = np.array(y, dtype=np.complex128)
+        np.fill_diagonal(y, 0.0)
+        out[f"masa_quadrant/{name}"] = doc_hash(serialize.decomposition_to_json(
+            decompose.masa_quadrant_decomp(y)))
     out["derangements"] = digest(*[
         decompose._derangement(count, a, b).tobytes()
         for count in range(2, 33) for a in range(count) for b in range(count) if a != b])

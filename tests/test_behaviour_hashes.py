@@ -21,8 +21,8 @@ def test_script_hashes_the_matrix_of_two_specs():
         argv += ["--spec", name]
     out = json.loads(subprocess.run(argv, check=True, capture_output=True, text=True).stdout)
     # per spec: basis, spancert, stack and 3 seeds x 4 scales of decompose;
-    # then 30 four_unitary, 18 masa_quadrant and the derangements
-    assert len(out) == 2 * (3 + 12) + 30 + 18 + 1
+    # then 30 four_unitary, 23 masa_quadrant and the derangements
+    assert len(out) == 2 * (3 + 12) + 30 + 23 + 1
     assert {k.split("/")[1] for k in out if k.startswith(("basis/", "decompose/"))} == set(SPECS)
     assert all(re.fullmatch(r"[0-9a-f]{64}", v) for v in out.values())
     doc = canonical_dumps(harness.run_spancert(TypeISubalgebraSpec.masa(3)).to_json())

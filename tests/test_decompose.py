@@ -43,7 +43,6 @@ from unispan.serialize import (
     decomposition_to_json,
 )
 from unispan.errors import (
-    DiagonalNotZero,
     DimensionMismatch,
     NotDivisibleBy4,
     NotInComplement,
@@ -588,8 +587,67 @@ class TestMasaQuadrant:
     def test_errors(self):
         with pytest.raises(NotDivisibleBy4):
             masa_quadrant_decomp(np.zeros((6, 6)))
-        with pytest.raises(DiagonalNotZero):
+        with pytest.raises(NotInComplement):
             masa_quadrant_decomp(np.eye(4))
+        with pytest.raises(NotInComplement):  # the gate comes before 4 | n
+            masa_quadrant_decomp(np.eye(6))
+
+    def test_diagonal_inside_the_gate_is_dropped(self):
+        # both masa paths share type_one_stack's gate: a diagonal entry of
+        # 5e-10 passes it, and neither path carries it into a unitary
+        for n in (4, 8):
+            spec = TypeISubalgebraSpec.masa(n)
+            x = algebra.random_complement_element(spec, 0)
+            x[0, 0] = 5e-10
+            caller = x.copy()
+            for d in (masa_quadrant_decomp(x), type_one_decomp(spec, x)):
+                assert report_within(verify_decomposition(spec, x, d))
+                assert np.array_equal(d.target, caller)
+                assert np.all(np.diagonal(d.unitaries, axis1=1, axis2=2) == 0.0)
+            assert np.array_equal(x, caller)
+
+    def test_matches_the_pair_loop(self, rng):
+        """The stacked body gives the bits of a loop over the two slot pairs
+        and the real and imaginary parts, one pair of terms at a time."""
+
+        def loop(x):
+            n = len(x)
+            q = n // 4
+            quads = np.arange(n).reshape(4, q)
+            remainder = x.copy()
+            remainder[quads[:, :, None], quads[:, None, :]] = 0.0
+            terms = []
+            for pair in (((0, 3, 2), (1, 2, 3)), ((2, 1, 0), (3, 0, 1))):
+                blocks = [x[np.ix_(quads[slot], quads[slot])] for slot, _, _ in pair]
+                for (pa, mult, tag), (pb, _, _) in zip(*map(decompose._selfadjoint_parts, blocks)):
+                    if not (np.any(pa) or np.any(pb)):
+                        continue
+                    s = max(1.0, linalg.operator_norm(pa), linalg.operator_norm(pb))
+                    u = np.zeros((2, n, n), dtype=complex)
+                    for (slot, row2, col2), p in zip(pair, (pa, pb)):
+                        u1, u2, u3 = selfadjoint_corner_dilation(p / s)
+                        rows, cols = quads[[slot, row2]].ravel(), quads[[slot, col2]].ravel()
+                        u[:, rows[:, None], cols[None, :]] = (u1, u2)
+                        remainder[np.ix_(quads[slot], quads[col2])] -= mult * s * u3[:q, q:]
+                    terms += [(mult * s / 2.0, w, f"quadrant-{tag}") for w in u]
+            coeffs, unitaries, stages = zip(*terms) if terms else ((), np.zeros((0, n, n)), ())
+            dilations = decompose._Terms(
+                np.array(coeffs, dtype=complex), np.array(unitaries, dtype=complex),
+                (Provenance.DILATION,) * len(terms), stages, np.zeros(len(terms), dtype=np.intp))
+            raw = decompose._cat(n, [dilations, decompose._zero_piece_raw(remainder[None], quads)])
+            return decompose._assemble(None, x[None], raw, None, [None])[0]
+
+        for n in (4, 8, 12):
+            x = random_complex(rng, (n, n))
+            zero_pair = x.copy()
+            zero_pair[: n // 2, : n // 2] = 0.0  # the blocks of slots 0 and 1
+            for y in (x, x.real, 1j * x.imag, x + x.conj().T, zero_pair):
+                y = np.array(y, dtype=complex)
+                np.fill_diagonal(y, 0.0)
+                d, ref = masa_quadrant_decomp(y), loop(y)
+                assert (d.provenance, d.stages) == (ref.provenance, ref.stages)
+                assert d.coeffs.tobytes() == ref.coeffs.tobytes()
+                assert d.unitaries.tobytes() == ref.unitaries.tobytes()
 
 
 def layout_witness(spec):
@@ -925,6 +983,22 @@ class TestNonFiniteInput:
         x[0, 1] = bad
         with pytest.raises(UnispanError, match="non-finite"):
             construct(x)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kernel", [
+        linalg.hermitian_eig,
+        linalg.sqrt_defect,
+        selfadjoint_corner_dilation,
+        lambda x: linalg.gram_rank(x[None]),
+    ], ids=["hermitian_eig", "sqrt_defect", "selfadjoint_corner_dilation", "gram_rank"])
+    def test_eigen_path_refuses(self, capfd, kernel, bad):
+        # the one eigen path checks its input before any arithmetic, so an
+        # infinity warns nowhere and a NaN never reaches LAPACK
+        x = np.diag([0.0, 0.5]).astype(complex)
+        x[0, 0] = bad
+        with pytest.raises(UnispanError, match="non-finite"):
+            kernel(x)
         assert capfd.readouterr().err == ""
 
 
