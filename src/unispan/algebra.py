@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, UnispanError, UnsupportedConfiguration
-from .linalg import RANK_TOL, as_matrix, hs_inner, hs_norm, unitarity_residual
+from .linalg import RANK_TOL, as_matrix, hs_norm, unitarity_residual
 
 
 @dataclass(frozen=True)
@@ -193,14 +193,20 @@ def supported_class(spec: TypeISubalgebraSpec, n: int) -> SpecClass:
 
 
 class _AtomGroup(NamedTuple):
-    """The atoms of one ``(k, m)``, their carrier indices stacked as
-    ``rows (count, k*m, 1)`` and ``cols (count, 1, k*m)``."""
+    """The atoms of one ``(k, m)``: their carrier indices stacked as
+    ``rows (count, k*m, 1)`` and ``cols (count, 1, k*m)``, their indices
+    ``members (count,)`` in the layout's atom list, their completion pads
+    stacked as ``pads (count, n, n)`` (``None`` unless every member has
+    one) and the stage name of each member's completion terms."""
 
     k: int
     m: int
     rows: np.ndarray
     cols: np.ndarray
     eye: np.ndarray
+    members: np.ndarray
+    pads: Optional[np.ndarray]
+    stages: tuple
 
 
 class LayoutPlan(NamedTuple):
@@ -236,12 +242,17 @@ def layout_plan(blocks: tuple) -> LayoutPlan:
             atom_off += m
         offset += b.dim
     atoms = tuple(atoms)
-    groups = []
-    for k, m in dict.fromkeys((a.k, a.m) for a in atoms):
-        rows = _frozen(np.stack([a.indices for a in atoms if (a.k, a.m) == (k, m)])[:, :, None])
-        groups.append(_AtomGroup(k, m, rows, rows.transpose(0, 2, 1), _frozen(np.eye(m))))
     pads = tuple(_frozen(_witness_on(offset, [b for b in atoms if b is not a]))
                  if a.m % 2 == 0 and len(atoms) > 1 else None for a in atoms)
+    groups = []
+    for k, m in dict.fromkeys((a.k, a.m) for a in atoms):
+        members = [i for i, a in enumerate(atoms) if (a.k, a.m) == (k, m)]
+        rows = _frozen(np.stack([atoms[i].indices for i in members])[:, :, None])
+        own = [pads[i] for i in members]
+        groups.append(_AtomGroup(
+            k, m, rows, rows.transpose(0, 2, 1), _frozen(np.eye(m)), _frozen(np.array(members)),
+            None if any(p is None for p in own) else _frozen(np.stack(own)),
+            tuple(f"atom-completion({atoms[i].block},{atoms[i].atom})" for i in members)))
     g = math.gcd(*[a.dim for a in atoms])
     pieces = _frozen(np.concatenate([a.indices for a in atoms]).reshape(-1, g))
     return LayoutPlan(atoms, tuple(groups), _classify(offset, atoms, pads), pads, pieces)
@@ -395,7 +406,8 @@ def complement_basis(spec: TypeISubalgebraSpec) -> np.ndarray:
     for i, v in zip(rest.tolist(), units[rest]):
         for _ in range(2):
             for b in basis[:size]:
-                v = v - hs_inner(v, b) * b
+                # hs_inner(v, b)'s formula, without its conversions and shape check
+                v = v - (complex(np.vdot(b, v)) / n) * b
         norm = hs_norm(v)
         if norm > RANK_TOL:
             basis[size] = v / norm

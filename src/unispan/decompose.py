@@ -15,6 +15,12 @@ and :func:`type_one_decomp` is its stack of one: it decomposes inside each
 atom, completes those terms across the other atoms, and carries the
 cross-atom part on block permutations.
 
+Each construction stage makes one round of kernel calls for all of its
+matrices: the real and imaginary self-adjoint parts of every matrix go
+through one norm call and one defect-root call, the even atoms of one
+``(k, m)`` are decomposed as one stack, in the groups of ``E_A``, and the
+balanced block of the scalar case is split together with its cross blocks.
+
 :func:`verify_decomposition` is the independent check; it recomputes the
 sum directly and shares nothing with the construction beyond the numeric
 kernels.
@@ -397,25 +403,41 @@ def _padded_pairs(entry, n, target, pad, prov, stages):
 # elementary splits
 
 
-def _two_unitary_raw(y, owner, stage):
+def _two_unitary_raw(y, owner, stages):
     """The pair ``(1/2, u), (1/2, u*)`` with ``u = y + i*sqrt(1 - y**2)``
-    for each self-adjoint contraction of the stack ``y``."""
+    for each self-adjoint contraction of the stack ``y``, in one
+    :func:`sqrt_defect` call; ``stages`` names each matrix's stage."""
     count, g, _ = y.shape
     if not count:
         return _cat(g, ())
     u = y + 1j * sqrt_defect(y)
     return _Terms(np.full(2 * count, 0.5, dtype=np.complex128),
                   np.stack((u, adjoint(u)), axis=1).reshape(2 * count, g, g),
-                  (Provenance.FOUR_UNITARY,) * (2 * count), (stage,) * (2 * count),
-                  np.repeat(owner, 2))
+                  (Provenance.FOUR_UNITARY,) * (2 * count),
+                  tuple(s for s in stages for _ in range(2)), np.repeat(owner, 2))
+
+
+# the multiplier and stage tag of self-adjoint part ``j``: even parts are
+# real, odd ones imaginary
+_PART_MULTS = np.array([1.0, 1.0j])
+_PART_TAGS = ("real", "imag")
 
 
 def _selfadjoint_parts(z):
-    """``(part, mult, tag)`` for the real and imaginary self-adjoint parts
-    of ``z = h + i*k`` (one matrix or a stack): ``(h, 1, "real")`` and
-    ``(k, 1j, "imag")``."""
+    """The self-adjoint parts of each matrix ``z_i = h_i + i*k_i`` of the
+    stack ``z``, interleaved as one stack ``(h_0, k_0, h_1, k_1, ...)``, so
+    part ``j`` belongs to matrix ``j // 2`` and has the multiplier
+    ``_PART_MULTS[j % 2]``.  Each split stage sends the whole stack to each
+    kernel once, and the interleaving keeps the owner order, so every
+    owner's real terms come before its imaginary ones."""
     zc = adjoint(z)
-    return (((z + zc) / 2.0, 1.0, "real"), ((z - zc) / 2.0j, 1.0j, "imag"))
+    return np.stack(((z + zc) / 2.0, (z - zc) / 2.0j), axis=1).reshape((-1,) + z.shape[-2:])
+
+
+def _part_stages(prefix, parts):
+    """The stage ``prefix-real`` or ``prefix-imag`` of each self-adjoint
+    part index of ``parts``."""
+    return tuple(f"{prefix}-{_PART_TAGS[j]}" for j in (parts % 2).tolist())
 
 
 def _divide_by_norm(x, s):
@@ -457,18 +479,19 @@ def _unitary_multiples(x, trace_free=False):
 
 
 def _four_unitary_raw(x):
-    """At most four unitary terms for each matrix of the stack ``x``."""
+    """At most four unitary terms for each matrix of the stack ``x``: both
+    self-adjoint parts of every matrix that is no unitary multiple go
+    through one norm and one two-unitary call."""
     multiples, slow = _unitary_multiples(x)
     if not slow.size:
         return multiples
-    parts = [multiples]
-    for part, mult, tag in _selfadjoint_parts(x[slow]):
-        sp = operator_norm(part)
-        nz = sp != 0.0
-        two = _two_unitary_raw(_divide_by_norm(part[nz], sp[nz]), slow[nz],
-                               f"selfadjoint-split-{tag}")
-        parts.append(two._replace(coeffs=np.repeat(mult * sp[nz], 2) * two.coeffs))
-    return _cat(x.shape[-1], parts)
+    parts = _selfadjoint_parts(x[slow])
+    sp = operator_norm(parts)
+    live = np.flatnonzero(sp)
+    two = _two_unitary_raw(_divide_by_norm(parts[live], sp[live]), slow[live // 2],
+                           _part_stages("selfadjoint-split", live))
+    scale = _PART_MULTS[live % 2] * sp[live]
+    return _cat(x.shape[-1], [multiples, two._replace(coeffs=np.repeat(scale, 2) * two.coeffs)])
 
 
 def four_unitary(x) -> Decomposition:
@@ -527,27 +550,35 @@ def _entry_move(k: int, s: int, t: int) -> np.ndarray:
     return tau_t[tau_s]
 
 
-def _block_grid_raw(x, rows, inner, permutation, pad, prov, name):
-    """Block-permutation terms for each matrix of the stack ``x`` over the
-    disjoint, equal-size pieces of the ``(count, g)`` index rows ``rows``.
+def _grid_blocks(x, rows):
+    """The nonzero blocks of each matrix of the stack ``x`` over the
+    disjoint, equal-size pieces of the ``(count, g)`` index rows ``rows``,
+    as one stack, and their cells ``(owner, alpha, beta)``: the matrix and
+    the block row and column of each, row-major, like a loop per target."""
+    # index pairs (rows[a][:, None], rows[b][None, :]) address block (a, b),
+    # and stacked ones address one block per row of a piece list
+    blocks = x[:, rows[:, None, :, None], rows[None, :, None, :]]  # (B, count, count, g, g)
+    cells = np.nonzero(np.any(blocks, axis=(3, 4)))
+    return blocks[cells], cells
 
-    Every nonzero block ``(alpha, beta)`` is split by ``inner``, all of them
-    in one call, and each of its unitaries is carried to block
+
+def _block_grid_raw(n, rows, cells, entry, permutation, pad, prov, name):
+    """Block-permutation terms of ``n x n`` unitaries over the pieces of the
+    ``(count, g)`` index rows ``rows``, for the blocks ``cells`` of
+    :func:`_grid_blocks`, from their split ``entry``, whose owners index
+    ``cells``.  The caller splits the blocks, so it can split them together
+    with other ``g x g`` matrices in one call.
+
+    Each unitary of block ``(alpha, beta)`` is carried to block
     ``(alpha, beta)`` of the block permutation ``sigma =
     permutation(count, alpha, beta)``, ``sigma[alpha] = beta``.  The pad
     covers every block ``(q, sigma[q])``, ``q = alpha`` included, with the
     ``g x g`` unitary ``pad``, in a ``(+v, -v)`` pair; the target, written
     after the pad, replaces it at block ``(alpha, beta)``, so the pair
     cancels everywhere but there.  ``name(alpha, beta)`` is the stage of the
-    block's terms."""
-    n = x.shape[-1]
+    block's terms; the terms are owned by the matrix of their block."""
     count = len(rows)
-    # index pairs (rows[a][:, None], rows[b][None, :]) address block (a, b),
-    # and stacked ones address one block per row of a piece list
-    blocks = x[:, rows[:, None, :, None], rows[None, :, None, :]]  # (B, count, count, g, g)
-    # row-major, like a loop per target
-    owner, alpha, beta = np.nonzero(np.any(blocks, axis=(3, 4)))
-    entry = inner(blocks[owner, alpha, beta])
+    owner, alpha, beta = cells
     cell = entry.owner  # the block each term splits
     sigma = np.array([permutation(count, a, b) for a, b in zip(alpha.tolist(), beta.tolist())],
                      dtype=np.intp).reshape(-1, count)[cell]
@@ -567,7 +598,14 @@ def _zero_piece_raw(x, rows):
     piece-diagonal.  ``p`` pieces cost at most ``8p(p-1)`` terms and
     ``2||x|| p(p-1)`` coefficient mass per matrix; :func:`_type_one_budgets`
     holds that bound."""
-    return _block_grid_raw(x, rows, _four_unitary_raw, _derangement,
+    blocks, cells = _grid_blocks(x, rows)
+    return _cross_block_raw(x.shape[-1], rows, cells, _four_unitary_raw(blocks))
+
+
+def _cross_block_raw(n, rows, cells, entry):
+    """:func:`_zero_piece_raw`'s placement of the split ``entry`` of the
+    cross blocks ``cells``."""
+    return _block_grid_raw(n, rows, cells, entry, _derangement,
                            np.eye(rows.shape[1], dtype=np.complex128), Provenance.ZERO_DIAG,
                            "cross-block({},{})".format)
 
@@ -592,9 +630,13 @@ def selfadjoint_corner_dilation(y):
     """
     y = as_stack(y)
     r = sqrt_defect(y)
-    u1 = np.block([[y, r], [-r, y]])
-    u2 = np.block([[y, r], [r, -y]])
-    u3 = np.block([[np.zeros_like(y), r], [np.zeros_like(y), np.zeros_like(y)]])
+    g = y.shape[-1]
+    u1, u2, u3 = np.zeros((3,) + y.shape[:-2] + (2 * g, 2 * g), dtype=np.complex128)
+    u1[..., :g, :g] = u1[..., g:, g:] = u2[..., :g, :g] = y
+    u1[..., :g, g:] = u2[..., :g, g:] = u3[..., :g, g:] = r
+    u1[..., g:, :g] = -r
+    u2[..., g:, :g] = r
+    u2[..., g:, g:] = -y
     return u1, u2, u3
 
 
@@ -611,29 +653,43 @@ def _scalar_case_raw(x):
     parts = [multiples]
     y = x[slow]
     g = m // 2
-    corner = np.zeros((len(slow), g, g), dtype=np.complex128)
-    for part, mult, tag in _selfadjoint_parts(y[:, :g, :g] + y[:, g:, g:]):
-        nz = np.flatnonzero(np.any(part, axis=(1, 2)))
-        if not nz.size:
-            continue
-        sp = np.maximum(1.0, operator_norm(part[nz]))
-        u1, u2, u3 = selfadjoint_corner_dilation(part[nz] / sp[:, None, None])
-        count = 2 * len(nz)
-        parts.append(_Terms(np.repeat(mult * sp / 2.0, 2).astype(np.complex128),
+    # the dilations of both self-adjoint parts of every corner sum, in one
+    # round of kernel calls
+    corners = _selfadjoint_parts(y[:, :g, :g] + y[:, g:, g:])
+    live = np.flatnonzero(np.any(corners, axis=(1, 2)))
+    delta = np.zeros((len(slow), 2, g, g), dtype=np.complex128)
+    if live.size:
+        sp = np.maximum(1.0, operator_norm(corners[live]))
+        u1, u2, u3 = selfadjoint_corner_dilation(corners[live] / sp[:, None, None])
+        scale = _PART_MULTS[live % 2] * sp
+        count = 2 * len(live)
+        parts.append(_Terms(np.repeat(scale / 2.0, 2),
                             np.stack((u1, u2), axis=1).reshape(count, m, m),
-                            (Provenance.DILATION,) * count, (f"diag-dilation-{tag}",) * count,
-                            np.repeat(slow[nz], 2)))
-        corner[nz] = corner[nz] - (mult * sp)[:, None, None] * u3[:, :g, g:]
-    balanced = _four_unitary_raw(y[:, g:, g:])
-    u = balanced.unitaries
-    lifted = np.block([[-u, np.zeros_like(u)], [np.zeros_like(u), u]])
-    count = len(u)
-    parts.append(_Terms(balanced.coeffs, lifted, (Provenance.FOUR_UNITARY,) * count,
-                        ("balanced-pair",) * count, slow[balanced.owner]))
+                            (Provenance.DILATION,) * count,
+                            _part_stages("diag-dilation", np.repeat(live, 2)),
+                            np.repeat(slow[live // 2], 2)))
+        delta.reshape(-1, g, g)[live] = scale[:, None, None] * u3[:, :g, g:]
+    # the real part's remainder first, then the imaginary part's
+    corner = (0.0 - delta[:, 0]) - delta[:, 1]
     offdiag = np.zeros_like(y)
     offdiag[:, :g, g:] = y[:, :g, g:] + corner
     offdiag[:, g:, :g] = y[:, g:, :g]
-    cross = _zero_piece_raw(offdiag, np.arange(m).reshape(2, g))
+    rows = np.arange(m).reshape(2, g)
+    cross_blocks, cells = _grid_blocks(offdiag, rows)
+    # the balanced blocks and the cross blocks are independent g x g
+    # matrices: one split covers both, and the owners tell them apart
+    split = _four_unitary_raw(np.concatenate((y[:, g:, g:], cross_blocks)))
+    cut = int(np.searchsorted(split.owner, len(slow)))
+    balanced = _Terms(*(f[:cut] for f in split))
+    u = balanced.unitaries
+    count = len(u)
+    lifted = np.zeros((count, m, m), dtype=np.complex128)
+    lifted[:, :g, :g] = -u
+    lifted[:, g:, g:] = u
+    parts.append(_Terms(balanced.coeffs, lifted, (Provenance.FOUR_UNITARY,) * count,
+                        ("balanced-pair",) * count, slow[balanced.owner]))
+    entry = _Terms(*(f[cut:] for f in split))
+    cross = _cross_block_raw(m, rows, cells, entry._replace(owner=entry.owner - len(slow)))
     parts.append(cross._replace(owner=slow[cross.owner]))
     return _cat(m, parts)
 
@@ -649,33 +705,52 @@ def _single_block_raw(k, m, x):
     :func:`_entry_move` with trace-zero pads.  Zero entries are skipped."""
     if k == 1:
         return _scalar_case_raw(x)
-    return _block_grid_raw(x, np.arange(k * m).reshape(k, m), _scalar_case_raw, _entry_move,
+    rows = np.arange(k * m).reshape(k, m)
+    blocks, cells = _grid_blocks(x, rows)
+    return _block_grid_raw(k * m, rows, cells, _scalar_case_raw(blocks), _entry_move,
                            canonical_trace_zero_unitary(m), Provenance.AMPLIFY,
                            lambda s, t: f"entry-move({s + 1},{t + 1})")
 
 
 def _type_one_raw(plan: algebra.LayoutPlan, x):
     """The construction behind :func:`type_one_stack` for a stack ``x`` in
-    standard position, with the completion pads and the gcd piece rows of
-    the layout's plan."""
+    standard position, with the atom groups, completion pads and gcd piece
+    rows of the layout's plan.
+
+    The even atoms of one ``(k, m)`` form one group, as in ``E_A``: one
+    :func:`_single_block_raw` call decomposes every atom of the group in
+    every target, and one :func:`_padded_pairs` call completes the group's
+    terms, each with its atom's index rows and pad.  The parts are sorted
+    by the composite owner ``target * (A + 1) + atom`` of the ``A`` atoms,
+    the cross part last, so each target's terms come atom by atom whatever
+    the group order; the owner is divided back to the target at the end."""
     n = x.shape[-1]
+    stride = len(plan.atoms) + 1
+    targets = np.arange(len(x))[:, None]  # (B, 1): each target's row of owners
     parts = []
     cross = x.copy()
-    for a, pad in zip(plan.atoms, plan.pads):
-        block = (slice(None),) + np.ix_(a.indices, a.indices)
-        cross[block] = 0.0
-        if a.m < 2:
+    for grp in plan.groups:
+        cross[:, grp.rows, grp.cols] = 0.0
+        if grp.m < 2:
             continue
-        atom_terms = _single_block_raw(a.k, a.m, x[block])
-        if pad is None:  # a lone atom is the whole space: nothing to complete
-            parts.append(atom_terms)
+        size = grp.k * grp.m
+        atoms = x[:, grp.rows, grp.cols].reshape(-1, size, size)  # target by target
+        atom_terms = _single_block_raw(grp.k, grp.m, atoms)
+        member = atom_terms.owner % len(grp.members)  # the group member of each term
+        owner = (stride * targets + grp.members).ravel()[atom_terms.owner]
+        if grp.pads is None:  # a lone atom is the whole space: nothing to complete
+            parts.append(atom_terms._replace(owner=owner))
             continue
-        stages = (f"atom-completion({a.block},{a.atom})",) * len(atom_terms.coeffs)
-        parts.append(_padded_pairs(atom_terms, n, block, ((slice(None),), pad),
-                                   Provenance.ATOMIC, stages))
+        terms = np.arange(len(member))[:, None, None]
+        target = (terms, grp.rows[member], grp.cols[member])
+        parts.append(_padded_pairs(atom_terms._replace(owner=owner), n, target,
+                                   ((slice(None),), grp.pads[member]), Provenance.ATOMIC,
+                                   [grp.stages[i] for i in member.tolist()]))
     if np.any(cross):
-        parts.append(_zero_piece_raw(cross, plan.pieces))
-    return _cat(n, parts)
+        pieces = _zero_piece_raw(cross, plan.pieces)
+        parts.append(pieces._replace(owner=stride * pieces.owner + stride - 1))
+    raw = _cat(n, parts)
+    return raw._replace(owner=raw.owner // stride)
 
 
 def _type_one_budgets(plan: algebra.LayoutPlan):
@@ -781,28 +856,32 @@ def masa_quadrant_decomp(x) -> Decomposition:
     # the slots of a pair, (0, 1) or (2, 3), use complementary spares: it stays unitary.
     rows = quads[[[0, 3], [1, 2], [2, 1], [3, 0]]].reshape(4, 2 * q)
     cols = quads[[[0, 2], [1, 3], [2, 0], [3, 1]]].reshape(4, 2 * q)
-    parts = []
-    for part, mult, tag in _selfadjoint_parts(blocks):
-        pairs = np.flatnonzero(np.any(part, axis=(1, 2)).reshape(2, 2).any(axis=1))
-        if not pairs.size:
-            continue
-        slots = (2 * pairs[:, None] + np.arange(2)).ravel()  # both slots of each live pair
-        s = np.repeat(np.maximum(1.0, operator_norm(part[slots]).reshape(-1, 2).max(axis=1)), 2)
-        u1, u2, u3 = selfadjoint_corner_dilation(part[slots] / s[:, None, None])
-        # u[pair, kind] holds dilation ``kind`` of both slots of the pair
-        u = np.zeros((len(pairs), 2, n, n), dtype=np.complex128)
-        at = (np.arange(len(pairs))[:, None, None, None, None], np.arange(2)[:, None, None],
+    # unit 2 * pair + j holds self-adjoint part j of both slots of the pair,
+    # so the units come pair by pair, the real part first
+    units = _selfadjoint_parts(blocks).reshape(2, 2, 2, q, q).swapaxes(1, 2).reshape(4, 2, q, q)
+    live = np.flatnonzero(np.any(units, axis=(1, 2, 3)))
+    slots = (2 * (live // 2)[:, None] + np.arange(2)).ravel()  # both slots of each live unit
+    parts = units[live].reshape(-1, q, q)
+    dilations = _cat(n, ())
+    delta = np.zeros((2, 4, q, q), dtype=np.complex128)  # (part, slot) corner remainders
+    if live.size:
+        s = np.maximum(1.0, operator_norm(parts).reshape(-1, 2).max(axis=1))
+        u1, u2, u3 = selfadjoint_corner_dilation(parts / np.repeat(s, 2)[:, None, None])
+        # u[unit, kind] holds dilation ``kind`` of both slots of the unit
+        u = np.zeros((len(live), 2, n, n), dtype=np.complex128)
+        at = (np.arange(len(live))[:, None, None, None, None], np.arange(2)[:, None, None],
               rows[slots].reshape(-1, 2, 1, 2 * q, 1), cols[slots].reshape(-1, 2, 1, 1, 2 * q))
         u[at] = np.stack((u1, u2), axis=1).reshape(-1, 2, 2, 2 * q, 2 * q)
-        remainder[rows[slots][:, :q, None], cols[slots][:, None, q:]] -= (
-            (mult * s)[:, None, None] * u3[:, :q, q:])
-        count = len(slots)  # two terms of coefficient mult * s / 2 per pair
-        parts.append(_Terms((mult * s / 2.0).astype(np.complex128), u.reshape(count, n, n),
-                            (Provenance.DILATION,) * count, (f"quadrant-{tag}",) * count,
-                            np.repeat(pairs, 2)))
-    dilations = _cat(n, parts)  # pair by pair, real part first
-    raw = _cat(n, [dilations._replace(owner=np.zeros_like(dilations.owner)),
-                   _zero_piece_raw(remainder[None], quads)])
+        scale = np.repeat(_PART_MULTS[live % 2] * s, 2)  # one per slot of each unit
+        delta[np.repeat(live % 2, 2), slots] = scale[:, None, None] * u3[:, :q, q:]
+        count = 2 * len(live)  # two terms of coefficient mult * s / 2 per unit
+        dilations = _Terms(scale / 2.0, u.reshape(count, n, n), (Provenance.DILATION,) * count,
+                           _part_stages("quadrant", np.repeat(live, 2)),
+                           np.zeros(count, dtype=np.intp))
+    # the real parts' corner remainders first, then the imaginary parts'
+    corners = (rows[:, :q, None], cols[:, None, q:])
+    remainder[corners] = (remainder[corners] - delta[0]) - delta[1]
+    raw = _cat(n, [dilations, _zero_piece_raw(remainder[None], quads)])
     # Budgets: 8 dilation terms plus 8p(p-1) = 96 cross terms at p = 4.
     # Coefficient mass: at most 4 max(1, ||x||) from the dilations plus
     # 2p(p-1) ||rem|| = 24 ||rem|| from the cross blocks, where

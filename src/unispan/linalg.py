@@ -149,9 +149,16 @@ def operator_norm(x):
     each of its matrices; a single matrix gives a ``float``.  The singular
     values come sorted in descending order, so the first is the largest:
     the same bits as ``np.linalg.norm(x, 2, axis=(-2, -1))``, without its
-    axis handling and reduction.
+    axis handling and reduction.  Raises :class:`UnispanError` when a norm
+    is not finite, or when LAPACK cannot converge on a NaN entry: only the
+    norms are checked, not the whole input.
     """
-    norms = np.linalg.svd(as_stack(x), compute_uv=False)[..., 0]
+    try:
+        norms = np.linalg.svd(as_stack(x), compute_uv=False)[..., 0]
+    except np.linalg.LinAlgError:
+        raise UnispanError("input has a non-finite entry") from None
+    if not np.isfinite(norms).all():
+        raise UnispanError("operator norm is not finite")
     return float(norms) if norms.ndim == 0 else norms
 
 

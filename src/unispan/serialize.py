@@ -345,13 +345,18 @@ def _stage(term) -> str:
     return stage
 
 
+# a stored provenance value to its member: a value that is not one raises
+# KeyError, an unhashable one TypeError
+_PROVENANCE = {p.value: p for p in Provenance}
+
+
 def _term_error(items, target) -> ParseError:
     """The error for a term list that :func:`_terms_from_json` rejects,
     found by checking the terms one by one and naming the first bad one."""
     for i, t in enumerate(items):
         try:
             re, im = t["coeff"]["re"], t["coeff"]["im"]
-            Provenance(t["provenance"])
+            _PROVENANCE[t["provenance"]]
             _stage(t)
         except (TypeError, KeyError, ValueError, AttributeError):
             return ParseError(f"decomposition: malformed term {i}")
@@ -383,7 +388,7 @@ def _terms_from_json(items, target):
         im = np.array([t["unitary"]["im"] for t in items], dtype=np.float64)
         if items and not re.shape == im.shape == shape:
             raise ValueError
-        provenance = [Provenance(t["provenance"]) for t in items]
+        provenance = [_PROVENANCE[t["provenance"]] for t in items]
         stages = [_stage(t) for t in items]
     except (TypeError, KeyError, ValueError, AttributeError, OverflowError):
         raise _term_error(items, target) from None

@@ -5,7 +5,10 @@ Prints one JSON object ``{key: sha256 hex digest}`` for the ``unispan``
 package under ``--src``:
 
 * per spec (the 19 self-test grid specs, masa n=16 and n=24,
-  ``M_4 (x) 1_4``, ``M_3 (x) 1_2`` and conjugated c1, c3 and c4 specs):
+  ``M_4 (x) 1_4``, ``M_3 (x) 1_2``, the three-atom layouts
+  ``1_2 + 1_4 + 1_2``, ``(M_2 (x) 1_2)^3`` and
+  ``M_2 (x) 1_2 + 1_4 + M_2 (x) 1_2``, whose equal atoms are not all
+  adjacent, and conjugated c1, c3 and c4 specs):
   the complement basis, the ``spancert`` document, the ``type_one_stack``
   term stacks of the whole basis (``coeffs``, ``unitaries``,
   ``provenance``, ``stages``), and the ``run_decompose`` document with its
@@ -45,7 +48,10 @@ GRID = (
        ("c4-mixed-blocks", [(1, [4]), (2, [2])])]
 )
 EXTRA = [("c1-masa-n16", [(1, [1] * 16)]), ("c1-masa-n24", [(1, [1] * 24)]),
-         ("c2-k4-m4", [(4, [4])]), ("c2-k3-m2", [(3, [2])])]
+         ("c2-k4-m4", [(4, [4])]), ("c2-k3-m2", [(3, [2])]),
+         ("c3-atoms-2-4-2", [(1, [2, 4, 2])]),
+         ("c4-blocks-2x2-2x2-2x2", [(2, [2])] * 3),
+         ("c4-blocks-2x2-1x4-2x2", [(2, [2]), (1, [4]), (2, [2])])]
 CONJUGATED = [("c1-masa-n4-conjugated", [(1, [1] * 4)]),
               ("c3-atoms-1-1-2-conjugated", [(1, [1, 1, 2])]),
               ("c4-two-factor-blocks-conjugated", [(2, [2]), (2, [2])])]

@@ -80,29 +80,31 @@ def assert_terms_equal(d, expected, atol=1e-12):
 
 class TestTwoUnitary:
     def test_zero_input(self):
-        raw = decompose._two_unitary_raw(np.zeros((1, 2, 2)), np.zeros(1, dtype=np.intp), "")
+        raw = decompose._two_unitary_raw(np.zeros((1, 2, 2)), np.zeros(1, dtype=np.intp), ("",))
         assert_terms_equal(raw, [(0.5, 1j * np.eye(2)), (0.5, -1j * np.eye(2))])
 
     def test_half_spectrum(self):
-        raw = decompose._two_unitary_raw(np.diag([0.5, -0.5])[None], np.zeros(1, dtype=np.intp), "")
+        raw = decompose._two_unitary_raw(np.diag([0.5, -0.5])[None], np.zeros(1, dtype=np.intp),
+                                         ("",))
         u = np.diag([np.exp(1j * np.pi / 3), np.exp(2j * np.pi / 3)])
         assert_terms_equal(raw, [(0.5, u), (0.5, u.conj().T)])
 
     def test_selfadjoint_unitary_degenerate(self):
         x = np.diag([1.0, -1.0])
-        raw = decompose._two_unitary_raw(x[None], np.zeros(1, dtype=np.intp), "")
+        raw = decompose._two_unitary_raw(x[None], np.zeros(1, dtype=np.intp), ("",))
         assert raw.coeffs.tolist() == [0.5, 0.5]
         for u in raw.unitaries:
             np.testing.assert_allclose(u, x, atol=1e-14)
 
     def test_random_reconstruction(self, rng):
         # one call per size decomposes a stack of contractions, each into
-        # the pair that its owner index names
+        # the pair that its owner index and its stage name
         for n in range(1, 9):
             hs = np.array([random_hermitian(rng, n) for _ in range(4)])
             hs /= linalg.operator_norm(hs)[:, None, None]
-            raw = decompose._two_unitary_raw(hs, np.arange(4), "pair")
+            raw = decompose._two_unitary_raw(hs, np.arange(4), ("a", "b", "c", "d"))
             assert raw.owner.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+            assert raw.stages == ("a", "a", "b", "b", "c", "c", "d", "d")
             recon = (raw.coeffs[:, None, None] * raw.unitaries).reshape(4, 2, n, n).sum(axis=1)
             assert np.max(linalg.hs_norm(recon - hs)) <= 1e-12
             assert np.max(linalg.unitarity_residual(raw.unitaries)) <= 1e-12
@@ -610,6 +612,10 @@ class TestMasaQuadrant:
         """The stacked body gives the bits of a loop over the two slot pairs
         and the real and imaginary parts, one pair of terms at a time."""
 
+        def selfadjoint_parts(z):
+            zc = z.conj().T
+            return (((z + zc) / 2.0, 1.0, "real"), ((z - zc) / 2.0j, 1.0j, "imag"))
+
         def loop(x):
             n = len(x)
             q = n // 4
@@ -619,7 +625,7 @@ class TestMasaQuadrant:
             terms = []
             for pair in (((0, 3, 2), (1, 2, 3)), ((2, 1, 0), (3, 0, 1))):
                 blocks = [x[np.ix_(quads[slot], quads[slot])] for slot, _, _ in pair]
-                for (pa, mult, tag), (pb, _, _) in zip(*map(decompose._selfadjoint_parts, blocks)):
+                for (pa, mult, tag), (pb, _, _) in zip(*map(selfadjoint_parts, blocks)):
                     if not (np.any(pa) or np.any(pb)):
                         continue
                     s = max(1.0, linalg.operator_norm(pa), linalg.operator_norm(pb))
@@ -1070,6 +1076,163 @@ class TestTypeOneStack:
             decompose.type_one_stack(TypeISubalgebraSpec.masa(2), np.zeros((2, 2)))
 
 
+# ---------------------------------------------------------------------------
+# the construction one part, one atom and one block kind at a time: the
+# reference for the stacked rounds of the construction
+
+
+def selfadjoint_parts(z):
+    """``(part, mult, tag)`` for the real and imaginary self-adjoint parts
+    of ``z = h + i*k`` (one matrix or a stack), one part at a time."""
+    zc = linalg.adjoint(z)
+    return (((z + zc) / 2.0, 1.0, "real"), ((z - zc) / 2.0j, 1.0j, "imag"))
+
+
+def loop_four_unitary_raw(x):
+    multiples, slow = decompose._unitary_multiples(x)
+    if not slow.size:
+        return multiples
+    parts = [multiples]
+    for part, mult, tag in selfadjoint_parts(x[slow]):
+        sp = linalg.operator_norm(part)
+        nz = sp != 0.0
+        two = decompose._two_unitary_raw(decompose._divide_by_norm(part[nz], sp[nz]), slow[nz],
+                                         (f"selfadjoint-split-{tag}",) * int(nz.sum()))
+        parts.append(two._replace(coeffs=np.repeat(mult * sp[nz], 2) * two.coeffs))
+    return decompose._cat(x.shape[-1], parts)
+
+
+def loop_zero_piece_raw(x, rows):
+    blocks, cells = decompose._grid_blocks(x, rows)
+    return decompose._cross_block_raw(x.shape[-1], rows, cells, loop_four_unitary_raw(blocks))
+
+
+def block_dilation(y):
+    r = linalg.sqrt_defect(y)
+    zero = np.zeros_like(y)
+    return (np.block([[y, r], [-r, y]]), np.block([[y, r], [r, -y]]),
+            np.block([[zero, r], [zero, zero]]))
+
+
+def loop_scalar_case_raw(x):
+    m = x.shape[-1]
+    multiples, slow = decompose._unitary_multiples(x, trace_free=True)
+    if not slow.size:
+        return multiples
+    parts = [multiples]
+    y = x[slow]
+    g = m // 2
+    corner = np.zeros((len(slow), g, g), dtype=complex)
+    for part, mult, tag in selfadjoint_parts(y[:, :g, :g] + y[:, g:, g:]):
+        nz = np.flatnonzero(np.any(part, axis=(1, 2)))
+        if not nz.size:
+            continue
+        sp = np.maximum(1.0, linalg.operator_norm(part[nz]))
+        u1, u2, u3 = block_dilation(part[nz] / sp[:, None, None])
+        count = 2 * len(nz)
+        parts.append(decompose._Terms(
+            np.repeat(mult * sp / 2.0, 2).astype(complex),
+            np.stack((u1, u2), axis=1).reshape(count, m, m), (Provenance.DILATION,) * count,
+            (f"diag-dilation-{tag}",) * count, np.repeat(slow[nz], 2)))
+        corner[nz] = corner[nz] - (mult * sp)[:, None, None] * u3[:, :g, g:]
+    balanced = loop_four_unitary_raw(y[:, g:, g:])
+    u = balanced.unitaries
+    count = len(u)
+    parts.append(decompose._Terms(
+        balanced.coeffs, np.block([[-u, np.zeros_like(u)], [np.zeros_like(u), u]]),
+        (Provenance.FOUR_UNITARY,) * count, ("balanced-pair",) * count, slow[balanced.owner]))
+    offdiag = np.zeros_like(y)
+    offdiag[:, :g, g:] = y[:, :g, g:] + corner
+    offdiag[:, g:, :g] = y[:, g:, :g]
+    cross = loop_zero_piece_raw(offdiag, np.arange(m).reshape(2, g))
+    parts.append(cross._replace(owner=slow[cross.owner]))
+    return decompose._cat(m, parts)
+
+
+def loop_type_one_raw(plan, x):
+    n = x.shape[-1]
+    parts = []
+    cross = x.copy()
+    for a, pad in zip(plan.atoms, plan.pads):
+        block = (slice(None),) + np.ix_(a.indices, a.indices)
+        cross[block] = 0.0
+        if a.m < 2:
+            continue
+        if a.k == 1:
+            atom_terms = loop_scalar_case_raw(x[block])
+        else:
+            rows = np.arange(a.dim).reshape(a.k, a.m)
+            blocks, cells = decompose._grid_blocks(x[block], rows)
+            atom_terms = decompose._block_grid_raw(
+                a.dim, rows, cells, loop_scalar_case_raw(blocks), decompose._entry_move,
+                canonical_trace_zero_unitary(a.m), Provenance.AMPLIFY,
+                lambda s, t: f"entry-move({s + 1},{t + 1})")
+        if pad is None:
+            parts.append(atom_terms)
+            continue
+        stages = (f"atom-completion({a.block},{a.atom})",) * len(atom_terms.coeffs)
+        parts.append(decompose._padded_pairs(atom_terms, n, block, ((slice(None),), pad),
+                                             Provenance.ATOMIC, stages))
+    if np.any(cross):
+        parts.append(loop_zero_piece_raw(cross, plan.pieces))
+    return decompose._cat(n, parts)
+
+
+class TestConstructionRounds:
+    @pytest.mark.parametrize("blocks", [
+        [(1, [2, 4, 2])],
+        [(2, [2]), (1, [4]), (2, [2])],
+        [(2, [2])] * 3,
+    ], ids=["atoms-2-4-2", "blocks-2x2-1x4-2x2", "blocks-2x2-2x2-2x2"])
+    def test_matches_the_loops(self, blocks):
+        """Both self-adjoint parts in one stack, the atoms of one ``(k, m)``
+        in one group and the balanced block split with the cross blocks give
+        the bits of the loops over parts, atoms and block kinds, for every
+        target of a stack, including equal atoms that are not adjacent."""
+        spec = TypeISubalgebraSpec.of_blocks(blocks)
+        xs = np.array([scale * algebra.random_complement_element(spec, seed)
+                       for seed in range(3) for scale in (1.0, 2.0**-40, 1e3)])
+        plan = algebra.layout_plan(spec.blocks)
+        got = decompose.type_one_stack(spec, xs)
+        tb, cf = decompose._type_one_budgets(plan)
+        want = decompose._assemble(spec, xs, loop_type_one_raw(plan, xs), tb,
+                                   [cf * max(1.0, s) for s in linalg.operator_norm(xs).tolist()])
+        assert got.offsets == want.offsets
+        assert (got.provenance, got.stages) == (want.provenance, want.stages)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert got.unitaries.tobytes() == want.unitaries.tobytes()
+        assert all(map(same_decomposition, got, want))
+
+    def test_four_unitary_makes_one_eigen_call(self, rng, monkeypatch):
+        calls = eigen_calls(monkeypatch)
+        four_unitary(random_complex(rng, (3, 3)))
+        assert calls == [(2, 3, 3)]  # both self-adjoint parts, in one stack
+
+    def test_two_factor_blocks_make_two_eigen_calls(self, monkeypatch):
+        # one for the corner dilations of every entry of both atoms (the
+        # 1 x 1 corner sums of trace-free 2 x 2 entries are rounding residue
+        # here, 7 of them nonzero), one for the cross-atom blocks; the 1 x 1
+        # balanced and cross blocks are unitary multiples and need none
+        spec = TypeISubalgebraSpec.of_blocks([(2, [2]), (2, [2])])
+        x = algebra.random_complement_element(spec, 0)
+        calls = eigen_calls(monkeypatch)
+        type_one_decomp(spec, x)
+        assert calls == [(7, 1, 1), (4, 4, 4)]
+
+
+def eigen_calls(monkeypatch):
+    """The argument shapes of every :func:`linalg.hermitian_eig` call from here on."""
+    calls = []
+    kernel = linalg.hermitian_eig
+
+    def counted(h):
+        calls.append(np.shape(h))
+        return kernel(h)
+
+    monkeypatch.setattr(linalg, "hermitian_eig", counted)
+    return calls
+
+
 class TestDecompositionStack:
     def test_items_are_read_only_views_of_the_pool(self, rng):
         spec = TypeISubalgebraSpec.of_blocks([(2, [2]), (2, [2])])
@@ -1458,7 +1621,8 @@ class TestFaultMatrix:
         assert failing_gates(spec, x, d) == {"recon"}
 
     def test_dilation_defect_sign(self, rng, monkeypatch):
-        mutate(monkeypatch, decompose, selfadjoint_corner_dilation, "[r, -y]", "[-r, -y]")
+        mutate(monkeypatch, decompose, selfadjoint_corner_dilation,
+               "u2[..., g:, :g] = r", "u2[..., g:, :g] = -r")
         # at m = 4 the dilated parts are 2 x 2 and trace-free, so after
         # normalization their defect r vanishes; m = 6 keeps it nonzero
         x = traceless(rng, 6)
@@ -1466,14 +1630,16 @@ class TestFaultMatrix:
         assert gates == {"recon", "unitarity"}
 
     def test_dilation_defect_sign_in_quadrant_path(self, monkeypatch):
-        mutate(monkeypatch, decompose, selfadjoint_corner_dilation, "[r, -y]", "[-r, -y]")
+        mutate(monkeypatch, decompose, selfadjoint_corner_dilation,
+               "u2[..., g:, :g] = r", "u2[..., g:, :g] = -r")
         spec = TypeISubalgebraSpec.masa(8)
         x = algebra.random_complement_element(spec, 0)
         assert all(np.any(x[i : i + 2, i : i + 2]) for i in range(0, 8, 2))
         assert failing_gates(spec, x, masa_quadrant_decomp(x)) == {"recon", "unitarity"}
 
     def test_balanced_pair_sign(self, rng, monkeypatch):
-        mutate(monkeypatch, decompose, decompose._scalar_case_raw, "[[-u,", "[[u,")
+        mutate(monkeypatch, decompose, decompose._scalar_case_raw,
+               "lifted[:, :g, :g] = -u", "lifted[:, :g, :g] = u")
         x = traceless(rng, 4)
         gates = failing_gates(TypeISubalgebraSpec.scalar(4), x, scalar_decomp(x))
         assert gates == {"recon", "membership"}

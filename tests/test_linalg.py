@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import e_unit, random_complex, random_hermitian, random_unitary
 from unispan import linalg
-from unispan.errors import DimensionMismatch, NormExceedsOne, NotSelfAdjoint
+from unispan.errors import DimensionMismatch, NormExceedsOne, NotSelfAdjoint, UnispanError
 
 PAULI = [
     np.eye(2, dtype=complex),
@@ -141,6 +141,17 @@ class TestOperatorNorm:
             x = random_complex(rng, (n, n))
             expected = np.linalg.svd(x, compute_uv=False)[0]
             assert linalg.operator_norm(x) == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2, 2)], ids=["1x1", "2x2", "stack"])
+    def test_non_finite_entry_raises(self, capfd, shape, bad):
+        # an infinity makes the norm NaN and a NaN stops LAPACK from
+        # converging; both are refused, and nothing is printed
+        x = np.eye(shape[-1], dtype=complex) * np.ones(shape)
+        x[(-1,) * len(shape)] = bad
+        with pytest.raises(UnispanError):
+            linalg.operator_norm(x)
+        assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (6, 2, 2), (3, 5, 1, 1), (0, 3, 3),
                                        (2, 0, 4, 4), (7, 5, 5)])

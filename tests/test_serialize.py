@@ -190,8 +190,12 @@ class TestDocumentRoundTrips:
             (lambda t: t.update(unitary={"re": [[0.0] * 16], "im": [[0.0] * 16]}),
              "term 1 unitary: arrays must be square"),
             (lambda t: t.pop("unitary"), "malformed term 1"),
+            (lambda t: t.update(provenance="bogus"), "malformed term 1"),
+            (lambda t: t.update(provenance=["atomic"]), "malformed term 1"),
+            (lambda t: t.update(provenance=3), "malformed term 1"),
         ],
-        ids=["bool", "string", "int-overflow", "flat-same-size", "no-unitary"],
+        ids=["bool", "string", "int-overflow", "flat-same-size", "no-unitary",
+             "unknown-provenance", "list-provenance", "int-provenance"],
     )
     def test_bad_term_is_named(self, edit, detail):
         doc = self._doc()
