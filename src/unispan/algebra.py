@@ -69,6 +69,8 @@ class TypeISubalgebraSpec:
         if not blocks:
             raise UnispanError("spec needs at least one block")
         object.__setattr__(self, "blocks", blocks)
+        if self.dimension**2 > np.iinfo(np.intp).max:
+            raise UnispanError(f"dimension {self.dimension} is too large to index")
         if self.conjugation is not None:
             w = as_matrix(self.conjugation)
             if w.shape[0] != self.dimension:
@@ -389,6 +391,8 @@ def complement_basis(spec: TypeISubalgebraSpec) -> np.ndarray:
     Gram-Schmidt, twice, against every vector kept so far.
     """
     n = spec.dimension
+    if n**4 > np.iinfo(np.intp).max:
+        raise UnispanError(f"the {n**2} matrix units of dimension {n} are too many to stack")
     units = complement_project(spec, np.eye(n * n).reshape(n * n, n, n))
     nonzero = units.reshape(n * n, n * n) != 0
     solo = (np.count_nonzero(nonzero, axis=1) == 1) & (

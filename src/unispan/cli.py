@@ -283,7 +283,7 @@ def main(argv=None) -> int:
         sys.stdout.write(canonical_dumps({"error": "parse", "detail": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (UnispanError, ArithmeticError) as exc:
+    except (UnispanError, ArithmeticError, MemoryError) as exc:
         sys.stdout.write(canonical_dumps({"error": "failed", "detail": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL

@@ -408,8 +408,6 @@ def _two_unitary_raw(y, owner, stages):
     for each self-adjoint contraction of the stack ``y``, in one
     :func:`sqrt_defect` call; ``stages`` names each matrix's stage."""
     count, g, _ = y.shape
-    if not count:
-        return _cat(g, ())
     u = y + 1j * sqrt_defect(y)
     return _Terms(np.full(2 * count, 0.5, dtype=np.complex128),
                   np.stack((u, adjoint(u)), axis=1).reshape(2 * count, g, g),
@@ -459,13 +457,9 @@ def _unitary_multiples(x, trace_free=False):
     Returns the one-term decompositions ``(s, x/s)``, ``s = ||x||``, of the
     matrices whose ``x/s`` is unitary (and, with ``trace_free``, has zero
     trace) within ``FAST_PATH_TOL``, and the indices of the other nonzero
-    matrices.  Zero matrices are in neither, and a stack of zero matrices
-    calls no kernel."""
+    matrices.  Zero matrices are in neither."""
     live = np.flatnonzero(np.any(x, axis=(1, 2)))
-    if not live.size:
-        return _cat(x.shape[-1], ()), live
     s = operator_norm(x[live])
-    live, s = live[s != 0.0], s[s != 0.0]
     cand = _divide_by_norm(x[live], s)
     fast = unitarity_residual(cand) <= FAST_PATH_TOL
     if trace_free:
@@ -648,8 +642,6 @@ def _scalar_case_raw(x):
     if np.any(np.hypot(t.real, t.imag) > 1e-9 * np.maximum(1.0, hs_norm(x))):
         raise NotTraceZero("input trace is not zero within tolerance")
     multiples, slow = _unitary_multiples(x, trace_free=True)
-    if not slow.size:
-        return multiples
     parts = [multiples]
     y = x[slow]
     g = m // 2
@@ -862,22 +854,20 @@ def masa_quadrant_decomp(x) -> Decomposition:
     live = np.flatnonzero(np.any(units, axis=(1, 2, 3)))
     slots = (2 * (live // 2)[:, None] + np.arange(2)).ravel()  # both slots of each live unit
     parts = units[live].reshape(-1, q, q)
-    dilations = _cat(n, ())
     delta = np.zeros((2, 4, q, q), dtype=np.complex128)  # (part, slot) corner remainders
-    if live.size:
-        s = np.maximum(1.0, operator_norm(parts).reshape(-1, 2).max(axis=1))
-        u1, u2, u3 = selfadjoint_corner_dilation(parts / np.repeat(s, 2)[:, None, None])
-        # u[unit, kind] holds dilation ``kind`` of both slots of the unit
-        u = np.zeros((len(live), 2, n, n), dtype=np.complex128)
-        at = (np.arange(len(live))[:, None, None, None, None], np.arange(2)[:, None, None],
-              rows[slots].reshape(-1, 2, 1, 2 * q, 1), cols[slots].reshape(-1, 2, 1, 1, 2 * q))
-        u[at] = np.stack((u1, u2), axis=1).reshape(-1, 2, 2, 2 * q, 2 * q)
-        scale = np.repeat(_PART_MULTS[live % 2] * s, 2)  # one per slot of each unit
-        delta[np.repeat(live % 2, 2), slots] = scale[:, None, None] * u3[:, :q, q:]
-        count = 2 * len(live)  # two terms of coefficient mult * s / 2 per unit
-        dilations = _Terms(scale / 2.0, u.reshape(count, n, n), (Provenance.DILATION,) * count,
-                           _part_stages("quadrant", np.repeat(live, 2)),
-                           np.zeros(count, dtype=np.intp))
+    s = np.maximum(1.0, operator_norm(parts).reshape(-1, 2).max(axis=1))
+    u1, u2, u3 = selfadjoint_corner_dilation(parts / np.repeat(s, 2)[:, None, None])
+    # u[unit, kind] holds dilation ``kind`` of both slots of the unit
+    u = np.zeros((len(live), 2, n, n), dtype=np.complex128)
+    at = (np.arange(len(live))[:, None, None, None, None], np.arange(2)[:, None, None],
+          rows[slots].reshape(-1, 2, 1, 2 * q, 1), cols[slots].reshape(-1, 2, 1, 1, 2 * q))
+    u[at] = np.stack((u1, u2), axis=1).reshape(-1, 2, 2, 2 * q, 2 * q)
+    scale = np.repeat(_PART_MULTS[live % 2] * s, 2)  # one per slot of each unit
+    delta[np.repeat(live % 2, 2), slots] = scale[:, None, None] * u3[:, :q, q:]
+    count = 2 * len(live)  # two terms of coefficient mult * s / 2 per unit
+    dilations = _Terms(scale / 2.0, u.reshape(count, n, n), (Provenance.DILATION,) * count,
+                       _part_stages("quadrant", np.repeat(live, 2)),
+                       np.zeros(count, dtype=np.intp))
     # the real parts' corner remainders first, then the imaginary parts'
     corners = (rows[:, :q, None], cols[:, None, q:])
     remainder[corners] = (remainder[corners] - delta[0]) - delta[1]

@@ -81,7 +81,7 @@ def _format_stack(a) -> list:
     return ["".join(m) for m in cells.tolist()]
 
 
-def _emit(obj, out, memo) -> None:
+def _emit(obj, out) -> None:
     if type(obj) is _Json:
         out.append(obj)
     elif obj is None:
@@ -101,19 +101,15 @@ def _emit(obj, out, memo) -> None:
         for i, (k, v) in enumerate(obj.items()):
             if i:
                 out.append(",")
-            name = str(k)
-            key = memo.get(name)
-            if key is None:
-                key = memo[name] = json.dumps(name, ensure_ascii=True) + ":"
-            out.append(key)
-            _emit(v, out, memo)
+            out.append(json.dumps(str(k), ensure_ascii=True) + ":")
+            _emit(v, out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
             if i:
                 out.append(",")
-            _emit(v, out, memo)
+            _emit(v, out)
         out.append("]")
     else:
         raise UnispanError(f"cannot serialize {type(obj).__name__}")
@@ -122,7 +118,7 @@ def _emit(obj, out, memo) -> None:
 def canonical_dumps(obj) -> str:
     """Serialize to canonical JSON text (trailing newline included)."""
     out = []
-    _emit(obj, out, {})
+    _emit(obj, out)
     out.append("\n")
     return "".join(out)
 

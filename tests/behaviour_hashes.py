@@ -17,6 +17,10 @@ package under ``--src``:
 * 30 ``four_unitary`` and 23 ``masa_quadrant_decomp`` documents, five of
   them for a zero pair of quadrant-diagonal blocks, real-only,
   imaginary-only and Hermitian inputs and ``n = 16``;
+* five documents of edge inputs, verifier report included: zero targets
+  of ``C*1_4``, ``M_2 (x) 1_2`` and ``1_2 + 1_2``,
+  ``four_unitary([[0, 5e-324], [0, 0]])`` and ``type_one_decomp`` of
+  ``2**-1070 * [[0, 3], [1, 0]]`` in the masa of ``M_2``;
 * the block permutations ``_derangement(count, alpha, beta)`` of every
   ``count <= 32``.
 
@@ -121,6 +125,19 @@ def hashes(unispan, names) -> dict:
         np.fill_diagonal(y, 0.0)
         out[f"masa_quadrant/{name}"] = doc_hash(serialize.decomposition_to_json(
             decompose.masa_quadrant_decomp(y)))
+    # zero targets and subnormal ones, whose stacks of unitary multiples,
+    # slow blocks or self-adjoint parts are empty
+    edges = [(f"zero/{name}", spec, np.zeros((spec.dimension,) * 2)) for name, spec in (
+        ("c2-k1-m4", unispan.TypeISubalgebraSpec.scalar(4)),
+        ("c4-k2-m2", unispan.TypeISubalgebraSpec.of_blocks([(2, [2])])),
+        ("c3-atoms-2-2", unispan.TypeISubalgebraSpec.atoms([2, 2])))]
+    edges += [("masa2-subnormal", unispan.TypeISubalgebraSpec.masa(2),
+               2.0**-1070 * np.array([[0.0, 3.0], [1.0, 0.0]])),
+              ("four_unitary-5e-324", None, np.array([[0.0, 5e-324], [0.0, 0.0]]))]
+    for name, spec, x in edges:
+        d = decompose.four_unitary(x) if spec is None else decompose.type_one_decomp(spec, x)
+        out[f"edge/{name}"] = doc_hash(serialize.decomposition_to_json(
+            d, decompose.verify_decomposition(spec, x, d)))
     out["derangements"] = digest(*[
         decompose._derangement(count, a, b).tobytes()
         for count in range(2, 33) for a in range(count) for b in range(count) if a != b])

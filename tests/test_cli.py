@@ -300,13 +300,18 @@ class TestExitCodes:
             lambda doc: doc["terms"][0].update(stage=None),
             lambda doc: doc["terms"][0].update(stage=["a"]),
             lambda doc: doc.update(spec={"blocks": [{"k": 1, "atom_mults": [1, 1, 1, 1]}]}),
+            lambda doc: doc.pop("report"),
+            lambda doc: doc.pop("terms"),
+            lambda doc: doc.update(report=[]),
+            lambda doc: doc["spec"]["blocks"][0].update(atom_mults=3),
         ],
         ids=["nan-coeff", "string-term-budget", "non-list-terms", "nan-coeff-budget",
              "inf-report-coeff-sum", "inf-report-term-count", "fractional-term-budget",
              "fractional-report-term-count", "string-report-recon-residual",
              "bool-report-unitarity-residual", "string-report-membership-residual",
              "bool-report-coeff-sum", "wrong-n", "string-n", "missing-n",
-             "int-stage", "null-stage", "list-stage", "spec-dimension"],
+             "int-stage", "null-stage", "list-stage", "spec-dimension", "missing-report",
+             "missing-terms", "list-report", "non-list-atom-mults"],
     )
     def test_malformed_stored_decomposition_is_two(self, capsys, tmp_path, edit):
         inst = tmp_path / "inst.json"
@@ -362,9 +367,10 @@ class TestExitCodes:
             lambda doc: doc["matrix"]["re"][0].__setitem__(1, "0.5"),
             lambda doc: doc["matrix"]["im"][1].__setitem__(0, True),
             lambda doc: doc["matrix"]["re"][0].__setitem__(1, 10**400),
+            lambda doc: doc["spec"].update(blocks=[{"k": 1, "atom_mults": [1, 1, 1, 1]}]),
         ],
         ids=["string-k", "bool-k", "fractional-atom-mult", "non-list-blocks", "bool-seed",
-             "bool-n", "string-entry", "bool-entry", "huge-int-entry"],
+             "bool-n", "string-entry", "bool-entry", "huge-int-entry", "spec-dimension"],
     )
     def test_malformed_instance_is_two(self, capsys, tmp_path, edit):
         doc = _plain_instance(TypeISubalgebraSpec.masa(3), np.array(
@@ -375,6 +381,28 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "decompose", "--in", str(inst))
         assert code == 2
         assert json.loads(out)["error"] == "parse"
+
+    def test_instance_that_is_not_an_object_is_two(self, capsys, tmp_path):
+        inst = tmp_path / "inst.json"
+        inst.write_text("[]")
+        code, out, _ = run_cli(capsys, "decompose", "--in", str(inst))
+        assert (code, json.loads(out)) == (
+            2, {"error": "parse", "detail": "instance: expected a JSON object"})
+
+    # every size check numpy makes refuses these before allocating, or the
+    # request is beyond any address space: none of them allocates
+    @pytest.mark.parametrize("argv, code, detail", [
+        (("spancert", "--class", "c2", "--k", "100000", "--m", "2"), 1,
+         "the 40000000000 matrix units of dimension 200000 are too many to stack"),
+        (("spancert", "--class", "c1", "--n", "3000"), 1, "Unable to allocate"),
+        (("random-instance", "--class", "c2", "--k", "10000000000000000000", "--m", "2"), 2,
+         "spec: dimension 20000000000000000000 is too large to index"),
+    ], ids=["too-many-units", "memory-error", "unindexable-dimension"])
+    def test_layout_too_large_to_allocate_is_a_json_error(self, capsys, argv, code, detail):
+        got, out, _ = run_cli(capsys, *argv)
+        doc = json.loads(out)
+        assert (got, doc["error"]) == (code, "failed" if code == 1 else "parse")
+        assert doc["detail"].startswith(detail)
 
     @pytest.mark.parametrize("argv", [
         ("spancert", "--class", "c1", "--n", "3", "--rank-tol", "-1"),

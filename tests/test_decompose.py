@@ -160,8 +160,7 @@ class TestUnitaryMultiples:
             recon = multiples.coeffs[:, None, None] * multiples.unitaries
             np.testing.assert_allclose(recon, x[fast], atol=1e-15)
 
-    def test_zero_stack_calls_no_kernel(self, monkeypatch):
-        monkeypatch.setattr(decompose, "operator_norm", None)
+    def test_zero_stack_gives_no_terms(self):
         multiples, rest = decompose._unitary_multiples(np.zeros((3, 2, 2), dtype=complex))
         assert len(multiples.coeffs) == len(rest) == 0
         assert multiples.unitaries.shape == (0, 2, 2)
@@ -1532,6 +1531,11 @@ class TestReadOnlyStorage:
         assert converted.target.dtype == converted.coeffs.dtype == np.complex128
         assert converted.unitaries.flags.c_contiguous
         assert not np.shares_memory(converted.unitaries, unitaries)
+
+    def test_stacks_and_tuples_of_different_lengths_are_refused(self):
+        unitaries = np.stack([np.eye(2, dtype=complex)] * 2)
+        with pytest.raises(DimensionMismatch, match="differ in length"):
+            Decomposition(None, np.eye(2), [1.0, 1.0], unitaries, (Provenance.MASTER,), ("", ""))
 
 
 class TestFaultInjection:

@@ -406,6 +406,9 @@ class TestGramRank:
         stacked = np.stack([m.ravel() for m in pool])
         assert linalg.gram_rank(pool) == np.linalg.matrix_rank(stacked, tol=1e-9)
 
+    def test_zero_matrices_have_rank_zero(self):
+        assert linalg.gram_rank(np.zeros((3, 2, 2))) == 0
+
     def test_empty_rejected(self):
         with pytest.raises(DimensionMismatch):
             linalg.gram_rank([])

@@ -112,6 +112,15 @@ class TestSpecRoundTrip:
             spec_from_json({"blocks": [{"k": 1}]})
         with pytest.raises(ParseError):
             spec_from_json({})
+        masa2 = {"blocks": [{"k": 1, "atom_mults": [1, 1]}]}
+        for conjugation, detail in (
+            ({"re": [[1.0]], "im": [[0.0]]}, "spec: conjugation is 1x1, spec dimension is 2"),
+            ({"re": [[1.0, 0.0], [0.0, 2.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+             "spec: conjugation matrix is not unitary"),
+        ):
+            with pytest.raises(ParseError) as exc:
+                spec_from_json(dict(masa2, conjugation=conjugation))
+            assert str(exc.value) == detail
 
 
 class TestDocumentRoundTrips:
