@@ -387,8 +387,14 @@ def complement_basis(spec: TypeISubalgebraSpec) -> np.ndarray:
     projected unit is nonzero there; ``E_A`` left it a multiple of its
     unit.  A solo unit is orthogonal to every other projected unit, hence
     to every basis vector, so Gram-Schmidt never changes it: all solo
-    units are normalized at once.  The rest run plain modified
-    Gram-Schmidt, twice, against every vector kept so far.
+    units are normalized at once.  The other nonzero units run plain
+    modified Gram-Schmidt, twice, against every vector kept so far.
+
+    Exact zeros are skipped where they change no bit: a unit projected to
+    zero would stay zero and be dropped, and an update by an inner product
+    of exactly zero would subtract only zeros, which never turns an entry
+    into ``-0.0`` (the units hold no ``-0.0``, and ``a - b`` is ``-0.0``
+    only for ``a = -0.0``).
     """
     n = spec.dimension
     if n**4 > np.iinfo(np.intp).max:
@@ -404,14 +410,16 @@ def complement_basis(spec: TypeISubalgebraSpec) -> np.ndarray:
     # independent one keeps a norm of order 1/n or more
     kept = norms > RANK_TOL
     found = np.flatnonzero(solo)[kept].tolist()  # the unit of each vector
-    rest = np.flatnonzero(~solo)
+    rest = np.flatnonzero(~solo & nonzero.any(axis=1))
     basis = np.empty((len(rest), n, n), dtype=np.complex128)  # the loop's vectors
     size = 0
     for i, v in zip(rest.tolist(), units[rest]):
         for _ in range(2):
             for b in basis[:size]:
                 # hs_inner(v, b)'s formula, without its conversions and shape check
-                v = v - (complex(np.vdot(b, v)) / n) * b
+                c = complex(np.vdot(b, v)) / n
+                if c:
+                    v = v - c * b
         norm = hs_norm(v)
         if norm > RANK_TOL:
             basis[size] = v / norm

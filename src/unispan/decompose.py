@@ -26,6 +26,7 @@ sum directly and shares nothing with the construction beyond the numeric
 kernels.
 """
 
+import itertools
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -50,6 +51,7 @@ from .linalg import (
     hs_norm,
     normalized_trace,
     operator_norm,
+    singular_values,
     sqrt_defect,
     unitarity_residual,
 )
@@ -277,6 +279,14 @@ def _owner_max(values, own):
     return np.maximum.reduceat(values, np.flatnonzero(new))[np.cumsum(new) - 1]
 
 
+def _near_pairs(rows, step):
+    """Whether each pair of the canonical rows ``rows`` is within
+    ``MERGE_TOL`` in every entry, as nested lists; ``step`` rows at a time,
+    so no difference stack holds more than ``step * len(rows)`` rows."""
+    return np.concatenate([np.max(np.abs(rows[i : i + step, None] - rows), axis=2) <= MERGE_TOL
+                           for i in range(0, len(rows), step)]).tolist()
+
+
 def _merge_raw(coeffs, unitaries, owner):
     """Merge terms whose unitaries agree up to a scalar phase, for all
     owners of a stack in one pass.
@@ -303,9 +313,12 @@ def _merge_raw(coeffs, unitaries, owner):
     window, and no cluster spans two runs: two keys inside one window have
     every sorted gap between them inside it too, and a rounded difference
     keeps that order.  A term alone in its run is its own cluster, a run of
-    two is decided by one comparison of its two rows, and only longer runs
-    compare term by term.  (Keys of the moduli ``|u_j|`` would not separate
-    a ``(+v, -v)`` padding pair, whose members have equal moduli.)
+    two is decided by one comparison of its two rows, and a longer run by
+    one comparison of all pairs of its rows (:func:`_near_pairs`, in chunks
+    that hold no more entries than the canonical rows of all terms), from
+    which each term, in term order, joins the earliest cluster it is near.
+    (Keys of the moduli ``|u_j|`` would not separate a ``(+v, -v)`` padding
+    pair, whose members have equal moduli.)
     """
     count, n, _ = unitaries.shape
     flat = unitaries.reshape(count, n * n)
@@ -334,16 +347,14 @@ def _merge_raw(coeffs, unitaries, owner):
         same = np.max(np.abs(canon[pair[:, 1]] - canon[pair[:, 0]]), axis=1) <= MERGE_TOL
         head[pair[same, 1]] = pair[same, 0]
         for start, size in zip(starts[sizes > 2].tolist(), sizes[sizes > 2].tolist()):
-            members = np.sort(order[start : start + size]).tolist()
-            clusters = members[:1]  # the run's cluster heads, in term order
-            for pos in members[1:]:
-                hits = np.flatnonzero(
-                    np.max(np.abs(canon[pos] - canon[clusters]), axis=1) <= MERGE_TOL
-                )
-                if hits.size:
-                    head[pos] = clusters[hits[0]]
-                else:
-                    clusters.append(pos)
+            members = np.sort(order[start : start + size])
+            near = _near_pairs(canon[members], max(1, len(canon) // size))
+            clusters, picks = [], []  # the run's cluster heads, each term's head
+            for i, row in enumerate(near):
+                picks.append(next((c for c in clusters if row[c]), i))
+                if picks[-1] == i:
+                    clusters.append(i)
+            head[members] = members[picks]
         first = head == np.arange(len(live))
         joined = np.flatnonzero(~first)
         # each member folds into its head in place; the fold stays in NumPy
@@ -457,16 +468,30 @@ def _unitary_multiples(x, trace_free=False):
     Returns the one-term decompositions ``(s, x/s)``, ``s = ||x||``, of the
     matrices whose ``x/s`` is unitary (and, with ``trace_free``, has zero
     trace) within ``FAST_PATH_TOL``, and the indices of the other nonzero
-    matrices.  Zero matrices are in neither."""
+    matrices.  Zero matrices are in neither.  The unitarity test is read off
+    the singular values ``sigma_i`` of one SVD call, ``s = sigma_0``: the
+    eigenvalues of ``(x/s)* (x/s) - 1`` are ``(sigma_i/s)**2 - 1``, so
+    ``||(x/s)* (x/s) - 1||_2 = sqrt(sum_i ((sigma_i/s)**2 - 1)**2 / g)``
+    with no product of matrices, and only the multiples are divided."""
     live = np.flatnonzero(np.any(x, axis=(1, 2)))
-    s = operator_norm(x[live])
-    cand = _divide_by_norm(x[live], s)
-    fast = unitarity_residual(cand) <= FAST_PATH_TOL
+    sv = singular_values(x[live])
+    s = sv[:, 0]
+    ratios = sv / s[:, None]
+    # subnormal singular values keep only a few bits; those of the exactly
+    # scaled 2**600 x keep them all, as in _divide_by_norm
+    tiny = np.flatnonzero(s < np.finfo(np.float64).tiny)
+    if tiny.size:
+        ratios[tiny] = singular_values(x[live[tiny]] * 2.0**600) / (s[tiny, None] * 2.0**600)
+    dev = np.square(ratios) - 1.0
+    fast = np.sqrt(np.add.reduce(dev * dev, axis=1) / x.shape[-1]) <= FAST_PATH_TOL
+    cand = _divide_by_norm(x[live[fast]], s[fast])
     if trace_free:
         t = normalized_trace(cand)
-        fast &= np.hypot(t.real, t.imag) <= FAST_PATH_TOL
-    count = int(np.count_nonzero(fast))
-    multiples = _Terms(s[fast].astype(np.complex128), cand[fast],
+        free = np.hypot(t.real, t.imag) <= FAST_PATH_TOL
+        fast[fast] = free
+        cand = cand[free]
+    count = len(cand)
+    multiples = _Terms(s[fast].astype(np.complex128), cand,
                        (Provenance.FOUR_UNITARY,) * count, ("unitary-multiple",) * count,
                        live[fast])
     return multiples, live[~fast]
@@ -544,6 +569,26 @@ def _entry_move(k: int, s: int, t: int) -> np.ndarray:
     return tau_t[tau_s]
 
 
+@lru_cache(maxsize=32)
+def _block_table(permutation, count: int, stage: str):
+    """The block permutation ``permutation(count, alpha, beta)`` and the
+    stage name ``stage.format(alpha, beta, alpha + 1, beta + 1)`` of every
+    block ``(alpha, beta)`` of ``count`` pieces, as a read-only ``(count,
+    count, count)`` index array and a ``(count, count)`` array of strings,
+    made once per ``(permutation, count, stage)``.  A diagonal block holds
+    the identity, which is :func:`_entry_move`'s permutation there; a
+    derangement has no diagonal block."""
+    sigma = np.empty((count, count, count), dtype=np.intp)
+    sigma[:] = np.arange(count)
+    for alpha, beta in itertools.permutations(range(count), 2):
+        sigma[alpha, beta] = permutation(count, alpha, beta)
+    names = np.array([[stage.format(alpha, beta, alpha + 1, beta + 1) for beta in range(count)]
+                      for alpha in range(count)], dtype=object)
+    sigma.setflags(write=False)
+    names.setflags(write=False)
+    return sigma, names
+
+
 def _grid_blocks(x, rows):
     """The nonzero blocks of each matrix of the stack ``x`` over the
     disjoint, equal-size pieces of the ``(count, g)`` index rows ``rows``,
@@ -556,7 +601,7 @@ def _grid_blocks(x, rows):
     return blocks[cells], cells
 
 
-def _block_grid_raw(n, rows, cells, entry, permutation, pad, prov, name):
+def _block_grid_raw(n, rows, cells, entry, permutation, pad, prov, stage):
     """Block-permutation terms of ``n x n`` unitaries over the pieces of the
     ``(count, g)`` index rows ``rows``, for the blocks ``cells`` of
     :func:`_grid_blocks`, from their split ``entry``, whose owners index
@@ -569,19 +614,19 @@ def _block_grid_raw(n, rows, cells, entry, permutation, pad, prov, name):
     covers every block ``(q, sigma[q])``, ``q = alpha`` included, with the
     ``g x g`` unitary ``pad``, in a ``(+v, -v)`` pair; the target, written
     after the pad, replaces it at block ``(alpha, beta)``, so the pair
-    cancels everywhere but there.  ``name(alpha, beta)`` is the stage of the
-    block's terms; the terms are owned by the matrix of their block."""
-    count = len(rows)
+    cancels everywhere but there.  The block's terms are owned by the
+    matrix of their block, and their stage is the format text ``stage``
+    filled with ``(alpha, beta, alpha + 1, beta + 1)``; both ``sigma`` and
+    the stage come from :func:`_block_table`."""
     owner, alpha, beta = cells
     cell = entry.owner  # the block each term splits
-    sigma = np.array([permutation(count, a, b) for a, b in zip(alpha.tolist(), beta.tolist())],
-                     dtype=np.intp).reshape(-1, count)[cell]
+    alpha, beta = alpha[cell], beta[cell]
+    sigma, names = _block_table(permutation, len(rows), stage)
     terms = np.arange(len(cell))[:, None, None]
-    target = (terms, rows[alpha[cell], :, None], rows[beta[cell], None, :])
-    at = (terms[..., None], rows[:, :, None], rows[sigma][:, :, None, :])
-    names = [name(a, b) for a, b in zip(alpha.tolist(), beta.tolist())]
+    target = (terms, rows[alpha, :, None], rows[beta, None, :])
+    at = (terms[..., None], rows[:, :, None], rows[sigma[alpha, beta]][:, :, None, :])
     return _padded_pairs(entry._replace(owner=owner[cell]), n, target, (at, pad), prov,
-                         [names[c] for c in cell.tolist()])
+                         names[alpha, beta].tolist())
 
 
 def _zero_piece_raw(x, rows):
@@ -601,7 +646,7 @@ def _cross_block_raw(n, rows, cells, entry):
     cross blocks ``cells``."""
     return _block_grid_raw(n, rows, cells, entry, _derangement,
                            np.eye(rows.shape[1], dtype=np.complex128), Provenance.ZERO_DIAG,
-                           "cross-block({},{})".format)
+                           "cross-block({0},{1})")
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +746,7 @@ def _single_block_raw(k, m, x):
     blocks, cells = _grid_blocks(x, rows)
     return _block_grid_raw(k * m, rows, cells, _scalar_case_raw(blocks), _entry_move,
                            canonical_trace_zero_unitary(m), Provenance.AMPLIFY,
-                           lambda s, t: f"entry-move({s + 1},{t + 1})")
+                           "entry-move({2},{3})")
 
 
 def _type_one_raw(plan: algebra.LayoutPlan, x):

@@ -1,7 +1,7 @@
 """Dense complex matrix kernels: Hilbert-Schmidt geometry, the complex
 Hermitian eigendecomposition (LAPACK ``zheevd`` through
-``numpy.linalg.eigh``), defect square roots, operator norms and Gram-rank
-estimation.
+``numpy.linalg.eigh``), defect square roots, singular values and operator
+norms, and Gram-rank estimation.
 
 All norms written ``||.||_2`` are Hilbert-Schmidt norms taken with the
 *normalized* trace ``tau(x) = tr(x)/n``, so the identity has norm 1 at every
@@ -142,23 +142,33 @@ def hermitian_eig(h) -> HermEig:
     return HermEig(w, v)
 
 
-def operator_norm(x):
-    """Largest singular value of ``x``, computed from ``x`` itself (no ``x* x``).
+def singular_values(x) -> np.ndarray:
+    """The singular values of ``x``, computed from ``x`` itself (no ``x* x``).
 
-    Takes one matrix, or a stack ``(..., n, n)`` and returns the norm of
-    each of its matrices; a single matrix gives a ``float``.  The singular
-    values come sorted in descending order, so the first is the largest:
-    the same bits as ``np.linalg.norm(x, 2, axis=(-2, -1))``, without its
-    axis handling and reduction.  Raises :class:`UnispanError` when a norm
-    is not finite, or when LAPACK cannot converge on a NaN entry: only the
-    norms are checked, not the whole input.
+    Takes one matrix ``(n, n)``, or a stack ``(..., n, n)``, and returns the
+    ``n`` singular values of each of its matrices in descending order, as an
+    array ``(..., n)``.  Raises :class:`UnispanError` when a value, and so
+    the operator norm, is not finite, or when LAPACK cannot converge on a
+    NaN entry: only the values are checked, not the whole input.
     """
     try:
-        norms = np.linalg.svd(as_stack(x), compute_uv=False)[..., 0]
+        values = np.linalg.svd(as_stack(x), compute_uv=False)
     except np.linalg.LinAlgError:
         raise UnispanError("input has a non-finite entry") from None
-    if not np.isfinite(norms).all():
+    if not np.isfinite(values).all():
         raise UnispanError("operator norm is not finite")
+    return values
+
+
+def operator_norm(x):
+    """Largest singular value of ``x``: the first of :func:`singular_values`.
+
+    Takes one matrix, or a stack ``(..., n, n)`` and returns the norm of
+    each of its matrices; a single matrix gives a ``float``.  The same bits
+    as ``np.linalg.norm(x, 2, axis=(-2, -1))``, without its axis handling
+    and reduction, and the same errors as :func:`singular_values`.
+    """
+    norms = singular_values(x)[..., 0]
     return float(norms) if norms.ndim == 0 else norms
 
 

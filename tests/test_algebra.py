@@ -421,10 +421,11 @@ def dense_mgs_basis(spec, rank_tol=RANK_TOL):
 
 def reference_complement_basis(spec):
     """Gram-Schmidt that skips every basis vector whose support misses
-    ``v``'s, over every projected unit.  ``complement_basis`` runs plain
-    modified Gram-Schmidt on the units that are not solo, so matching this
-    oracle bit for bit checks that support skipping equals the plain loop:
-    an inner product over disjoint supports is exactly zero."""
+    ``v``'s, over every projected unit.  ``complement_basis`` runs modified
+    Gram-Schmidt on the nonzero units that are not solo and skips every
+    update by an inner product of exactly zero, so matching this oracle and
+    :func:`dense_mgs_basis` bit for bit checks that both skips equal the
+    plain loop: an inner product over disjoint supports is exactly zero."""
     n = spec.dimension
     basis = []
     support = np.zeros((n * n, n * n), dtype=bool)

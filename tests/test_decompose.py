@@ -20,6 +20,7 @@ from conftest import e_unit, oracle_specs, random_complex, random_hermitian, ran
 from unispan import algebra, decompose, harness, linalg
 from unispan.algebra import TypeISubalgebraSpec, membership_residual
 from unispan.decompose import (
+    FAST_PATH_TOL,
     MERGE_TOL,
     RECON_TOL,
     TERM_TOL,
@@ -165,6 +166,47 @@ class TestUnitaryMultiples:
         assert len(multiples.coeffs) == len(rest) == 0
         assert multiples.unitaries.shape == (0, 2, 2)
 
+    def test_singular_values_decide_like_the_product_residual(self, rng):
+        """The test read off the singular values splits a stack as
+        ``unitarity_residual(x/s) <= FAST_PATH_TOL`` does, with and without
+        the trace test, on both sides of the threshold and at the edges of
+        the exponent range."""
+        def lowered(u, residual):
+            # one singular value 1 - d of n: ||(x/s)* (x/s) - 1||_2 = (2d - d**2)/sqrt(n)
+            n = len(u)
+            return u @ np.diag(np.r_[1.0 - residual * np.sqrt(n) / 2.0, np.ones(n - 1)])
+
+        decided = set()
+        for n in (1, 2, 3, 4):
+            u = random_unitary(rng, n)
+            perm = np.eye(n)[rng.permutation(n)]
+            x = [2.0**40 * u, 2.0**-40 * u, perm, np.diag(np.exp(2j * np.pi * rng.random(n))),
+                 2.0**-1070 * perm, 2.0**-1060 * random_unitary(rng, n),
+                 random_complex(rng, (n, n)), np.zeros((n, n))]
+            if n > 1:
+                x += [lowered(u, 0.5e-12), lowered(u, 2e-12),
+                      u @ np.diag(np.r_[np.ones(n - 1), 0.0]),  # rank-deficient
+                      3.0 * canonical_trace_zero_unitary(n) if n % 2 == 0 else 1j * perm]
+            x = np.array(x, dtype=complex)
+            live = np.flatnonzero(np.any(x, axis=(1, 2)))
+            s = linalg.operator_norm(x[live])
+            cand = decompose._divide_by_norm(x[live], s)
+            resid = linalg.unitarity_residual(cand)
+            if n > 1:  # the perturbations sit on either side of the threshold
+                np.testing.assert_allclose(resid[-4:-2], [0.5e-12, 2e-12], rtol=1e-3)
+            t = linalg.normalized_trace(cand)
+            for trace_free in (False, True):
+                fast = resid <= FAST_PATH_TOL
+                if trace_free:
+                    fast &= np.hypot(t.real, t.imag) <= FAST_PATH_TOL
+                multiples, rest = decompose._unitary_multiples(x, trace_free)
+                assert multiples.owner.tolist() == live[fast].tolist(), (n, trace_free)
+                assert rest.tolist() == live[~fast].tolist(), (n, trace_free)
+                assert multiples.coeffs.tobytes() == s[fast].astype(complex).tobytes()
+                assert multiples.unitaries.tobytes() == cand[fast].tobytes()
+                decided |= set(fast.tolist())
+        assert decided == {False, True}
+
 
 @settings(max_examples=25, deadline=None)
 @given(
@@ -198,6 +240,32 @@ class TestDerangement:
                         if p[alpha] == beta and all(p[i] != i for i in range(count))
                     ]
                     assert tuple(got.tolist()) == min(candidates), (count, alpha, beta)
+
+
+class TestBlockTable:
+    def test_matches_the_permutations_and_stage_names(self):
+        for count in range(2, 13):
+            cross, cross_names = decompose._block_table(
+                decompose._derangement, count, "cross-block({0},{1})")
+            moves, move_names = decompose._block_table(
+                decompose._entry_move, count, "entry-move({2},{3})")
+            assert cross.shape == moves.shape == (count, count, count)
+            for a, b in itertools.product(range(count), repeat=2):
+                assert moves[a, b].tolist() == decompose._entry_move(count, a, b).tolist()
+                assert move_names[a, b] == f"entry-move({a + 1},{b + 1})"
+                if a != b:  # a derangement has no diagonal block
+                    assert cross[a, b].tolist() == decompose._derangement(count, a, b).tolist()
+                    assert cross_names[a, b] == "cross-block({},{})".format(a, b)
+
+    def test_second_call_reuses_the_read_only_table(self):
+        args = (decompose._entry_move, 5, "entry-move({2},{3})")
+        sigma, names = decompose._block_table(*args)
+        again = decompose._block_table(*args)
+        assert again[0] is sigma and again[1] is names
+        with pytest.raises(ValueError):
+            sigma[0, 0, 0] = 1
+        with pytest.raises(ValueError):
+            names[0, 0] = ""
 
 
 class TestZeroPieceDiagonal:
@@ -463,6 +531,40 @@ class TestMerge:
                 offset += len(raw)
             assert kept.tolist() == want_kept
             assert coeffs.tobytes() == np.array(want_coeffs, dtype=complex).tobytes()
+
+
+    def test_long_run_spans_comparison_chunks(self, rng, monkeypatch):
+        """One key run of 128 terms, decided from row chunks of the pairwise
+        comparison: 64 phase multiples of one unitary, interleaved with
+        copies perturbed in one entry by multiples of ``0.6 * MERGE_TOL``,
+        so a copy can be near two clusters and only the earliest one takes
+        it."""
+        n = 3
+        m = Provenance.MASTER
+        u = random_unitary(rng, n)
+        raw = []
+        for i in range(64):
+            v = u.copy()
+            v[0, 0] += (i % 5) * 0.6 * MERGE_TOL
+            raw += [(complex(*rng.standard_normal(2)),
+                     np.exp(1j * rng.uniform(0, 2 * np.pi)) * u, m, "phase"),
+                    (complex(*rng.standard_normal(2)),
+                     np.exp(1j * rng.uniform(0, 2 * np.pi)) * v, m, "near")]
+        raw += merge_case(rng, n)
+        chunks = []
+        near_pairs = decompose._near_pairs
+
+        def counted(rows, step):
+            chunks.append(-(-len(rows) // step))
+            return near_pairs(rows, step)
+
+        monkeypatch.setattr(decompose, "_near_pairs", counted)
+        coeffs, kept = decompose._merge_raw(*merge_input(raw))
+        ref = reference_merge(raw)
+        assert max(chunks) >= 2
+        assert kept.tolist() == [i for _, i in ref]
+        assert coeffs.tobytes() == np.array([c for c, _ in ref], dtype=complex).tobytes()
+        assert len(ref) < len(raw) - 100  # the run does merge
 
 
 class TestCornerDilation:
@@ -1041,7 +1143,7 @@ class TestTypeOneStack:
 
     def test_no_kernel_call_on_an_empty_stack(self, monkeypatch):
         calls = []
-        for name in ("operator_norm", "sqrt_defect", "unitarity_residual"):
+        for name in ("operator_norm", "singular_values", "sqrt_defect", "unitarity_residual"):
             kernel = getattr(decompose, name)
 
             def counted(x, kernel=kernel, name=name):
@@ -1165,7 +1267,7 @@ def loop_type_one_raw(plan, x):
             atom_terms = decompose._block_grid_raw(
                 a.dim, rows, cells, loop_scalar_case_raw(blocks), decompose._entry_move,
                 canonical_trace_zero_unitary(a.m), Provenance.AMPLIFY,
-                lambda s, t: f"entry-move({s + 1},{t + 1})")
+                "entry-move({2},{3})")
         if pad is None:
             parts.append(atom_terms)
             continue
@@ -1206,6 +1308,31 @@ class TestConstructionRounds:
         calls = eigen_calls(monkeypatch)
         four_unitary(random_complex(rng, (3, 3)))
         assert calls == [(2, 3, 3)]  # both self-adjoint parts, in one stack
+
+    def test_construction_makes_no_product_unitarity_round(self, monkeypatch):
+        # the unitary multiples are read off the singular values; only the
+        # verifier forms the products x* x
+        def refuse(x):
+            raise AssertionError("unitarity_residual called by the construction")
+
+        monkeypatch.setattr(decompose, "unitarity_residual", refuse)
+        for name, spec in spec_grid():
+            d = type_one_decomp(spec, algebra.random_complement_element(spec, 0))
+            assert len(d.coeffs), name
+
+    def test_masa_basis_enters_no_gram_schmidt_step(self, monkeypatch):
+        # the 56 off-diagonal units are solo and the 8 diagonal ones project
+        # to zero: one norm call for the solo units, none for a loop vector
+        calls = []
+        norm = algebra.hs_norm
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return norm(x)
+
+        monkeypatch.setattr(algebra, "hs_norm", counted)
+        assert len(algebra.complement_basis(TypeISubalgebraSpec.masa(8))) == 56
+        assert calls == [(56, 8, 8)]
 
     def test_two_factor_blocks_make_two_eigen_calls(self, monkeypatch):
         # one for the corner dilations of every entry of both atoms (the

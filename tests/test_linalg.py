@@ -144,13 +144,14 @@ class TestOperatorNorm:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
     @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2, 2)], ids=["1x1", "2x2", "stack"])
-    def test_non_finite_entry_raises(self, capfd, shape, bad):
+    @pytest.mark.parametrize("kernel", ["operator_norm", "singular_values"])
+    def test_non_finite_entry_raises(self, capfd, kernel, shape, bad):
         # an infinity makes the norm NaN and a NaN stops LAPACK from
         # converging; both are refused, and nothing is printed
         x = np.eye(shape[-1], dtype=complex) * np.ones(shape)
         x[(-1,) * len(shape)] = bad
         with pytest.raises(UnispanError):
-            linalg.operator_norm(x)
+            getattr(linalg, kernel)(x)
         assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (6, 2, 2), (3, 5, 1, 1), (0, 3, 3),
@@ -167,6 +168,8 @@ class TestOperatorNorm:
             got = np.asarray(linalg.operator_norm(x))
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+            values = linalg.singular_values(x)
+            assert values.tobytes() == np.linalg.svd(x, compute_uv=False).tobytes()
 
 
 class TestHermitianEig:
