@@ -95,59 +95,6 @@ class UnitaryTerm:
 
 
 @dataclass(frozen=True, eq=False)
-class Decomposition:
-    """An ordered list of unitary terms summing to ``target``, held as stacks.
-
-    ``coeffs`` has shape ``(T,)`` and ``unitaries`` shape ``(T, n, n)``, both
-    read-only; ``provenance`` and ``stages`` are parallel tuples.  ``terms``
-    is the same list as :class:`UnitaryTerm` views.  ``term_budget`` and
-    ``coeff_budget`` carry the statically computed bounds of the
-    construction that produced the terms (``None`` for hand-assembled
-    instances).
-
-    The arrays are read-only views of the ones given, made by
-    :func:`_read_only`: a C-contiguous complex128 array is shared, not
-    copied, and any other input is converted into a new array.
-    """
-
-    spec: Optional[TypeISubalgebraSpec]
-    target: np.ndarray
-    coeffs: np.ndarray
-    unitaries: np.ndarray
-    provenance: Tuple[Provenance, ...]
-    stages: Tuple[str, ...]
-    term_budget: Optional[int] = None
-    coeff_budget: Optional[float] = None
-
-    def __post_init__(self):
-        for name in ("target", "coeffs", "unitaries"):
-            object.__setattr__(self, name, _read_only(getattr(self, name)))
-        for name in ("provenance", "stages"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        count = len(self.coeffs)
-        if (self.coeffs.ndim != 1 or self.unitaries.ndim != 3 or len(self.unitaries) != count
-                or len(self.provenance) != count or len(self.stages) != count):
-            raise DimensionMismatch("term stacks and tuples differ in length")
-
-    @cached_property
-    def terms(self) -> Tuple[UnitaryTerm, ...]:
-        return tuple(map(UnitaryTerm, self.coeffs.tolist(), self.unitaries,
-                         self.provenance, self.stages))
-
-    def reconstruction(self) -> np.ndarray:
-        return _reconstructions(self.coeffs, self.unitaries, self.offsets)[0]
-
-    @property
-    def coeff_sum(self) -> float:
-        return float(sum(map(abs, self.coeffs.tolist())))
-
-    @property
-    def offsets(self) -> Tuple[int, int]:
-        """``(0, T)``: the whole term list belongs to the one target."""
-        return 0, len(self.coeffs)
-
-
-@dataclass(frozen=True, eq=False)
 class DecompositionStack:
     """The decompositions of a stack of ``B`` targets, held as one term pool.
 
@@ -156,14 +103,18 @@ class DecompositionStack:
     ``offsets[i + 1]``.  ``provenance`` and ``stages`` are parallel tuples
     over the pool, ``targets`` has shape ``(B, n, n)``, and ``term_budget``
     and ``coeff_budgets`` (one per target) carry the static bounds of the
-    construction.
+    construction (``None`` for hand-assembled instances).
 
     It is a sequence of :class:`Decomposition`: ``len``, iteration,
     unpacking and integer indices (negative ones too) work, and
     ``stack[i]`` is target ``i``'s :class:`Decomposition`, constructed from
     slices of the pool, so it holds views into the pool, not copies.  A
-    slice raises :class:`TypeError`.  The arrays are stored by
-    :func:`_read_only`, as in :class:`Decomposition`.
+    slice raises :class:`TypeError`.  A :class:`Decomposition` is itself
+    the stack of its one target.
+
+    The arrays are read-only views of the ones given, made by
+    :func:`_read_only`: a C-contiguous complex128 array is shared, not
+    copied, and any other input is converted into a new array.
     """
 
     spec: Optional[TypeISubalgebraSpec]
@@ -192,15 +143,48 @@ class DecompositionStack:
     def __len__(self) -> int:
         return len(self.targets)
 
-    def __getitem__(self, i: int) -> Decomposition:
+    def __getitem__(self, i: int) -> "Decomposition":
         i = range(len(self))[operator.index(i)]
         lo, hi = self.offsets[i], self.offsets[i + 1]
         return Decomposition(
             self.spec, self.targets[i], self.coeffs[lo:hi], self.unitaries[lo:hi],
             self.provenance[lo:hi], self.stages[lo:hi], self.term_budget, self.coeff_budgets[i])
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+
+class Decomposition(DecompositionStack):
+    """An ordered list of unitary terms summing to ``target``: the
+    :class:`DecompositionStack` of one target, with offsets ``(0, T)``.
+
+    ``target`` is ``targets[0]`` and ``coeff_budget`` is
+    ``coeff_budgets[0]``; ``terms`` is the term list as
+    :class:`UnitaryTerm` views.  A target that is not one matrix raises
+    :class:`DimensionMismatch`.
+    """
+
+    def __init__(self, spec, target, coeffs, unitaries, provenance, stages,
+                 term_budget=None, coeff_budget=None):
+        super().__init__(spec, np.asarray(target)[None], coeffs, unitaries, (0, len(coeffs)),
+                         provenance, stages, term_budget, (coeff_budget,))
+
+    @property
+    def target(self) -> np.ndarray:
+        return self.targets[0]
+
+    @property
+    def coeff_budget(self) -> Optional[float]:
+        return self.coeff_budgets[0]
+
+    @cached_property
+    def terms(self) -> Tuple[UnitaryTerm, ...]:
+        return tuple(map(UnitaryTerm, self.coeffs.tolist(), self.unitaries,
+                         self.provenance, self.stages))
+
+    def reconstruction(self) -> np.ndarray:
+        return _reconstructions(self.coeffs, self.unitaries, self.offsets)[0]
+
+    @property
+    def coeff_sum(self) -> float:
+        return float(sum(map(abs, self.coeffs.tolist())))
 
 
 @dataclass(frozen=True)
@@ -537,11 +521,10 @@ def canonical_trace_zero_unitary(d: int) -> np.ndarray:
 # block permutations (cross blocks and entry moves)
 
 
-@lru_cache(maxsize=4096)
 def _derangement(count: int, alpha: int, beta: int) -> np.ndarray:
     """The lexicographically smallest fixed-point-free permutation of
-    ``count >= 2`` pieces with ``sigma(alpha) = beta``, as a read-only
-    index array, memoized.
+    ``count >= 2`` pieces with ``sigma(alpha) = beta``, as an index array;
+    :func:`_block_table` caches every table of them.
 
     Greedy with one repair swap: every slot but ``alpha``, in order, takes
     the smallest free value other than itself, and a last slot left holding
@@ -557,7 +540,6 @@ def _derangement(count: int, alpha: int, beta: int) -> np.ndarray:
     if sigma[last] == last:
         before = slots[-2]
         sigma[before], sigma[last] = last, sigma[before]
-    sigma.setflags(write=False)
     return sigma
 
 
@@ -932,19 +914,21 @@ def masa_quadrant_decomp(x) -> Decomposition:
 def _reconstructions(coeffs, us, offsets) -> np.ndarray:
     """Each target's sum of its slice of the pooled products, one
     ``np.sum(..., axis=0)`` per target, stacked; the pooled products are
-    freed on return."""
-    products = coeffs[:, None, None] * us
-    return np.array([np.sum(products[lo:hi], axis=0) for lo, hi in zip(offsets, offsets[1:])],
-                    dtype=np.complex128)
+    freed on return.  A product or sum that overflows gives ``inf`` or
+    ``nan`` without a warning: the caller's residual rejects it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = coeffs[:, None, None] * us
+        return np.array([np.sum(products[lo:hi], axis=0)
+                         for lo, hi in zip(offsets, offsets[1:])], dtype=np.complex128)
 
 
 def verify_decomposition(spec, x, d) -> VerificationReport:
     """Recompute the sum and all residuals of a decomposition from scratch.
 
-    ``x`` is one target ``(n, n)`` with its :class:`Decomposition` ``d``, or
-    a stack ``(B, n, n)`` of targets with their :class:`DecompositionStack`;
-    both are read in place, through their ``coeffs``, ``unitaries`` and
-    ``offsets`` (``(0, T)`` for a single decomposition).  The report holds
+    ``x`` is a stack ``(B, n, n)`` of targets with their
+    :class:`DecompositionStack` ``d``, or one target ``(n, n)`` with its
+    :class:`Decomposition`, the stack of one; ``d`` is read in place,
+    through its ``coeffs``, ``unitaries`` and ``offsets``.  The report holds
     the largest reconstruction residual over the targets, the largest
     unitarity and membership residuals over all terms, the total term count
     and the largest coefficient sum.  Each target's reconstruction is one

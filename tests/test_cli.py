@@ -1,6 +1,7 @@
 """CLI end-to-end tests: exit codes, determinism, and the contract that
 stdout is valid JSON."""
 
+import io
 import json
 import os
 import subprocess
@@ -255,6 +256,22 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"] == "parse"
 
+    @pytest.mark.parametrize("depth", [1000, 100000])
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--in", "FILE"),
+        ("decompose", "--in", "FILE"),
+        ("decompose", "--in", "-"),
+        ("spancert", "--spec", "FILE"),
+    ], ids=["verify", "decompose", "decompose-stdin", "spancert"])
+    def test_deeply_nested_json_is_a_parse_error(self, capsys, monkeypatch, tmp_path, argv,
+                                                 depth):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * depth)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[" * depth))
+        code, out, _ = run_cli(capsys, *(str(deep) if a == "FILE" else a for a in argv))
+        assert (code, json.loads(out)) == (
+            2, {"error": "parse", "detail": "invalid JSON: nested too deeply"})
+
     def test_non_finite_instance_is_two(self, capsys, tmp_path):
         for bad_value in (float("nan"), float("inf")):
             doc = _plain_instance(TypeISubalgebraSpec.masa(2), np.zeros((2, 2)))
@@ -325,6 +342,24 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "verify", "--in", str(dec))
         assert code == 2
         assert json.loads(out)["error"] == "parse"
+
+    @pytest.mark.parametrize("coeff", [lambda i: 1e308, lambda i: (-1) ** i * 1e308],
+                             ids=["all-1e308", "alternating-1e308"])
+    def test_overflowing_reconstruction_is_one_json_error(self, capsys, tmp_path, coeff):
+        # the sum of the stored terms overflows: the verifier's residual is
+        # inf, with no RuntimeWarning, and the report cannot be written
+        inst = tmp_path / "inst.json"
+        run_cli(capsys, "random-instance", "--class", "c1", "--n", "3",
+                "--seed", "2", "--out", str(inst))
+        dec = tmp_path / "dec.json"
+        run_cli(capsys, "decompose", "--in", str(inst), "--out", str(dec))
+        doc = json.loads(dec.read_text())
+        for i, term in enumerate(doc["terms"]):
+            term["coeff"]["re"] = coeff(i)
+        dec.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", "--in", str(dec))
+        assert (code, json.loads(out)) == (
+            1, {"error": "failed", "detail": "cannot serialize non-finite value inf"})
 
     @pytest.mark.parametrize(
         "edit, detail",

@@ -381,13 +381,6 @@ class TestZeroPieceOracle:
             assert got.unitaries.tobytes() == want.unitaries.tobytes(), name
             assert (got.provenance, got.stages) == (want.provenance, want.stages), name
 
-    def test_memoized_derangement_is_read_only(self):
-        sigma = decompose._derangement(5, 3, 1)
-        assert sigma is decompose._derangement(5, 3, 1)
-        assert sigma.tolist() == [2, 0, 4, 1, 3]
-        with pytest.raises(ValueError):
-            sigma[0] = 0
-
 
 def merge_input(raw, owner=0):
     """``_merge_raw``'s arguments for a list of ``(coeff, unitary, prov,
@@ -1404,6 +1397,26 @@ class TestDecompositionStack:
         for offsets in (ds.offsets[:-1], (1,) + ds.offsets[1:], ds.offsets[:-1] + (0,)):
             with pytest.raises(DimensionMismatch):
                 dataclasses.replace(ds, offsets=offsets)
+
+    def test_a_decomposition_is_the_stack_of_its_one_target(self):
+        spec = TypeISubalgebraSpec.of_blocks([(2, [2]), (2, [2])])
+        built = type_one_decomp(spec, algebra.random_complement_element(spec, 4))
+        parsed, _ = decomposition_from_json(canonical_loads(canonical_dumps(
+            decomposition_to_json(built))))
+        for d in (built, parsed, hand_decomposition([(0.5, S), (0.5, T)])):
+            assert isinstance(d, decompose.DecompositionStack)
+            assert len(d) == 1 and d.offsets == (0, len(d.coeffs))
+            assert d.targets.shape == (1,) + d.target.shape
+            assert np.shares_memory(d.target, d.targets)
+            assert d.coeff_budgets == (d.coeff_budget,)
+            (only,) = d
+            assert type(d[0]) is type(only) is Decomposition
+            assert same_decomposition(d[0], d) and same_decomposition(only, d)
+            with pytest.raises(IndexError):
+                d[1]
+        for target in (np.zeros(2), np.zeros((1, 2, 2)), 0.0):
+            with pytest.raises(DimensionMismatch):
+                Decomposition(None, target, [], np.zeros((0, 2, 2)), (), ())
 
 
 def certificate_parts(spec):
