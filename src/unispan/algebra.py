@@ -78,7 +78,9 @@ class TypeISubalgebraSpec:
                     f"conjugation is {w.shape[0]}x{w.shape[0]}, "
                     f"spec dimension is {self.dimension}"
                 )
-            if unitarity_residual(w) > 1e-10:
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual = unitarity_residual(w)
+            if not residual <= 1e-10:  # an overflow to NaN fails too
                 raise UnispanError("conjugation matrix is not unitary")
             w = w.copy()
             w.setflags(write=False)
@@ -199,7 +201,7 @@ class _AtomGroup(NamedTuple):
     ``rows (count, k*m, 1)`` and ``cols (count, 1, k*m)``, their indices
     ``members (count,)`` in the layout's atom list, their completion pads
     stacked as ``pads (count, n, n)`` (``None`` unless every member has
-    one) and the stage name of each member's completion terms."""
+    one)."""
 
     k: int
     m: int
@@ -208,7 +210,6 @@ class _AtomGroup(NamedTuple):
     eye: np.ndarray
     members: np.ndarray
     pads: Optional[np.ndarray]
-    stages: tuple
 
 
 class LayoutPlan(NamedTuple):
@@ -253,8 +254,7 @@ def layout_plan(blocks: tuple) -> LayoutPlan:
         own = [pads[i] for i in members]
         groups.append(_AtomGroup(
             k, m, rows, rows.transpose(0, 2, 1), _frozen(np.eye(m)), _frozen(np.array(members)),
-            None if any(p is None for p in own) else _frozen(np.stack(own)),
-            tuple(f"atom-completion({atoms[i].block},{atoms[i].atom})" for i in members)))
+            None if any(p is None for p in own) else _frozen(np.stack(own))))
     g = math.gcd(*[a.dim for a in atoms])
     pieces = _frozen(np.concatenate([a.indices for a in atoms]).reshape(-1, g))
     return LayoutPlan(atoms, tuple(groups), _classify(offset, atoms, pads), pads, pieces)

@@ -211,13 +211,12 @@ def _read_only(a) -> np.ndarray:
 
 class _Terms(NamedTuple):
     """Raw terms of a stack of entries as parallel stacks: ``coeffs (T,)``,
-    ``unitaries (T, n, n)``, the provenance and stage tuples, and ``owner
+    ``unitaries (T, n, n)``, the ``(provenance, stage)`` labels and ``owner
     (T,)``, the index of the entry that made each term, in ascending order."""
 
     coeffs: np.ndarray
     unitaries: np.ndarray
-    provenance: tuple
-    stages: tuple
+    labels: tuple
     owner: np.ndarray
 
 
@@ -240,11 +239,8 @@ def _cat(n, parts) -> _Terms:
         coeffs[at] = p.coeffs
         unitaries[at] = p.unitaries
         start += len(p.coeffs)
-    order = order.tolist()
-    provenance = sum((p.provenance for p in parts), ())
-    stages = sum((p.stages for p in parts), ())
-    return _Terms(coeffs, unitaries, tuple(provenance[i] for i in order),
-                  tuple(stages[i] for i in order), owner[order])
+    labels = sum((p.labels for p in parts), ())
+    return _Terms(coeffs, unitaries, tuple(labels[i] for i in order.tolist()), owner[order])
 
 
 @lru_cache(maxsize=32)
@@ -357,12 +353,9 @@ def _assemble(spec, targets, raw, term_budget, coeff_budgets):
     from one merge of the raw terms ``raw`` of all of them;
     ``coeff_budgets`` holds each target's coefficient budget."""
     coeffs, kept = _merge_raw(raw.coeffs, raw.unitaries, raw.owner)
-    if len(kept) == len(raw.coeffs):  # nothing merged or dropped
-        unitaries, provenance, stages = raw.unitaries, raw.provenance, raw.stages
-    else:
-        unitaries = raw.unitaries[kept]
-        provenance = tuple(raw.provenance[i] for i in kept.tolist())
-        stages = tuple(raw.stages[i] for i in kept.tolist())
+    # nothing merged or dropped: no copy of the unitaries
+    unitaries = raw.unitaries if len(kept) == len(raw.coeffs) else raw.unitaries[kept]
+    provenance, stages = zip(*[raw.labels[i] for i in kept.tolist()]) if len(kept) else ((), ())
     offsets = np.searchsorted(raw.owner[kept], np.arange(len(targets) + 1))
     # a copy, so no result shares memory with the caller's targets
     targets = np.array(targets, dtype=np.complex128)
@@ -370,7 +363,7 @@ def _assemble(spec, targets, raw, term_budget, coeff_budgets):
                               provenance, stages, term_budget, tuple(coeff_budgets))
 
 
-def _padded_pairs(entry, n, target, pad, prov, stages):
+def _padded_pairs(entry, n, target, pad, labels):
     """Turn each entry term ``(c, w)`` of the stack ``entry`` into two
     ``n x n`` terms of coefficient ``c/2``: zero but for ``sign * block`` at
     ``index`` of the pad ``(index, block)`` and ``w`` at ``target``, with
@@ -378,8 +371,8 @@ def _padded_pairs(entry, n, target, pad, prov, stages):
     ``(T, n, n)`` stack of one sign: led by a slice it places the same
     block(s) in every term, led by an index array over the terms one set per
     term.  The target is written after the pad, so a pad may cover the
-    target block: the target replaces it there.  ``stages`` names each entry
-    term's stage.  Every ``(+v, -v)`` padding pair is built here, all pairs
+    target block: the target replaces it there.  ``labels`` holds each entry
+    term's label.  Every ``(+v, -v)`` padding pair is built here, all pairs
     of one call in one ``(2T, n, n)`` stack with one assignment per sign for
     the pads and one for the targets."""
     signs = (1.0, 1.0) if _FAULT_INJECTION else (1.0, -1.0)
@@ -390,24 +383,22 @@ def _padded_pairs(entry, n, target, pad, prov, stages):
         u[:, i][index] = sign * block
         u[:, i][target] = entry.unitaries
     return _Terms(np.repeat(entry.coeffs / 2.0, 2), u.reshape(2 * count, n, n),
-                  (prov,) * (2 * count), tuple(s for s in stages for _ in signs),
-                  np.repeat(entry.owner, 2))
+                  tuple(lab for lab in labels for _ in signs), np.repeat(entry.owner, 2))
 
 
 # ---------------------------------------------------------------------------
 # elementary splits
 
 
-def _two_unitary_raw(y, owner, stages):
+def _two_unitary_raw(y, owner, labels):
     """The pair ``(1/2, u), (1/2, u*)`` with ``u = y + i*sqrt(1 - y**2)``
     for each self-adjoint contraction of the stack ``y``, in one
-    :func:`sqrt_defect` call; ``stages`` names each matrix's stage."""
+    :func:`sqrt_defect` call; ``labels`` holds each matrix's label."""
     count, g, _ = y.shape
     u = y + 1j * sqrt_defect(y)
     return _Terms(np.full(2 * count, 0.5, dtype=np.complex128),
                   np.stack((u, adjoint(u)), axis=1).reshape(2 * count, g, g),
-                  (Provenance.FOUR_UNITARY,) * (2 * count),
-                  tuple(s for s in stages for _ in range(2)), np.repeat(owner, 2))
+                  tuple(lab for lab in labels for _ in range(2)), np.repeat(owner, 2))
 
 
 # the multiplier and stage tag of self-adjoint part ``j``: even parts are
@@ -427,10 +418,10 @@ def _selfadjoint_parts(z):
     return np.stack(((z + zc) / 2.0, (z - zc) / 2.0j), axis=1).reshape((-1,) + z.shape[-2:])
 
 
-def _part_stages(prefix, parts):
-    """The stage ``prefix-real`` or ``prefix-imag`` of each self-adjoint
-    part index of ``parts``."""
-    return tuple(f"{prefix}-{_PART_TAGS[j]}" for j in (parts % 2).tolist())
+def _part_labels(prov, prefix, parts):
+    """The label ``(prov, prefix-real)`` or ``(prov, prefix-imag)`` of each
+    self-adjoint part index of ``parts``."""
+    return tuple((prov, f"{prefix}-{_PART_TAGS[j]}") for j in (parts % 2).tolist())
 
 
 def _divide_by_norm(x, s):
@@ -476,8 +467,7 @@ def _unitary_multiples(x, trace_free=False):
         cand = cand[free]
     count = len(cand)
     multiples = _Terms(s[fast].astype(np.complex128), cand,
-                       (Provenance.FOUR_UNITARY,) * count, ("unitary-multiple",) * count,
-                       live[fast])
+                       ((Provenance.FOUR_UNITARY, "unitary-multiple"),) * count, live[fast])
     return multiples, live[~fast]
 
 
@@ -492,7 +482,7 @@ def _four_unitary_raw(x):
     sp = operator_norm(parts)
     live = np.flatnonzero(sp)
     two = _two_unitary_raw(_divide_by_norm(parts[live], sp[live]), slow[live // 2],
-                           _part_stages("selfadjoint-split", live))
+                           _part_labels(Provenance.FOUR_UNITARY, "selfadjoint-split", live))
     scale = _PART_MULTS[live % 2] * sp[live]
     return _cat(x.shape[-1], [multiples, two._replace(coeffs=np.repeat(scale, 2) * two.coeffs)])
 
@@ -552,23 +542,23 @@ def _entry_move(k: int, s: int, t: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _block_table(permutation, count: int, stage: str):
-    """The block permutation ``permutation(count, alpha, beta)`` and the
-    stage name ``stage.format(alpha, beta, alpha + 1, beta + 1)`` of every
-    block ``(alpha, beta)`` of ``count`` pieces, as a read-only ``(count,
-    count, count)`` index array and a ``(count, count)`` array of strings,
-    made once per ``(permutation, count, stage)``.  A diagonal block holds
-    the identity, which is :func:`_entry_move`'s permutation there; a
-    derangement has no diagonal block."""
+def _block_table(permutation, count: int, prov: Provenance, stage: str):
+    """The block permutation ``permutation(count, alpha, beta)`` and label
+    ``(prov, stage.format(alpha, beta, alpha + 1, beta + 1))`` of every block
+    ``(alpha, beta)`` of ``count`` pieces, as read-only ``(count, count,
+    count)`` index and ``(count, count)`` label arrays, made once per
+    argument tuple.  A diagonal block holds the identity, which is
+    :func:`_entry_move`'s permutation there; a derangement has none."""
     sigma = np.empty((count, count, count), dtype=np.intp)
     sigma[:] = np.arange(count)
-    for alpha, beta in itertools.permutations(range(count), 2):
-        sigma[alpha, beta] = permutation(count, alpha, beta)
-    names = np.array([[stage.format(alpha, beta, alpha + 1, beta + 1) for beta in range(count)]
-                      for alpha in range(count)], dtype=object)
+    labels = np.empty((count, count), dtype=object)
+    for alpha, beta in itertools.product(range(count), repeat=2):
+        if alpha != beta:
+            sigma[alpha, beta] = permutation(count, alpha, beta)
+        labels[alpha, beta] = (prov, stage.format(alpha, beta, alpha + 1, beta + 1))
     sigma.setflags(write=False)
-    names.setflags(write=False)
-    return sigma, names
+    labels.setflags(write=False)
+    return sigma, labels
 
 
 def _grid_blocks(x, rows):
@@ -597,18 +587,17 @@ def _block_grid_raw(n, rows, cells, entry, permutation, pad, prov, stage):
     ``g x g`` unitary ``pad``, in a ``(+v, -v)`` pair; the target, written
     after the pad, replaces it at block ``(alpha, beta)``, so the pair
     cancels everywhere but there.  The block's terms are owned by the
-    matrix of their block, and their stage is the format text ``stage``
-    filled with ``(alpha, beta, alpha + 1, beta + 1)``; both ``sigma`` and
-    the stage come from :func:`_block_table`."""
+    matrix of their block; ``sigma`` and their label, from ``prov`` and
+    ``stage``, come from :func:`_block_table`."""
     owner, alpha, beta = cells
     cell = entry.owner  # the block each term splits
     alpha, beta = alpha[cell], beta[cell]
-    sigma, names = _block_table(permutation, len(rows), stage)
+    sigma, labels = _block_table(permutation, len(rows), prov, stage)
     terms = np.arange(len(cell))[:, None, None]
     target = (terms, rows[alpha, :, None], rows[beta, None, :])
     at = (terms[..., None], rows[:, :, None], rows[sigma[alpha, beta]][:, :, None, :])
-    return _padded_pairs(entry._replace(owner=owner[cell]), n, target, (at, pad), prov,
-                         names[alpha, beta].tolist())
+    return _padded_pairs(entry._replace(owner=owner[cell]), n, target, (at, pad),
+                         labels[alpha, beta].tolist())
 
 
 def _zero_piece_raw(x, rows):
@@ -684,8 +673,8 @@ def _scalar_case_raw(x):
         count = 2 * len(live)
         parts.append(_Terms(np.repeat(scale / 2.0, 2),
                             np.stack((u1, u2), axis=1).reshape(count, m, m),
-                            (Provenance.DILATION,) * count,
-                            _part_stages("diag-dilation", np.repeat(live, 2)),
+                            _part_labels(Provenance.DILATION, "diag-dilation",
+                                         np.repeat(live, 2)),
                             np.repeat(slow[live // 2], 2)))
         delta.reshape(-1, g, g)[live] = scale[:, None, None] * u3[:, :g, g:]
     # the real part's remainder first, then the imaginary part's
@@ -705,8 +694,8 @@ def _scalar_case_raw(x):
     lifted = np.zeros((count, m, m), dtype=np.complex128)
     lifted[:, :g, :g] = -u
     lifted[:, g:, g:] = u
-    parts.append(_Terms(balanced.coeffs, lifted, (Provenance.FOUR_UNITARY,) * count,
-                        ("balanced-pair",) * count, slow[balanced.owner]))
+    label = (Provenance.FOUR_UNITARY, "balanced-pair")
+    parts.append(_Terms(balanced.coeffs, lifted, (label,) * count, slow[balanced.owner]))
     entry = _Terms(*(f[cut:] for f in split))
     cross = _cross_block_raw(m, rows, cells, entry._replace(owner=entry.owner - len(slow)))
     parts.append(cross._replace(owner=slow[cross.owner]))
@@ -739,10 +728,11 @@ def _type_one_raw(plan: algebra.LayoutPlan, x):
     The even atoms of one ``(k, m)`` form one group, as in ``E_A``: one
     :func:`_single_block_raw` call decomposes every atom of the group in
     every target, and one :func:`_padded_pairs` call completes the group's
-    terms, each with its atom's index rows and pad.  The parts are sorted
-    by the composite owner ``target * (A + 1) + atom`` of the ``A`` atoms,
-    the cross part last, so each target's terms come atom by atom whatever
-    the group order; the owner is divided back to the target at the end."""
+    terms, each with its atom's index rows, pad and label.  The parts are
+    sorted by the composite owner ``target * (A + 1) + atom`` of the ``A``
+    atoms, the cross part last, so each target's terms come atom by atom
+    whatever the group order; the owner is divided back to the target at
+    the end."""
     n = x.shape[-1]
     stride = len(plan.atoms) + 1
     targets = np.arange(len(x))[:, None]  # (B, 1): each target's row of owners
@@ -762,9 +752,11 @@ def _type_one_raw(plan: algebra.LayoutPlan, x):
             continue
         terms = np.arange(len(member))[:, None, None]
         target = (terms, grp.rows[member], grp.cols[member])
+        labels = [(Provenance.ATOMIC, f"atom-completion({a.block},{a.atom})")
+                  for a in map(plan.atoms.__getitem__, grp.members.tolist())]
         parts.append(_padded_pairs(atom_terms._replace(owner=owner), n, target,
-                                   ((slice(None),), grp.pads[member]), Provenance.ATOMIC,
-                                   [grp.stages[i] for i in member.tolist()]))
+                                   ((slice(None),), grp.pads[member]),
+                                   [labels[i] for i in member.tolist()]))
     if np.any(cross):
         pieces = _zero_piece_raw(cross, plan.pieces)
         parts.append(pieces._replace(owner=stride * pieces.owner + stride - 1))
@@ -892,8 +884,8 @@ def masa_quadrant_decomp(x) -> Decomposition:
     scale = np.repeat(_PART_MULTS[live % 2] * s, 2)  # one per slot of each unit
     delta[np.repeat(live % 2, 2), slots] = scale[:, None, None] * u3[:, :q, q:]
     count = 2 * len(live)  # two terms of coefficient mult * s / 2 per unit
-    dilations = _Terms(scale / 2.0, u.reshape(count, n, n), (Provenance.DILATION,) * count,
-                       _part_stages("quadrant", np.repeat(live, 2)),
+    dilations = _Terms(scale / 2.0, u.reshape(count, n, n),
+                       _part_labels(Provenance.DILATION, "quadrant", np.repeat(live, 2)),
                        np.zeros(count, dtype=np.intp))
     # the real parts' corner remainders first, then the imaginary parts'
     corners = (rows[:, :q, None], cols[:, None, q:])
@@ -946,8 +938,10 @@ def verify_decomposition(spec, x, d) -> VerificationReport:
         raise DimensionMismatch("term dimension differs from the target")
     recon = _reconstructions(coeffs, us, offsets).reshape(x.shape)
     recon_residual = float(np.max(hs_norm(recon - x), initial=0.0))
-    member = 0.0 if spec is None else algebra.membership_residual(spec, us)
-    unitarity = float(np.max(unitarity_residual(us), initial=0.0))
+    # as in _reconstructions, an overflow is a residual the gate rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        member = 0.0 if spec is None else algebra.membership_residual(spec, us)
+        unitarity = float(np.max(unitarity_residual(us), initial=0.0))
     moduli = list(map(abs, coeffs.tolist()))
     return VerificationReport(
         recon_residual=recon_residual,

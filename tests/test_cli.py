@@ -343,19 +343,35 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"] == "parse"
 
-    @pytest.mark.parametrize("coeff", [lambda i: 1e308, lambda i: (-1) ** i * 1e308],
-                             ids=["all-1e308", "alternating-1e308"])
-    def test_overflowing_reconstruction_is_one_json_error(self, capsys, tmp_path, coeff):
-        # the sum of the stored terms overflows: the verifier's residual is
-        # inf, with no RuntimeWarning, and the report cannot be written
+    @pytest.mark.parametrize("conjugated, edit", [
+        (False, lambda terms: [t["coeff"].update(re=1e308) for t in terms]),
+        (False, lambda terms: [t["coeff"].update(re=(-1) ** i * 1e308)
+                               for i, t in enumerate(terms)]),
+        (False, lambda terms: terms[0]["unitary"]["re"][0].__setitem__(1, 1e308)),
+        (True, lambda terms: [row.__setitem__(slice(0, 2), [1e308, 1e308])
+                              for row in terms[0]["unitary"]["re"][:2]]),
+    ], ids=["all-1e308", "alternating-1e308", "unitary-1e308", "conjugated-unitary-1e308"])
+    def test_overflowing_reconstruction_is_one_json_error(self, capsys, tmp_path, conjugated,
+                                                          edit):
+        # the sum of the stored terms, a unitarity residual or a membership
+        # residual through ``w @ ... @ w*`` overflows: the verifier's
+        # residual is inf or NaN, with no RuntimeWarning, and the report
+        # cannot be written
         inst = tmp_path / "inst.json"
-        run_cli(capsys, "random-instance", "--class", "c1", "--n", "3",
-                "--seed", "2", "--out", str(inst))
+        source = ("--class", "c1", "--n", "3")
+        if conjugated:
+            h = 0.5**0.5
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({
+                "blocks": [{"k": 1, "atom_mults": [1, 1, 1]}],
+                "conjugation": {"re": [[h, h, 0.0], [h, -h, 0.0], [0.0, 0.0, 1.0]],
+                                "im": [[0.0] * 3] * 3}}))
+            source = ("--spec", str(spec))
+        run_cli(capsys, "random-instance", *source, "--seed", "2", "--out", str(inst))
         dec = tmp_path / "dec.json"
         run_cli(capsys, "decompose", "--in", str(inst), "--out", str(dec))
         doc = json.loads(dec.read_text())
-        for i, term in enumerate(doc["terms"]):
-            term["coeff"]["re"] = coeff(i)
+        edit(doc["terms"])
         dec.write_text(json.dumps(doc))
         code, out, _ = run_cli(capsys, "verify", "--in", str(dec))
         assert (code, json.loads(out)) == (

@@ -9,6 +9,7 @@ are checked against brute-force enumeration.
 import dataclasses
 import inspect
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -99,13 +100,14 @@ class TestTwoUnitary:
 
     def test_random_reconstruction(self, rng):
         # one call per size decomposes a stack of contractions, each into
-        # the pair that its owner index and its stage name
+        # the pair that its owner index and its label name
         for n in range(1, 9):
             hs = np.array([random_hermitian(rng, n) for _ in range(4)])
             hs /= linalg.operator_norm(hs)[:, None, None]
-            raw = decompose._two_unitary_raw(hs, np.arange(4), ("a", "b", "c", "d"))
+            labels = tuple((Provenance.FOUR_UNITARY, s) for s in "abcd")
+            raw = decompose._two_unitary_raw(hs, np.arange(4), labels)
             assert raw.owner.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
-            assert raw.stages == ("a", "a", "b", "b", "c", "c", "d", "d")
+            assert raw.labels == tuple((Provenance.FOUR_UNITARY, s) for s in "aabbccdd")
             recon = (raw.coeffs[:, None, None] * raw.unitaries).reshape(4, 2, n, n).sum(axis=1)
             assert np.max(linalg.hs_norm(recon - hs)) <= 1e-12
             assert np.max(linalg.unitarity_residual(raw.unitaries)) <= 1e-12
@@ -157,7 +159,7 @@ class TestUnitaryMultiples:
             multiples, rest = decompose._unitary_multiples(x, trace_free)
             assert multiples.owner.tolist() == fast
             assert rest.tolist() == slow
-            assert multiples.stages == ("unitary-multiple",) * len(fast)
+            assert multiples.labels == ((Provenance.FOUR_UNITARY, "unitary-multiple"),) * len(fast)
             recon = multiples.coeffs[:, None, None] * multiples.unitaries
             np.testing.assert_allclose(recon, x[fast], atol=1e-15)
 
@@ -245,27 +247,28 @@ class TestDerangement:
 class TestBlockTable:
     def test_matches_the_permutations_and_stage_names(self):
         for count in range(2, 13):
-            cross, cross_names = decompose._block_table(
-                decompose._derangement, count, "cross-block({0},{1})")
-            moves, move_names = decompose._block_table(
-                decompose._entry_move, count, "entry-move({2},{3})")
+            cross, cross_labels = decompose._block_table(
+                decompose._derangement, count, Provenance.ZERO_DIAG, "cross-block({0},{1})")
+            moves, move_labels = decompose._block_table(
+                decompose._entry_move, count, Provenance.AMPLIFY, "entry-move({2},{3})")
             assert cross.shape == moves.shape == (count, count, count)
             for a, b in itertools.product(range(count), repeat=2):
                 assert moves[a, b].tolist() == decompose._entry_move(count, a, b).tolist()
-                assert move_names[a, b] == f"entry-move({a + 1},{b + 1})"
+                assert move_labels[a, b] == (Provenance.AMPLIFY, f"entry-move({a + 1},{b + 1})")
                 if a != b:  # a derangement has no diagonal block
                     assert cross[a, b].tolist() == decompose._derangement(count, a, b).tolist()
-                    assert cross_names[a, b] == "cross-block({},{})".format(a, b)
+                    assert cross_labels[a, b] == (Provenance.ZERO_DIAG,
+                                                  "cross-block({},{})".format(a, b))
 
     def test_second_call_reuses_the_read_only_table(self):
-        args = (decompose._entry_move, 5, "entry-move({2},{3})")
-        sigma, names = decompose._block_table(*args)
+        args = (decompose._entry_move, 5, Provenance.AMPLIFY, "entry-move({2},{3})")
+        sigma, labels = decompose._block_table(*args)
         again = decompose._block_table(*args)
-        assert again[0] is sigma and again[1] is names
+        assert again[0] is sigma and again[1] is labels
         with pytest.raises(ValueError):
             sigma[0, 0, 0] = 1
         with pytest.raises(ValueError):
-            names[0, 0] = ""
+            labels[0, 0] = ""
 
 
 class TestZeroPieceDiagonal:
@@ -343,9 +346,9 @@ def all_pairs_zero_piece_raw(x, pieces):
             entry = decompose._four_unitary_raw(block[None])
             sigma = decompose._derangement(count, alpha, beta)
             pads = ((slice(None), rows[others, :, None], rows[sigma[others], None, :]), pad)
-            stages = (f"cross-block({alpha},{beta})",) * len(entry.coeffs)
+            labels = ((Provenance.ZERO_DIAG, f"cross-block({alpha},{beta})"),) * len(entry.coeffs)
             parts.append(decompose._padded_pairs(entry, n, (slice(None),) + target, pads,
-                                                 Provenance.ZERO_DIAG, stages))
+                                                 labels))
     return decompose._cat(n, parts)
 
 
@@ -379,7 +382,7 @@ class TestZeroPieceOracle:
             want = all_pairs_zero_piece_raw(x, pieces)
             assert got.coeffs.tobytes() == want.coeffs.tobytes(), name
             assert got.unitaries.tobytes() == want.unitaries.tobytes(), name
-            assert (got.provenance, got.stages) == (want.provenance, want.stages), name
+            assert got.labels == want.labels, name
 
 
 def merge_input(raw, owner=0):
@@ -729,11 +732,12 @@ class TestMasaQuadrant:
                         rows, cols = quads[[slot, row2]].ravel(), quads[[slot, col2]].ravel()
                         u[:, rows[:, None], cols[None, :]] = (u1, u2)
                         remainder[np.ix_(quads[slot], quads[col2])] -= mult * s * u3[:q, q:]
-                    terms += [(mult * s / 2.0, w, f"quadrant-{tag}") for w in u]
-            coeffs, unitaries, stages = zip(*terms) if terms else ((), np.zeros((0, n, n)), ())
+                    terms += [(mult * s / 2.0, w, (Provenance.DILATION, f"quadrant-{tag}"))
+                              for w in u]
+            coeffs, unitaries, labels = zip(*terms) if terms else ((), np.zeros((0, n, n)), ())
             dilations = decompose._Terms(
-                np.array(coeffs, dtype=complex), np.array(unitaries, dtype=complex),
-                (Provenance.DILATION,) * len(terms), stages, np.zeros(len(terms), dtype=np.intp))
+                np.array(coeffs, dtype=complex), np.array(unitaries, dtype=complex), labels,
+                np.zeros(len(terms), dtype=np.intp))
             raw = decompose._cat(n, [dilations, decompose._zero_piece_raw(remainder[None], quads)])
             return decompose._assemble(None, x[None], raw, None, [None])[0]
 
@@ -1191,7 +1195,8 @@ def loop_four_unitary_raw(x):
         sp = linalg.operator_norm(part)
         nz = sp != 0.0
         two = decompose._two_unitary_raw(decompose._divide_by_norm(part[nz], sp[nz]), slow[nz],
-                                         (f"selfadjoint-split-{tag}",) * int(nz.sum()))
+                                         ((Provenance.FOUR_UNITARY, f"selfadjoint-split-{tag}"),)
+                                         * int(nz.sum()))
         parts.append(two._replace(coeffs=np.repeat(mult * sp[nz], 2) * two.coeffs))
     return decompose._cat(x.shape[-1], parts)
 
@@ -1226,15 +1231,15 @@ def loop_scalar_case_raw(x):
         count = 2 * len(nz)
         parts.append(decompose._Terms(
             np.repeat(mult * sp / 2.0, 2).astype(complex),
-            np.stack((u1, u2), axis=1).reshape(count, m, m), (Provenance.DILATION,) * count,
-            (f"diag-dilation-{tag}",) * count, np.repeat(slow[nz], 2)))
+            np.stack((u1, u2), axis=1).reshape(count, m, m),
+            ((Provenance.DILATION, f"diag-dilation-{tag}"),) * count, np.repeat(slow[nz], 2)))
         corner[nz] = corner[nz] - (mult * sp)[:, None, None] * u3[:, :g, g:]
     balanced = loop_four_unitary_raw(y[:, g:, g:])
     u = balanced.unitaries
     count = len(u)
     parts.append(decompose._Terms(
         balanced.coeffs, np.block([[-u, np.zeros_like(u)], [np.zeros_like(u), u]]),
-        (Provenance.FOUR_UNITARY,) * count, ("balanced-pair",) * count, slow[balanced.owner]))
+        ((Provenance.FOUR_UNITARY, "balanced-pair"),) * count, slow[balanced.owner]))
     offdiag = np.zeros_like(y)
     offdiag[:, :g, g:] = y[:, :g, g:] + corner
     offdiag[:, g:, :g] = y[:, g:, :g]
@@ -1264,9 +1269,9 @@ def loop_type_one_raw(plan, x):
         if pad is None:
             parts.append(atom_terms)
             continue
-        stages = (f"atom-completion({a.block},{a.atom})",) * len(atom_terms.coeffs)
-        parts.append(decompose._padded_pairs(atom_terms, n, block, ((slice(None),), pad),
-                                             Provenance.ATOMIC, stages))
+        labels = ((Provenance.ATOMIC, f"atom-completion({a.block},{a.atom})"),) * len(
+            atom_terms.coeffs)
+        parts.append(decompose._padded_pairs(atom_terms, n, block, ((slice(None),), pad), labels))
     if np.any(cross):
         parts.append(loop_zero_piece_raw(cross, plan.pieces))
     return decompose._cat(n, parts)
@@ -1337,6 +1342,44 @@ class TestConstructionRounds:
         calls = eigen_calls(monkeypatch)
         type_one_decomp(spec, x)
         assert calls == [(7, 1, 1), (4, 4, 4)]
+
+
+# the provenance each stage family implies
+LABEL_FAMILIES = (
+    (r"unitary-multiple|selfadjoint-split-(real|imag)|balanced-pair", Provenance.FOUR_UNITARY),
+    (r"(diag-dilation|quadrant)-(real|imag)", Provenance.DILATION),
+    (r"cross-block\(\d+,\d+\)", Provenance.ZERO_DIAG),
+    (r"entry-move\(\d+,\d+\)", Provenance.AMPLIFY),
+    (r"atom-completion\(\d+,\d+\)", Provenance.ATOMIC),
+)
+
+
+class TestLabelFamilies:
+    def test_each_stage_family_has_its_provenance(self, rng):
+        """Every term of the complement bases and random complement elements
+        of the grid specs, of :func:`four_unitary` and of
+        :func:`masa_quadrant_decomp` carries the provenance its stage family
+        implies, and every stage of every family occurs."""
+        decomps = []
+        for _, spec in spec_grid():
+            xs = np.concatenate((algebra.complement_basis(spec),
+                                 [algebra.random_complement_element(spec, s) for s in range(2)]))
+            decomps += list(decompose.type_one_stack(spec, xs))
+        for n in (3, 4, 8):
+            decomps.append(four_unitary(random_complex(rng, (n, n))))
+        for n in (4, 8):
+            decomps.append(masa_quadrant_decomp(
+                algebra.random_complement_element(TypeISubalgebraSpec.masa(n), 0)))
+        seen = set()
+        for d in decomps:
+            for prov, stage in zip(d.provenance, d.stages):
+                implied = [p for pattern, p in LABEL_FAMILIES if re.fullmatch(pattern, stage)]
+                assert implied == [prov], (stage, prov)
+                seen.add(re.sub(r"\(.*", "", stage))
+        assert seen == {"unitary-multiple", "selfadjoint-split-real", "selfadjoint-split-imag",
+                        "balanced-pair", "diag-dilation-real", "diag-dilation-imag",
+                        "quadrant-real", "quadrant-imag", "cross-block", "entry-move",
+                        "atom-completion"}
 
 
 def eigen_calls(monkeypatch):

@@ -117,6 +117,9 @@ class TestSpecRoundTrip:
             ({"re": [[1.0]], "im": [[0.0]]}, "spec: conjugation is 1x1, spec dimension is 2"),
             ({"re": [[1.0, 0.0], [0.0, 2.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
              "spec: conjugation matrix is not unitary"),
+            # w* w overflows: the residual is NaN, which is no pass
+            ({"re": [[1e308, 0.0], [1e308, -1e308]], "im": [[0.0, 1e308], [0.0, 0.0]]},
+             "spec: conjugation matrix is not unitary"),
         ):
             with pytest.raises(ParseError) as exc:
                 spec_from_json(dict(masa2, conjugation=conjugation))
