@@ -5,8 +5,6 @@ into linear combinations of unitaries lying in that complement.
 
 from .algebra import (
     BlockSpec,
-    ClassKind,
-    SpecClass,
     TypeISubalgebraSpec,
     algebra_dimension,
     complement_basis,
@@ -45,12 +43,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockSpec",
-    "ClassKind",
     "Decomposition",
     "DecompositionStack",
     "HermEig",
     "Provenance",
-    "SpecClass",
     "TypeISubalgebraSpec",
     "UnitaryTerm",
     "VerificationReport",

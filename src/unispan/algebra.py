@@ -19,7 +19,6 @@ identity.  Everything off-block or off-atom maps to zero.
 import hashlib
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
@@ -144,31 +143,9 @@ def algebra_dimension(spec: TypeISubalgebraSpec) -> int:
     return sum(b.k**2 * len(b.atom_mults) for b in spec.blocks)
 
 
-class ClassKind(Enum):
-    C1_MASA = "c1"
-    C2_SINGLE_ATOM = "c2"
-    C3_ATOMIC_ABELIAN = "c3"
-    C4_HOMOGENEOUS_TYPE1 = "c4"
-    UNSUPPORTED = "unsupported"
-
-
-@dataclass(frozen=True, eq=False)
-class SpecClass:
-    """Classification of a spec into a supported construction envelope."""
-
-    kind: ClassKind
-    n: int
-    atoms: tuple
-    reason: Optional[str] = None
-    detail: str = ""
-
-    @property
-    def supported(self) -> bool:
-        return self.kind is not ClassKind.UNSUPPORTED
-
-
-def validate_spec(spec: TypeISubalgebraSpec, n: int) -> SpecClass:
-    """Check the layout against the ambient dimension and classify the spec.
+def validate_spec(spec: TypeISubalgebraSpec) -> None:
+    """Return if the construction envelope covers ``spec``'s layout, else
+    raise :class:`UnsupportedConfiguration` with the rule it breaks.
 
     Envelope rules:
 
@@ -181,19 +158,11 @@ def validate_spec(spec: TypeISubalgebraSpec, n: int) -> SpecClass:
     * C3 and C4: every even atom needs a complement unitary (a witness) on
       the other atoms to pad against, else ``isolated-even-atom`` (C3) or
       ``no-padding-partner`` (C4).
-    * anything else is UNSUPPORTED, with a machine-readable ``reason``.
+    * anything else breaks a rule with a machine-readable name.
     """
-    if spec.dimension != n:
-        raise DimensionMismatch(f"spec covers dimension {spec.dimension}, ambient is {n}")
-    return layout_plan(spec.blocks).verdict
-
-
-def supported_class(spec: TypeISubalgebraSpec, n: int) -> SpecClass:
-    """The class of ``spec``; :class:`UnsupportedConfiguration` if unsupported."""
-    cls = validate_spec(spec, n)
-    if not cls.supported:
-        raise UnsupportedConfiguration(cls.reason, cls.detail)
-    return cls
+    verdict = layout_plan(spec.blocks).verdict
+    if verdict is not None:
+        raise UnsupportedConfiguration(*verdict)
 
 
 class _AtomGroup(NamedTuple):
@@ -213,13 +182,14 @@ class _AtomGroup(NamedTuple):
 
 
 class LayoutPlan(NamedTuple):
-    """A layout's atoms, ``E_A`` groups and verdict, the completion pad of
+    """A layout's atoms, ``E_A`` groups and verdict (the ``(rule, detail)``
+    it breaks, ``None`` when supported), the completion pad of
     each even atom of a multi-atom layout (else ``None``) and the ``gcd``
     piece rows ``(p, g)`` that carry the cross-atom part."""
 
     atoms: tuple
     groups: tuple
-    verdict: SpecClass
+    verdict: Optional[tuple]
     pads: tuple
     pieces: np.ndarray
 
@@ -260,50 +230,36 @@ def layout_plan(blocks: tuple) -> LayoutPlan:
     return LayoutPlan(atoms, tuple(groups), _classify(offset, atoms, pads), pads, pieces)
 
 
-def _classify(n: int, atoms: tuple, pads: tuple) -> SpecClass:
-    """The verdict of :func:`validate_spec` on atoms with completion pads ``pads``."""
-
-    def unsupported(rule, detail):
-        return SpecClass(ClassKind.UNSUPPORTED, n, atoms, rule, detail)
-
+def _classify(n: int, atoms: tuple, pads: tuple) -> Optional[tuple]:
+    """The ``(rule, detail)`` that :func:`validate_spec` raises for atoms
+    with completion pads ``pads``, or ``None``."""
     all_k1 = all(a.k == 1 for a in atoms)
     if all_k1 and all(a.m == 1 for a in atoms):
-        return SpecClass(ClassKind.C1_MASA, n, atoms)
+        return None  # C1, the masa of M_1 included
     if len(atoms) == 1:
         a = atoms[0]
         if a.m >= 2 and a.m % 2 == 0:
-            return SpecClass(ClassKind.C2_SINGLE_ATOM, n, atoms)
+            return None  # C2
         if a.m == 1:
-            return unsupported(
-                "single-full-matrix-atom",
-                "the lone atom is a full matrix block; the complement is {0}",
-            )
-        return unsupported("odd-atom-rank", f"single atom of odd multiplicity {a.m}")
+            return ("single-full-matrix-atom",
+                    "the lone atom is a full matrix block; the complement is {0}")
+        return "odd-atom-rank", f"single atom of odd multiplicity {a.m}"
     for a in atoms:
         if a.m >= 3 and a.m % 2 == 1:
-            return unsupported(
-                "odd-atom-rank", f"atom (block {a.block}, atom {a.atom}) has multiplicity {a.m}"
-            )
+            return "odd-atom-rank", f"atom (block {a.block}, atom {a.atom}) has multiplicity {a.m}"
     dims = {a.dim for a in atoms}
     if not all_k1 and len(dims) > 1:
-        return unsupported(
-            "heterogeneous-atom-dimensions", f"atom dimensions {sorted(dims)} differ"
-        )
+        return "heterogeneous-atom-dimensions", f"atom dimensions {sorted(dims)} differ"
     for a, pad in zip(atoms, pads):
         if a.m % 2 == 0 and pad is None:
             if all_k1:
-                return unsupported(
-                    "isolated-even-atom",
-                    f"even atom of rank {a.m} leaves only {n - a.dim} "
-                    "dimension(s) to pad against",
-                )
-            return unsupported(
-                "no-padding-partner",
-                "the remaining atom is a full matrix block and carries "
-                "no complement unitary",
-            )
-    kind = ClassKind.C3_ATOMIC_ABELIAN if all_k1 else ClassKind.C4_HOMOGENEOUS_TYPE1
-    return SpecClass(kind, n, atoms)
+                return ("isolated-even-atom",
+                        f"even atom of rank {a.m} leaves only {n - a.dim} "
+                        "dimension(s) to pad against")
+            return ("no-padding-partner",
+                    "the remaining atom is a full matrix block and carries "
+                    "no complement unitary")
+    return None
 
 
 def _witness_on(n, atoms):
@@ -347,16 +303,18 @@ def conditional_expectation(spec: TypeISubalgebraSpec, x) -> np.ndarray:
 
     ``x`` is one ``n x n`` matrix or a stack of shape ``(..., n, n)``; a
     stack maps matrix by matrix, with the same result as one call per
-    matrix.
+    matrix.  Entries near the top of binary64 may overflow to ``inf`` or
+    ``NaN`` without a warning; callers refuse non-finite results.
     """
     x = np.asarray(x, dtype=np.complex128)
     n = spec.dimension
     if x.ndim < 2 or x.shape[-2:] != (n, n):
         raise DimensionMismatch(f"expected shape (..., {n}, {n}), got {x.shape}")
     w = spec.conjugation
-    if w is None:
-        return _expect_standard(spec, x)
-    return w @ _expect_standard(spec, w.conj().T @ x @ w) @ w.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w is None:
+            return _expect_standard(spec, x)
+        return w @ _expect_standard(spec, w.conj().T @ x @ w) @ w.conj().T
 
 
 def complement_project(spec: TypeISubalgebraSpec, x) -> np.ndarray:

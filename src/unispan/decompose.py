@@ -785,9 +785,10 @@ def _check_complement(spec: TypeISubalgebraSpec, xs) -> None:
     """The entry check of the complement constructions on a stack ``(B, n, n)``:
     finite entries, ``spec`` supported and :func:`type_one_stack`'s gate."""
     finite(xs)
-    algebra.supported_class(spec, xs.shape[-1])
+    algebra.validate_spec(spec)
     resid = algebra.membership_residual(spec, xs)
-    bad = np.flatnonzero(resid > RECON_TOL * np.maximum(1.0, hs_norm(xs)))
+    # a NaN residual, from an overflow in E_A, fails too
+    bad = np.flatnonzero(~(resid <= RECON_TOL * np.maximum(1.0, hs_norm(xs))))
     if bad.size:
         i = int(bad[0])
         text = f"conditional expectation has norm {resid[i]:.3e}; project the input first"
@@ -808,8 +809,8 @@ def type_one_stack(spec: TypeISubalgebraSpec, xs) -> DecompositionStack:
     decomposition is bit-identical to that target's decomposed alone.
     A conjugation, when present, is applied at the boundary.  Raises
     :class:`NotInComplement`, naming the first such target of a longer
-    stack, when ``||E_A(x)||_2 > RECON_TOL * max(1, ||x||_2)``, and
-    :class:`UnispanError` on a non-finite entry.
+    stack, when ``||E_A(x)||_2 > RECON_TOL * max(1, ||x||_2)`` or is NaN,
+    and :class:`UnispanError` on a non-finite entry.
     """
     xs = as_stack(xs)
     if xs.ndim != 3:

@@ -193,7 +193,7 @@ def run_spancert(spec: TypeISubalgebraSpec, rank_tol: float = RANK_TOL,
     relative threshold ``rank_tol`` (:func:`span_rank`) is exactly
     ``n**2 - dim A``."""
     n = spec.dimension
-    algebra.supported_class(spec, n)
+    algebra.validate_spec(spec)
     basis = complement_basis(spec)
     expected = n * n - algebra_dimension(spec)
     ds = type_one_stack(spec, basis)
@@ -205,7 +205,7 @@ def run_spancert(spec: TypeISubalgebraSpec, rank_tol: float = RANK_TOL,
 
 def run_random_instance(spec: TypeISubalgebraSpec, seed: int) -> dict:
     """Deterministic Gaussian complement instance, ready to serialize."""
-    algebra.supported_class(spec, spec.dimension)
+    algebra.validate_spec(spec)
     x = algebra.random_complement_element(spec, seed)
     return instance_to_json(spec, x, seed=seed)
 

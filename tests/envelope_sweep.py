@@ -6,19 +6,19 @@ For each of the 7,423 layouts of :func:`small_layouts`:
   seeded Gaussian complement elements of seeds 0 and 1 passes
   ``report_within`` and stays within its term and coefficient budgets;
 * an unsupported layout's ``run_spancert`` raises
-  ``UnsupportedConfiguration`` with the rule of
-  :func:`reference_validate_spec`.
+  ``UnsupportedConfiguration`` with the rule of :func:`reference_verdict`.
 
 The sweep counts the calls of ``harness.gram_rank``, which ``span_rank``
 makes only when its bound does not decide.  It then runs the same checks on
 :func:`atom_slice` (one supported layout per distinct multiset of atoms
 ``(k, m)``, 64 layouts), each conjugated by a seeded random unitary.  It
-prints one JSON line of counts and exits 1 on any failure::
+prints one JSON line of counts, unsupported layouts counted per rule, and
+exits 1 on any failure::
 
     PYTHONPATH=src python tests/envelope_sweep.py
 
 pytest does not collect this file.  ``tests/test_algebra.py`` imports its
-layouts and its reference classification, and runs the unconjugated slice.
+layouts and its reference verdicts, and runs the unconjugated slice.
 """
 
 import itertools
@@ -28,16 +28,18 @@ import sys
 import numpy as np
 
 from unispan import algebra, harness
-from unispan.algebra import ClassKind, SpecClass, TypeISubalgebraSpec
-from unispan.errors import DimensionMismatch, UnsupportedConfiguration
+from unispan.algebra import TypeISubalgebraSpec
+from unispan.errors import UnsupportedConfiguration
 
 SEEDS = (0, 1)
 
 
 # The classification of the previous release, with its two hand-derived
-# padding rules, kept verbatim as the reference for the envelope.
-def reference_validate_spec(spec: TypeISubalgebraSpec, n: int) -> SpecClass:
-    """Check the layout against the ambient dimension and classify the spec.
+# padding rules, kept as the reference for the envelope; it returns what
+# ``algebra.validate_spec`` raises.
+def reference_verdict(spec: TypeISubalgebraSpec):
+    """The ``(rule, detail)`` that the spec breaks, or ``None`` when one of
+    the classes below covers it.
 
     Envelope rules:
 
@@ -49,58 +51,49 @@ def reference_validate_spec(spec: TypeISubalgebraSpec, n: int) -> SpecClass:
       against.
     * C4: at least two atoms of one common dimension ``k*m``, each
       multiplicity 1 or even, and every even atom has a paddable remainder.
-    * anything else is UNSUPPORTED, with a machine-readable ``reason``.
+    * anything else is unsupported, with a machine-readable rule.
     """
     atoms = algebra.layout_plan(spec.blocks).atoms
-    dim = spec.dimension
-    if dim != n:
-        raise DimensionMismatch(f"spec covers dimension {dim}, ambient is {n}")
-
-    def unsupported(rule, detail):
-        return SpecClass(ClassKind.UNSUPPORTED, n, atoms, rule, detail)
+    n = spec.dimension
 
     all_k1 = all(a.k == 1 for a in atoms)
     if all_k1 and all(a.m == 1 for a in atoms):
-        return SpecClass(ClassKind.C1_MASA, n, atoms)
+        return None  # C1
     if len(atoms) == 1:
         a = atoms[0]
         if a.m >= 2 and a.m % 2 == 0:
-            return SpecClass(ClassKind.C2_SINGLE_ATOM, n, atoms)
+            return None  # C2
         if a.m == 1:
-            return unsupported(
+            return (
                 "single-full-matrix-atom",
                 "the lone atom is a full matrix block; the complement is {0}",
             )
-        return unsupported("odd-atom-rank", f"single atom of odd multiplicity {a.m}")
+        return "odd-atom-rank", f"single atom of odd multiplicity {a.m}"
     bad = [a for a in atoms if a.m >= 3 and a.m % 2 == 1]
     if bad:
         a = bad[0]
-        return unsupported(
-            "odd-atom-rank", f"atom (block {a.block}, atom {a.atom}) has multiplicity {a.m}"
-        )
+        return "odd-atom-rank", f"atom (block {a.block}, atom {a.atom}) has multiplicity {a.m}"
     if all_k1:
         for a in atoms:
             if a.m >= 2 and n - a.dim < 2:
-                return unsupported(
+                return (
                     "isolated-even-atom",
                     f"even atom of rank {a.m} leaves only {n - a.dim} "
                     "dimension(s) to pad against",
                 )
-        return SpecClass(ClassKind.C3_ATOMIC_ABELIAN, n, atoms)
+        return None  # C3
     dims = {a.dim for a in atoms}
     if len(dims) > 1:
-        return unsupported(
-            "heterogeneous-atom-dimensions", f"atom dimensions {sorted(dims)} differ"
-        )
+        return "heterogeneous-atom-dimensions", f"atom dimensions {sorted(dims)} differ"
     if len(atoms) == 2:
         for a, other in ((atoms[0], atoms[1]), (atoms[1], atoms[0])):
             if a.m >= 2 and other.m == 1:
-                return unsupported(
+                return (
                     "no-padding-partner",
                     "the remaining atom is a full matrix block and carries "
                     "no complement unitary",
                 )
-    return SpecClass(ClassKind.C4_HOMOGENEOUS_TYPE1, n, atoms)
+    return None  # C4
 
 
 def small_layouts(max_n=9, max_blocks=3, max_atoms=4):
@@ -133,7 +126,7 @@ def atom_slice(layouts):
     supported = []
     for pairs in first.values():
         spec = TypeISubalgebraSpec.of_blocks(pairs)
-        if reference_validate_spec(spec, spec.dimension).supported:
+        if reference_verdict(spec) is None:
             supported.append(pairs)
     return supported
 
@@ -144,15 +137,16 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
     return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
 
 
-def check(spec: TypeISubalgebraSpec, want: SpecClass):
-    """Why ``spec``, of reference class ``want``, fails the envelope's
+def check(spec: TypeISubalgebraSpec, want):
+    """Why ``spec``, of reference verdict ``want``, fails the envelope's
     checks, or ``None`` when it passes."""
-    if not want.supported:
+    if want is not None:
+        rule = want[0]
         try:
             harness.run_spancert(spec)
         except UnsupportedConfiguration as exc:
-            return None if exc.rule == want.reason else f"rule {exc.rule}, not {want.reason}"
-        return f"certified, not {want.reason}"
+            return None if exc.rule == rule else f"rule {exc.rule}, not {rule}"
+        return f"certified, not {rule}"
     if not harness.run_spancert(spec).passed:
         return "span certificate did not pass"
     for seed in SEEDS:
@@ -169,10 +163,12 @@ def check(spec: TypeISubalgebraSpec, want: SpecClass):
 
 def sweep(layouts, conjugate: bool = False):
     """Run :func:`check` on every layout, conjugated by ``random_unitary(n,
-    index)`` when ``conjugate``.  Returns the counts and the failures as
-    ``(layout, reason)`` pairs."""
+    index)`` when ``conjugate``.  Returns the counts, with the unsupported
+    layouts counted per rule, and the failures as ``(layout, reason)``
+    pairs."""
     gram_rank = harness.gram_rank
-    fallbacks = supported = 0
+    fallbacks = 0
+    rules = {}
     failures = []
 
     def counted(*args, **kwargs):
@@ -186,8 +182,9 @@ def sweep(layouts, conjugate: bool = False):
             spec = TypeISubalgebraSpec.of_blocks(pairs)
             if conjugate:
                 spec = TypeISubalgebraSpec.of_blocks(pairs, random_unitary(spec.dimension, i))
-            want = reference_validate_spec(spec, spec.dimension)
-            supported += want.supported
+            want = reference_verdict(spec)
+            if want is not None:
+                rules[want[0]] = rules.get(want[0], 0) + 1
             try:
                 reason = check(spec, want)
             except Exception as exc:  # a crash is a failure of this layout, not of the sweep
@@ -196,8 +193,9 @@ def sweep(layouts, conjugate: bool = False):
                 failures.append((pairs, reason))
     finally:
         harness.gram_rank = gram_rank
-    counts = {"layouts": len(layouts), "supported": supported,
-              "unsupported": len(layouts) - supported, "failures": len(failures),
+    unsupported = sum(rules.values())
+    counts = {"layouts": len(layouts), "supported": len(layouts) - unsupported,
+              "unsupported": unsupported, "rules": rules, "failures": len(failures),
               "fallbacks": fallbacks}
     return counts, failures
 

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import e_unit, oracle_specs, random_complex, random_unitary
-from envelope_sweep import atom_slice, reference_validate_spec, small_layouts, sweep
+from envelope_sweep import atom_slice, reference_verdict, small_layouts, sweep
 from unispan import algebra, decompose, harness, linalg
 from unispan.algebra import (
     BlockSpec,
-    ClassKind,
     TypeISubalgebraSpec,
     algebra_dimension,
     complement_basis,
@@ -18,7 +17,6 @@ from unispan.algebra import (
     membership_residual,
     random_algebra_element,
     random_complement_element,
-    supported_class,
     validate_spec,
 )
 from unispan.selftest import spec_grid
@@ -26,71 +24,66 @@ from unispan.errors import DimensionMismatch, UnispanError, UnsupportedConfigura
 from unispan.linalg import RANK_TOL, hs_inner, hs_norm
 
 
+def verdict(spec):
+    """``validate_spec``'s verdict: the ``(rule, detail)`` it raises, or ``None``."""
+    try:
+        validate_spec(spec)
+    except UnsupportedConfiguration as exc:
+        return exc.rule, exc.detail
+    return None
+
+
 class TestClassification:
     def test_masa(self):
-        spec = TypeISubalgebraSpec.masa(3)
-        assert validate_spec(spec, 3).kind is ClassKind.C1_MASA
+        assert validate_spec(TypeISubalgebraSpec.masa(3)) is None
 
     def test_scalars(self):
-        spec = TypeISubalgebraSpec.scalar(4)
-        assert validate_spec(spec, 4).kind is ClassKind.C2_SINGLE_ATOM
+        assert validate_spec(TypeISubalgebraSpec.scalar(4)) is None
 
     def test_factor_with_even_multiplicity(self):
-        spec = TypeISubalgebraSpec.of_blocks([(2, [2])])
-        assert validate_spec(spec, 4).kind is ClassKind.C2_SINGLE_ATOM
+        assert validate_spec(TypeISubalgebraSpec.of_blocks([(2, [2])])) is None
 
     def test_single_odd_atom_unsupported(self):
         spec = TypeISubalgebraSpec.of_blocks([(2, [3])])
-        cls = validate_spec(spec, 6)
-        assert cls.kind is ClassKind.UNSUPPORTED
-        assert cls.reason == "odd-atom-rank"
+        assert verdict(spec) == ("odd-atom-rank", "single atom of odd multiplicity 3")
 
     def test_atomic_abelian(self):
         for ranks in ((2, 2), (2, 4), (1, 1, 2), (1, 2, 2, 4)):
-            spec = TypeISubalgebraSpec.atoms(ranks)
-            assert validate_spec(spec, sum(ranks)).kind is ClassKind.C3_ATOMIC_ABELIAN
+            assert validate_spec(TypeISubalgebraSpec.atoms(ranks)) is None
 
     def test_homogeneous_type_one(self):
-        spec = TypeISubalgebraSpec.of_blocks([(2, [2]), (2, [2])])
-        assert validate_spec(spec, 8).kind is ClassKind.C4_HOMOGENEOUS_TYPE1
-        spec = TypeISubalgebraSpec.of_blocks([(1, [4]), (2, [2])])
-        assert validate_spec(spec, 8).kind is ClassKind.C4_HOMOGENEOUS_TYPE1
+        assert validate_spec(TypeISubalgebraSpec.of_blocks([(2, [2]), (2, [2])])) is None
+        assert validate_spec(TypeISubalgebraSpec.of_blocks([(1, [4]), (2, [2])])) is None
 
     def test_full_matrix_blocks_supported_without_content(self):
-        spec = TypeISubalgebraSpec.of_blocks([(2, [1]), (2, [1])])
-        assert validate_spec(spec, 4).kind is ClassKind.C4_HOMOGENEOUS_TYPE1
+        assert validate_spec(TypeISubalgebraSpec.of_blocks([(2, [1]), (2, [1])])) is None
 
     def test_heterogeneous_dimensions_unsupported(self):
         spec = TypeISubalgebraSpec.of_blocks([(2, [2]), (1, [2])])
-        cls = validate_spec(spec, 6)
-        assert cls.kind is ClassKind.UNSUPPORTED
-        assert cls.reason == "heterogeneous-atom-dimensions"
+        assert verdict(spec)[0] == "heterogeneous-atom-dimensions"
 
     def test_isolated_even_atom_unsupported(self):
-        cls = validate_spec(TypeISubalgebraSpec.atoms((1, 2)), 3)
-        assert cls.kind is ClassKind.UNSUPPORTED
-        assert cls.reason == "isolated-even-atom"
+        assert verdict(TypeISubalgebraSpec.atoms((1, 2)))[0] == "isolated-even-atom"
 
     def test_full_matrix_padding_partner_unsupported(self):
         spec = TypeISubalgebraSpec.of_blocks([(2, [1]), (1, [2])])
-        cls = validate_spec(spec, 4)
-        assert cls.kind is ClassKind.UNSUPPORTED
-        assert cls.reason == "no-padding-partner"
+        assert verdict(spec)[0] == "no-padding-partner"
 
     def test_single_full_matrix_atom(self):
-        cls = validate_spec(TypeISubalgebraSpec.of_blocks([(3, [1])]), 3)
-        assert cls.kind is ClassKind.UNSUPPORTED
-        assert cls.reason == "single-full-matrix-atom"
+        spec = TypeISubalgebraSpec.of_blocks([(3, [1])])
+        assert verdict(spec)[0] == "single-full-matrix-atom"
 
     def test_dimension_mismatch(self):
+        # the dimension is checked by E_A's shape check, after the support check
         with pytest.raises(DimensionMismatch):
-            validate_spec(TypeISubalgebraSpec.masa(3), 4)
+            decompose.type_one_stack(TypeISubalgebraSpec.masa(3), np.zeros((1, 4, 4)))
+        with pytest.raises(UnsupportedConfiguration):
+            decompose.type_one_stack(TypeISubalgebraSpec.atoms((1, 2)), np.zeros((1, 4, 4)))
 
-    def test_supported_class_returns_or_raises_the_rule(self):
-        spec = TypeISubalgebraSpec.atoms((2, 4))
-        assert supported_class(spec, 6).kind is ClassKind.C3_ATOMIC_ABELIAN
+    def test_validate_spec_returns_or_raises_the_rule(self):
+        assert validate_spec(TypeISubalgebraSpec.atoms((2, 4))) is None
         with pytest.raises(UnsupportedConfiguration) as exc:
-            supported_class(TypeISubalgebraSpec.atoms((2, 3)), 5)
+            validate_spec(TypeISubalgebraSpec.atoms((2, 3)))
         assert (exc.value.rule, exc.value.detail) == (
             "odd-atom-rank", "atom (block 0, atom 1) has multiplicity 3")
 
@@ -99,13 +92,16 @@ class TestClassification:
         calls = []
         original = algebra.validate_spec
         monkeypatch.setattr(algebra, "validate_spec",
-                            lambda spec, n: calls.append(n) or original(spec, n))
+                            lambda spec: calls.append(spec.dimension) or original(spec))
         spec = TypeISubalgebraSpec.masa(3)
         x = random_complement_element(spec, 0)
         decompose.type_one_decomp(spec, x)
         assert calls == [3]
         harness.run_random_instance(spec, 0)
         assert calls == [3, 3]
+        # run_spancert checks before it builds the basis, type_one_stack again
+        harness.run_spancert(spec)
+        assert calls == [3, 3, 3, 3]
 
     def test_algebra_dimension(self):
         assert algebra_dimension(TypeISubalgebraSpec.masa(5)) == 5
@@ -128,10 +124,9 @@ class TestEnvelopeOracle:
         rules = set()
         for pairs in layouts:
             spec = TypeISubalgebraSpec.of_blocks(pairs)
-            n = spec.dimension
-            got, want = validate_spec(spec, n), reference_validate_spec(spec, n)
-            assert (got.kind, got.reason, got.detail) == (want.kind, want.reason, want.detail), pairs
-            rules.add(want.reason)
+            want = reference_verdict(spec)
+            assert verdict(spec) == want, pairs
+            rules.add(want and want[0])
         assert rules == {None, "single-full-matrix-atom", "odd-atom-rank", "isolated-even-atom",
                          "heterogeneous-atom-dimensions", "no-padding-partner"}
 
@@ -140,8 +135,8 @@ class TestEnvelopeSweep:
     def test_one_layout_per_atom_multiset_is_certified(self):
         counts, failures = sweep(atom_slice(small_layouts()))
         assert failures == []
-        assert counts == {"layouts": 64, "supported": 64, "unsupported": 0, "failures": 0,
-                          "fallbacks": 0}
+        assert counts == {"layouts": 64, "supported": 64, "unsupported": 0, "rules": {},
+                          "failures": 0, "fallbacks": 0}
 
 
 class TestLayout:

@@ -27,6 +27,12 @@ def _plain_instance(spec, matrix):
 
 NO_SPEC = "no subalgebra given: use --spec FILE, --class ... or --blocks ..."
 
+_H = 0.5**0.5
+# the masa of M_3 conjugated by a Hadamard block on its first two coordinates
+HADAMARD_MASA3 = {"blocks": [{"k": 1, "atom_mults": [1, 1, 1]}],
+                  "conjugation": {"re": [[_H, _H, 0.0], [_H, -_H, 0.0], [0.0, 0.0, 1.0]],
+                                  "im": [[0.0] * 3] * 3}}
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -360,12 +366,8 @@ class TestExitCodes:
         inst = tmp_path / "inst.json"
         source = ("--class", "c1", "--n", "3")
         if conjugated:
-            h = 0.5**0.5
             spec = tmp_path / "spec.json"
-            spec.write_text(json.dumps({
-                "blocks": [{"k": 1, "atom_mults": [1, 1, 1]}],
-                "conjugation": {"re": [[h, h, 0.0], [h, -h, 0.0], [0.0, 0.0, 1.0]],
-                                "im": [[0.0] * 3] * 3}}))
+            spec.write_text(json.dumps(HADAMARD_MASA3))
             source = ("--spec", str(spec))
         run_cli(capsys, "random-instance", *source, "--seed", "2", "--out", str(inst))
         dec = tmp_path / "dec.json"
@@ -376,6 +378,26 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "verify", "--in", str(dec))
         assert (code, json.loads(out)) == (
             1, {"error": "failed", "detail": "cannot serialize non-finite value inf"})
+
+    @pytest.mark.parametrize("verb, detail", [
+        ("decompose", "input has a non-finite entry"),
+        ("expect", "cannot serialize non-finite value nan"),
+    ])
+    def test_overflowing_conjugated_instance_is_one_json_error(self, capsys, tmp_path, verb,
+                                                               detail):
+        # finite entries of 1.5e308 overflow in E_A's rotation w* x w: the
+        # projection is non-finite, with no RuntimeWarning
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(HADAMARD_MASA3))
+        inst = tmp_path / "inst.json"
+        run_cli(capsys, "random-instance", "--spec", str(spec), "--seed", "2", "--out", str(inst))
+        doc = json.loads(inst.read_text())
+        for row in doc["matrix"]["re"][:2]:
+            row[:2] = [1.5e308, 1.5e308]
+        inst.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, verb, "--in", str(inst))
+        assert (code, json.loads(out)) == (1, {"error": "failed", "detail": detail})
+        assert "Warning" not in err
 
     @pytest.mark.parametrize(
         "edit, detail",

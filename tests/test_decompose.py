@@ -1089,6 +1089,18 @@ class TestNonFiniteInput:
             construct(x)
         assert capfd.readouterr().err == ""
 
+    def test_overflow_in_the_conjugation_is_not_in_the_complement(self, capfd):
+        # finite entries near the top of binary64 overflow in w* x w: the
+        # NaN membership residual fails the gate, with no RuntimeWarning
+        h = 0.5**0.5
+        w = np.array([[h, h, 0.0], [h, -h, 0.0], [0.0, 0.0, 1.0]])
+        spec = TypeISubalgebraSpec.of_blocks([(1, [1, 1, 1])], conjugation=w)
+        x = np.zeros((3, 3), dtype=complex)
+        x[0:2, 0:2] = 1.5e308
+        with pytest.raises(NotInComplement, match="norm nan"):
+            decompose.type_one_decomp(spec, x)
+        assert capfd.readouterr().err == ""
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("kernel", [
         linalg.hermitian_eig,
