@@ -8,7 +8,8 @@ factor-major ordering is part of the file-format contract.
 
 An optional conjugating unitary ``W`` places the algebra in general
 position (``A = W A_std W*``); every computation runs in standard position
-and conjugates at the boundary.
+and conjugates at the boundary, :meth:`TypeISubalgebraSpec.to_standard`
+and :meth:`TypeISubalgebraSpec.from_standard`.
 
 The trace-preserving conditional expectation acts atom by atom: the
 compression to an atom, viewed in ``M_k (x) M_m``, is replaced by its
@@ -113,6 +114,18 @@ class TypeISubalgebraSpec:
             conjugation=conjugation,
         )
 
+    def to_standard(self, x):
+        """``W* x W``: ``x``, one matrix or a stack ``(..., n, n)``, moved to
+        standard position; ``x`` itself when there is no conjugation."""
+        w = self.conjugation
+        return x if w is None else w.conj().T @ x @ w
+
+    def from_standard(self, x):
+        """``W x W*``: ``x`` moved from standard position back to the spec's
+        frame; the inverse of :meth:`to_standard`."""
+        w = self.conjugation
+        return x if w is None else w @ x @ w.conj().T
+
     def digest(self) -> int:
         """Stable 64-bit digest of the layout, used to key random streams."""
         parts = ["|".join(f"{b.k}:{','.join(map(str, b.atom_mults))}" for b in self.blocks)]
@@ -182,22 +195,19 @@ class _AtomGroup(NamedTuple):
 
 
 class LayoutPlan(NamedTuple):
-    """A layout's atoms, ``E_A`` groups and verdict (the ``(rule, detail)``
-    it breaks, ``None`` when supported), the completion pad of
-    each even atom of a multi-atom layout (else ``None``) and the ``gcd``
-    piece rows ``(p, g)`` that carry the cross-atom part."""
+    """A layout's atoms, ``E_A`` groups (which hold the completion pads),
+    verdict (the ``(rule, detail)`` it breaks, ``None`` when supported) and
+    the ``gcd`` piece rows ``(p, g)`` that carry the cross-atom part."""
 
     atoms: tuple
     groups: tuple
     verdict: Optional[tuple]
-    pads: tuple
     pieces: np.ndarray
 
 
 def _frozen(a):
-    """``a`` made read-only; ``None`` stays ``None``."""
-    if a is not None:
-        a.setflags(write=False)
+    """``a`` made read-only."""
+    a.setflags(write=False)
     return a
 
 
@@ -215,8 +225,8 @@ def layout_plan(blocks: tuple) -> LayoutPlan:
             atom_off += m
         offset += b.dim
     atoms = tuple(atoms)
-    pads = tuple(_frozen(_witness_on(offset, [b for b in atoms if b is not a]))
-                 if a.m % 2 == 0 and len(atoms) > 1 else None for a in atoms)
+    pads = [_witness_on(offset, [b for b in atoms if b is not a])
+            if a.m % 2 == 0 and len(atoms) > 1 else None for a in atoms]
     groups = []
     for k, m in dict.fromkeys((a.k, a.m) for a in atoms):
         members = [i for i, a in enumerate(atoms) if (a.k, a.m) == (k, m)]
@@ -227,10 +237,10 @@ def layout_plan(blocks: tuple) -> LayoutPlan:
             None if any(p is None for p in own) else _frozen(np.stack(own))))
     g = math.gcd(*[a.dim for a in atoms])
     pieces = _frozen(np.concatenate([a.indices for a in atoms]).reshape(-1, g))
-    return LayoutPlan(atoms, tuple(groups), _classify(offset, atoms, pads), pads, pieces)
+    return LayoutPlan(atoms, tuple(groups), _classify(offset, atoms, pads), pieces)
 
 
-def _classify(n: int, atoms: tuple, pads: tuple) -> Optional[tuple]:
+def _classify(n: int, atoms: tuple, pads: list) -> Optional[tuple]:
     """The ``(rule, detail)`` that :func:`validate_spec` raises for atoms
     with completion pads ``pads``, or ``None``."""
     all_k1 = all(a.k == 1 for a in atoms)
@@ -310,11 +320,8 @@ def conditional_expectation(spec: TypeISubalgebraSpec, x) -> np.ndarray:
     n = spec.dimension
     if x.ndim < 2 or x.shape[-2:] != (n, n):
         raise DimensionMismatch(f"expected shape (..., {n}, {n}), got {x.shape}")
-    w = spec.conjugation
     with np.errstate(over="ignore", invalid="ignore"):
-        if w is None:
-            return _expect_standard(spec, x)
-        return w @ _expect_standard(spec, w.conj().T @ x @ w) @ w.conj().T
+        return spec.from_standard(_expect_standard(spec, spec.to_standard(x)))
 
 
 def complement_project(spec: TypeISubalgebraSpec, x) -> np.ndarray:
@@ -416,10 +423,7 @@ def random_algebra_element(spec: TypeISubalgebraSpec, seed: int) -> np.ndarray:
     for a in layout_plan(spec.blocks).atoms:
         y = _standard_normal_complex(rng, (a.k, a.k))
         out[np.ix_(a.indices, a.indices)] = np.kron(y, np.eye(a.m))
-    w = spec.conjugation
-    if w is not None:
-        out = w @ out @ w.conj().T
-    return out
+    return spec.from_standard(out)
 
 
 def random_complement_element(spec: TypeISubalgebraSpec, seed: int) -> np.ndarray:

@@ -229,18 +229,12 @@ def _cat(n, parts) -> _Terms:
         return parts[0]
     owner = np.concatenate([np.empty(0, dtype=np.intp)] + [p.owner for p in parts])
     order = np.argsort(owner, kind="stable")
-    slot = np.empty_like(order)
-    slot[order] = np.arange(len(order))
-    coeffs = np.empty(len(order), dtype=np.complex128)
-    unitaries = np.empty((len(order), n, n), dtype=np.complex128)
-    start = 0
-    for p in parts:  # one copy of every unitary, straight to its slot
-        at = slot[start : start + len(p.coeffs)]
-        coeffs[at] = p.coeffs
-        unitaries[at] = p.unitaries
-        start += len(p.coeffs)
+    coeffs = np.concatenate([np.empty(0, dtype=np.complex128)] + [p.coeffs for p in parts])
+    unitaries = np.concatenate([np.empty((0, n, n), dtype=np.complex128)]
+                               + [p.unitaries for p in parts])
     labels = sum((p.labels for p in parts), ())
-    return _Terms(coeffs, unitaries, tuple(labels[i] for i in order.tolist()), owner[order])
+    return _Terms(coeffs[order], unitaries[order], tuple(labels[i] for i in order.tolist()),
+                  owner[order])
 
 
 @lru_cache(maxsize=32)
@@ -817,12 +811,8 @@ def type_one_stack(spec: TypeISubalgebraSpec, xs) -> DecompositionStack:
         raise DimensionMismatch(f"expected a stack of shape (B, n, n), got {xs.shape}")
     _check_complement(spec, xs)
     plan = algebra.layout_plan(spec.blocks)
-    w = spec.conjugation
-    if w is None:
-        raw = _type_one_raw(plan, xs)
-    else:
-        raw = _type_one_raw(plan, w.conj().T @ xs @ w)
-        raw = raw._replace(unitaries=w @ raw.unitaries @ w.conj().T)
+    raw = _type_one_raw(plan, spec.to_standard(xs))
+    raw = raw._replace(unitaries=spec.from_standard(raw.unitaries))
     tb, cf = _type_one_budgets(plan)
     return _assemble(spec, xs, raw, tb, [cf * max(1.0, s) for s in operator_norm(xs).tolist()])
 

@@ -6,13 +6,16 @@ over a power of two, and its residuals in the normalized Hilbert-Schmidt
 norm ``||x||_2**2 = sum |x_ij|**2 / n`` are exact fractions:
 
 * the squared reconstruction residual ``||x - sum_t c_t u_t||_2**2``;
-* the squared unitarity residual ``||u_t* u_t - 1||_2**2`` of each term.
+* the squared unitarity residual ``||u_t* u_t - 1||_2**2`` of each term;
+* the squared membership residual ``||E_A(u_t)||_2**2`` of each term, for a
+  spec in standard position.
 
 Only the standard library is used, so the oracle shares no arithmetic with
 the package.  Conjugated specs are out of its scope: their membership
 residual needs ``E_A`` through a stored ``W`` that is not exactly unitary.
-Print a document's reconstruction residual and largest unitarity residual
-(square roots of the exact values, rounded to floats)::
+Print a document's reconstruction residual, largest unitarity residual and,
+in standard position, largest membership residual (square roots of the
+exact values, rounded to floats)::
 
     python tests/exact_residuals.py DECOMPOSITION.json
 """
@@ -76,12 +79,55 @@ def unitarity_residuals_sq(doc) -> list:
     return out
 
 
+def _atoms(spec):
+    """``(m, rows)`` for every atom ``M_k (x) 1_m`` of a standard-position
+    spec document, where ``rows[a][t]`` is the carrier index
+    ``a*s + offset + t`` of the factor-major layout, shifted by the block's
+    start."""
+    if spec.get("conjugation") is not None:
+        raise ValueError("a conjugated spec is out of the exact oracle's scope")
+    out, start = [], 0
+    for block in spec["blocks"]:
+        k, mults = block["k"], block["atom_mults"]
+        s, offset = sum(mults), 0
+        for m in mults:
+            out.append((m, [[start + a * s + offset + t for t in range(m)] for a in range(k)]))
+            offset += m
+        start += k * s
+    return out
+
+
+def membership_residuals_sq(doc) -> list:
+    """``||E_A(u_t)||_2**2`` of every term of ``doc``, in term order: each
+    atom contributes ``|sum_t u[(a,t),(b,t)]|**2 / m`` over its factor
+    indices ``a, b``.  Raises ``ValueError`` for a conjugated spec."""
+    atoms = _atoms(doc["spec"])
+    out = []
+    for t in doc["terms"]:
+        re, im, q, n = _matrix(t["unitary"])
+        total = Fraction(0)
+        for m, rows in atoms:
+            sq = 0
+            for ra in rows:
+                for rb in rows:
+                    r = sum(re[i * n + j] for i, j in zip(ra, rb))
+                    s = sum(im[i * n + j] for i, j in zip(ra, rb))
+                    sq += r * r + s * s
+            total += Fraction(sq, m)
+        out.append(total / (q * q * n))
+    return out
+
+
 def main(path) -> int:
     with open(path) as f:
         doc = json.load(f)
     unitarity = max(unitarity_residuals_sq(doc), default=Fraction(0))
-    print(json.dumps({"recon_residual": math.sqrt(recon_residual_sq(doc)),
-                      "max_unitarity_residual": math.sqrt(unitarity)}))
+    out = {"recon_residual": math.sqrt(recon_residual_sq(doc)),
+           "max_unitarity_residual": math.sqrt(unitarity)}
+    if doc["spec"].get("conjugation") is None:
+        membership = max(membership_residuals_sq(doc), default=Fraction(0))
+        out["max_membership_residual"] = math.sqrt(membership)
+    print(json.dumps(out))
     return 0
 
 

@@ -172,17 +172,22 @@ class TestLayout:
             plan = algebra.layout_plan(spec.blocks)
             twin = algebra.layout_plan(
                 TypeISubalgebraSpec.of_blocks([(b.k, b.atom_mults) for b in spec.blocks]).blocks)
-            assert len(plan.pads) == len(plan.atoms), name
-            for i, (a, pad) in enumerate(zip(plan.atoms, plan.pads)):
-                if a.m < 2 or len(plan.atoms) == 1:
-                    assert pad is None, name
+            members = np.concatenate([grp.members for grp in plan.groups])
+            assert sorted(members.tolist()) == list(range(len(plan.atoms))), name
+            for i, grp in enumerate(plan.groups):
+                if grp.m < 2 or len(plan.atoms) == 1:
+                    assert grp.pads is None, name
                     continue
-                fresh = algebra._witness_on(spec.dimension, [b for b in plan.atoms if b is not a])
-                assert (pad.dtype, pad.shape) == (fresh.dtype, fresh.shape), name
-                assert pad.tobytes() == fresh.tobytes(), name
-                with pytest.raises(ValueError):
-                    pad[0, 0] = 5
-                assert twin.pads[i] is pad, name
+                assert len(grp.pads) == len(grp.members), name
+                for j, pad in zip(grp.members.tolist(), grp.pads):
+                    a = plan.atoms[j]
+                    fresh = algebra._witness_on(spec.dimension,
+                                                [b for b in plan.atoms if b is not a])
+                    assert (pad.dtype, pad.shape) == (fresh.dtype, fresh.shape), name
+                    assert pad.tobytes() == fresh.tobytes(), name
+                    with pytest.raises(ValueError):
+                        pad[0, 0] = 5
+                assert twin.groups[i].pads is grp.pads, name
 
     def test_digest_stable_and_layout_sensitive(self):
         a = TypeISubalgebraSpec.atoms((2, 4))
@@ -322,6 +327,53 @@ class TestConditionalExpectation:
                 x0 = np.zeros_like(x)
                 x0[s0 * s : (s0 + 1) * s, t0 * s : (t0 + 1) * s] = y0
                 assert membership_residual(spec, x0) <= 1e-13
+
+
+class TestFrameBoundary:
+    def test_standard_spec_returns_its_input(self, rng):
+        spec = TypeISubalgebraSpec.of_blocks([(2, [2])])
+        for x in (random_complex(rng, (4, 4)), random_complex(rng, (3, 4, 4))):
+            assert spec.to_standard(x) is x
+            assert spec.from_standard(x) is x
+
+    def test_conjugated_spec_is_the_explicit_product(self, rng):
+        spec = TypeISubalgebraSpec.of_blocks([(1, [2, 4])], conjugation=random_unitary(rng, 6))
+        w = spec.conjugation
+        for x in (random_complex(rng, (6, 6)), random_complex(rng, (3, 6, 6))):
+            assert spec.to_standard(x).tobytes() == (w.conj().T @ x @ w).tobytes()
+            assert spec.from_standard(x).tobytes() == (w @ x @ w.conj().T).tobytes()
+            back = spec.from_standard(spec.to_standard(x))
+            assert np.max(np.abs(back - x)) <= 1e-14
+
+
+class TestFullMatrixAtomLemma:
+    """A unitary with ``E_A(u) = 0`` vanishes on the diagonal block of every
+    full-matrix atom (``m = 1``) of dimension ``d``, so it maps that atom's
+    space isometrically into the other ``n - d`` dimensions."""
+
+    def test_no_complement_unitary_when_the_atom_is_more_than_half(self):
+        spec = TypeISubalgebraSpec.of_blocks([(2, [1]), (1, [1])])  # M_2 + C in M_3
+        assert verdict(spec)[0] == "heterogeneous-atom-dimensions"
+        for seed in range(20):
+            x = random_complement_element(spec, seed)
+            assert not np.any(x[:2, :2]), seed
+            # so only the last row of x reaches the M_2 block of x* x, which
+            # has rank one and is never the identity
+            s = np.linalg.svd((x.conj().T @ x)[:2, :2], compute_uv=False)
+            assert s[1] <= 1e-12 * s[0], seed
+
+    def test_the_unitaries_miss_a_block_when_the_atom_is_half(self, rng):
+        spec = TypeISubalgebraSpec.of_blocks([(2, [1]), (1, [2])])  # M_2 + C*1_2 in M_4
+        assert verdict(spec)[0] == "no-padding-partner"
+        assert spec.dimension**2 - algebra_dimension(spec) == 11
+        zero = np.zeros((2, 2))
+        unitaries = np.array([np.block([[zero, random_unitary(rng, 2)],
+                                        [random_unitary(rng, 2), zero]]) for _ in range(16)])
+        assert np.max(membership_residual(spec, unitaries)) <= 1e-15
+        assert linalg.gram_rank(unitaries) == 8
+        inside = np.diag([0.0, 0.0, 1.0, -1.0]).astype(complex)
+        assert membership_residual(spec, inside) == 0.0
+        assert all(hs_inner(u, inside) == 0 for u in unitaries)
 
 
 class TestComplementBasis:

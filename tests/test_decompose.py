@@ -754,6 +754,16 @@ class TestMasaQuadrant:
                 assert d.unitaries.tobytes() == ref.unitaries.tobytes()
 
 
+def atom_pads(plan):
+    """The completion pad of each atom of ``plan``, read from its group's
+    stack, or ``None``."""
+    pads = [None] * len(plan.atoms)
+    for grp in plan.groups:
+        for j, i in enumerate(grp.members.tolist()):
+            pads[i] = None if grp.pads is None else grp.pads[j]
+    return pads
+
+
 def layout_witness(spec):
     """The complement unitary ``algebra._witness_on`` builds on all atoms of
     ``spec`` in standard position, or ``None``."""
@@ -785,7 +795,7 @@ class TestWitness:
         padded = 0
         for name, spec in grid_specs:
             plan = algebra.layout_plan(spec.blocks)
-            for a, pad in zip(plan.atoms, plan.pads):
+            for a, pad in zip(plan.atoms, atom_pads(plan)):
                 if pad is None:
                     continue
                 padded += 1
@@ -1264,7 +1274,7 @@ def loop_type_one_raw(plan, x):
     n = x.shape[-1]
     parts = []
     cross = x.copy()
-    for a, pad in zip(plan.atoms, plan.pads):
+    for a, pad in zip(plan.atoms, atom_pads(plan)):
         block = (slice(None),) + np.ix_(a.indices, a.indices)
         cross[block] = 0.0
         if a.m < 2:

@@ -2,13 +2,14 @@
 decompositions.
 
 The oracle covers specs in standard position only; conjugated specs are out
-of its scope, since their stored ``W`` is not exactly unitary."""
+of its scope, since their stored ``W`` is not exactly unitary, and its
+membership residual refuses them."""
 
 import json
 
 import pytest
 
-from exact_residuals import recon_residual_sq, unitarity_residuals_sq
+from exact_residuals import membership_residuals_sq, recon_residual_sq, unitarity_residuals_sq
 from unispan import harness
 from unispan.decompose import RECON_TOL, TERM_TOL
 from unispan.selftest import spec_grid
@@ -40,6 +41,9 @@ def test_exact_residuals_are_within_the_tolerances(documents, name):
     unitarity = unitarity_residuals_sq(doc)
     assert len(unitarity) == len(doc["terms"]) > 0
     assert max(unitarity) <= TERM_TOL**2
+    membership = membership_residuals_sq(doc)
+    assert len(membership) == len(doc["terms"])
+    assert max(membership) <= TERM_TOL**2
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -49,3 +53,12 @@ def test_a_perturbed_unitary_entry_is_flagged(documents, name):
     row[0] += 2.0**-20
     assert unitarity_residuals_sq(doc)[0] > TERM_TOL**2
     assert recon_residual_sq(doc) > RECON_TOL**2
+    assert membership_residuals_sq(doc)[0] > TERM_TOL**2
+
+
+def test_a_conjugated_spec_is_out_of_scope(documents):
+    doc = dict(documents["c1-masa-n4"])
+    w = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    doc["spec"] = dict(doc["spec"], conjugation={"re": w, "im": [[0.0] * 4] * 4})
+    with pytest.raises(ValueError):
+        membership_residuals_sq(doc)
