@@ -61,6 +61,11 @@ TERM_TOL = RECON_TOL / 10
 MERGE_TOL = 1e-12
 FAST_PATH_TOL = 1e-12
 
+# the most complex entries (512 KiB) of one block of a pass over the term
+# pool that does not itself make the result: the verifier's residuals and
+# the merge's pairwise comparisons
+_BLOCK = 2**15
+
 _FAULT_INJECTION = False
 
 
@@ -223,27 +228,44 @@ class _Terms(NamedTuple):
 def _cat(n, parts) -> _Terms:
     """Concatenate term stacks of ``n x n`` unitaries, sorted stably by
     owner: each owner's terms come out in part order, each part's in its
-    own order.  No parts give the empty stack."""
+    own order.  The stacks are allocated once and each part is scattered
+    into its sorted slots, so the unitaries are written once, with no
+    concatenated copy to gather from.  A single nonempty part is returned
+    as it is; no parts give the empty stack."""
     parts = [p for p in parts if len(p.coeffs)]
     if len(parts) == 1:
         return parts[0]
     owner = np.concatenate([np.empty(0, dtype=np.intp)] + [p.owner for p in parts])
     order = np.argsort(owner, kind="stable")
-    coeffs = np.concatenate([np.empty(0, dtype=np.complex128)] + [p.coeffs for p in parts])
-    unitaries = np.concatenate([np.empty((0, n, n), dtype=np.complex128)]
-                               + [p.unitaries for p in parts])
+    slots = np.empty_like(order)
+    slots[order] = np.arange(len(order))  # the sorted slot of each concatenated term
+    coeffs = np.empty(len(order), dtype=np.complex128)
+    unitaries = np.empty((len(order), n, n), dtype=np.complex128)
+    lo = 0
+    for p in parts:
+        at = slots[lo : lo + len(p.coeffs)]
+        coeffs[at] = p.coeffs
+        unitaries[at] = p.unitaries
+        lo += len(p.coeffs)
     labels = sum((p.labels for p in parts), ())
-    return _Terms(coeffs[order], unitaries[order], tuple(labels[i] for i in order.tolist()),
-                  owner[order])
+    return _Terms(coeffs, unitaries, tuple(labels[i] for i in order.tolist()), owner[order])
 
 
 @lru_cache(maxsize=32)
 def _merge_key_weights(size: int) -> np.ndarray:
-    """Fixed seeded weights in ``[1, 2)`` for the real and imaginary parts of
-    ``size`` complex entries, interleaved like ``complex128.view(float64)``."""
-    weights = np.random.default_rng(0x6D657267).uniform(1.0, 2.0, 2 * size)
-    weights.setflags(write=False)
-    return weights
+    """The merge's key weights for rows of ``size`` complex entries, as a
+    read-only ``(2 size, 2)`` pair over ``complex128.view(float64)`` rows:
+    column 0 holds fixed seeded weights ``w`` in ``[1, 2)`` for the real
+    and imaginary parts of each entry, interleaved like the view, and
+    column 1 the weights ``w'`` with ``v @ w' == (-1j * v) @ w``, that is
+    ``-w_imag`` on each real part and ``w_real`` on each imaginary part."""
+    w = np.random.default_rng(0x6D657267).uniform(1.0, 2.0, 2 * size)
+    pair = np.empty((2 * size, 2))
+    pair[:, 0] = w
+    pair[0::2, 1] = -w[1::2]
+    pair[1::2, 1] = w[0::2]
+    pair.setflags(write=False)
+    return pair
 
 
 def _owner_max(values, own):
@@ -278,21 +300,34 @@ def _merge_raw(coeffs, unitaries, owner):
     of each cluster's first term, in term order.
 
     Only terms that can join a cluster are compared.  The key ``k`` of a
-    phase-canonical row is a weighted sum of its real and imaginary parts
-    with fixed weights in ``[1, 2)``; two rows within ``MERGE_TOL`` in every
-    entry have keys less than ``4 n**2 MERGE_TOL`` apart.  The window
+    term is ``c @ w``, a weighted sum of the real and imaginary parts of
+    its phase-canonical row ``c = u * conj(p)``, ``p`` its phase, with
+    fixed weights ``w`` in ``[1, 2)``.  It is computed without forming
+    ``c``, as ``Re(p) (u @ w) + Im(p) (u @ w')`` with ``w'`` the weights of
+    ``-1j * u`` (:func:`_merge_key_weights`): one matmul of the pool
+    against the weight pair.  Two rows within ``MERGE_TOL`` in every entry
+    have exact keys less than ``4 n**2 MERGE_TOL`` apart.  Rounding moves a
+    computed key, and a computed ``c @ w`` too, at most
+    ``8 (n**2 + 2) 2**-53 L`` from the exact ``c @ w`` of the computed row
+    ``c``, where ``L`` is the sum of the moduli of the ``2 n**2`` real and
+    imaginary parts of ``u``, at most ``sqrt(2) n**1.5`` for a unitary
+    (Higham's bound ``gamma_k`` for a dot product of length ``k = 2 n**2``
+    with weights below 2, and ``gamma_2`` for the products by the phase).
+    The window
     ``8 n**2 MERGE_TOL + 1e-12 max|k|``, with the owner's ``max|k|``,
-    leaves room for rounding in the keys.  Sorted by ``(owner, key)``, the
+    leaves ``4 n**2 MERGE_TOL`` for the rounding of two keys, which covers
+    it for unitaries up to ``n = 128``.  Sorted by ``(owner, key)``, the
     terms fall into runs of consecutive keys of one owner inside the
     window, and no cluster spans two runs: two keys inside one window have
     every sorted gap between them inside it too, and a rounded difference
     keeps that order.  A term alone in its run is its own cluster, a run of
     two is decided by one comparison of its two rows, and a longer run by
     one comparison of all pairs of its rows (:func:`_near_pairs`, in chunks
-    that hold no more entries than the canonical rows of all terms), from
-    which each term, in term order, joins the earliest cluster it is near.
-    (Keys of the moduli ``|u_j|`` would not separate a ``(+v, -v)`` padding
-    pair, whose members have equal moduli.)
+    of at most ``_BLOCK`` entries, or of one row against the run where that
+    is more), from which each term, in term order, joins the earliest
+    cluster it is near.  Canonical rows are formed only for the terms of
+    the runs of two or more.  (Keys of the moduli ``|u_j|`` would not
+    separate a ``(+v, -v)`` padding pair, whose members have equal moduli.)
     """
     count, n, _ = unitaries.shape
     flat = unitaries.reshape(count, n * n)
@@ -301,12 +336,12 @@ def _merge_raw(coeffs, unitaries, owner):
     live = np.flatnonzero(peaks)  # the terms that are not zero unitaries
     if not live.size:
         return coeffs[live], live
-    lead = flat[live, np.argmax(mags[live] >= 0.5 * peaks[live, None], axis=1)]
+    lead = flat[live, np.argmax(mags >= 0.5 * peaks[:, None], axis=1)[live]]
     # np.hypot rounds like the scalar abs(), so every phase and canonical
     # row is bit-identical to the one a term-by-term loop computes
     phases = lead / np.hypot(lead.real, lead.imag)
-    canon = (flat if len(live) == count else flat[live]) * np.conj(phases)[:, None]
-    keys = canon.view(np.float64) @ _merge_key_weights(n * n)
+    sums = (flat.view(np.float64) @ _merge_key_weights(n * n))[live]
+    keys = phases.real * sums[:, 0] + phases.imag * sums[:, 1]
     own = owner[live]
     window = 8 * n * n * MERGE_TOL + 1e-12 * _owner_max(np.abs(keys), own)
     order = np.lexsort((keys, own))
@@ -318,11 +353,15 @@ def _merge_raw(coeffs, unitaries, owner):
         starts = np.flatnonzero(np.r_[True, ~close])
         sizes = np.diff(np.r_[starts, len(live)])
         pair = np.sort(order[starts[sizes == 2, None] + np.arange(2)], axis=1)
-        same = np.max(np.abs(canon[pair[:, 1]] - canon[pair[:, 0]]), axis=1) <= MERGE_TOL
+        rows = flat[live[pair]]
+        rows *= np.conj(phases[pair])[..., None]  # the pairs' canonical rows, in place
+        rows[:, 1] -= rows[:, 0]
+        same = np.max(np.abs(rows[:, 1]), axis=1) <= MERGE_TOL
         head[pair[same, 1]] = pair[same, 0]
         for start, size in zip(starts[sizes > 2].tolist(), sizes[sizes > 2].tolist()):
             members = np.sort(order[start : start + size])
-            near = _near_pairs(canon[members], max(1, len(canon) // size))
+            rows = flat[live[members]] * np.conj(phases[members])[:, None]
+            near = _near_pairs(rows, max(1, _BLOCK // (size * n * n)))
             clusters, picks = [], []  # the run's cluster heads, each term's head
             for i, row in enumerate(near):
                 picks.append(next((c for c in clusters if row[c]), i))
@@ -895,14 +934,26 @@ def masa_quadrant_decomp(x) -> Decomposition:
 
 
 def _reconstructions(coeffs, us, offsets) -> np.ndarray:
-    """Each target's sum of its slice of the pooled products, one
-    ``np.sum(..., axis=0)`` per target, stacked; the pooled products are
-    freed on return.  A product or sum that overflows gives ``inf`` or
-    ``nan`` without a warning: the caller's residual rejects it."""
+    """Each target's sum of its terms' products, one ``np.sum(..., axis=0)``
+    per target, stacked.  The products are formed for runs of whole
+    targets, each run at most ``_BLOCK`` entries or a single target, so no
+    temporary holds the products of the whole pool.  A product or sum that
+    overflows gives ``inf`` or ``nan`` without a warning: the caller's
+    residual rejects it."""
+    bounds = np.asarray(offsets)
+    cap = max(1, _BLOCK // us.shape[-1] ** 2)  # the terms of one block
+    sums, first = [], 0
     with np.errstate(over="ignore", invalid="ignore"):
-        products = coeffs[:, None, None] * us
-        return np.array([np.sum(products[lo:hi], axis=0)
-                         for lo, hi in zip(offsets, offsets[1:])], dtype=np.complex128)
+        while first < len(offsets) - 1:
+            # the targets first..last - 1 of the run: as many as one block
+            # holds, one at least
+            last = max(first + 1, int(np.searchsorted(bounds, offsets[first] + cap, "right")) - 1)
+            base = offsets[first]
+            products = coeffs[base : offsets[last], None, None] * us[base : offsets[last]]
+            sums += [np.sum(products[lo - base : hi - base], axis=0)
+                     for lo, hi in zip(offsets[first:last], offsets[first + 1 : last + 1])]
+            first = last
+    return np.array(sums, dtype=np.complex128)
 
 
 def verify_decomposition(spec, x, d) -> VerificationReport:
@@ -915,9 +966,13 @@ def verify_decomposition(spec, x, d) -> VerificationReport:
     the largest reconstruction residual over the targets, the largest
     unitarity and membership residuals over all terms, the total term count
     and the largest coefficient sum.  Each target's reconstruction is one
-    ``np.sum(..., axis=0)`` over its slice of the pooled products.  Shares
-    only the numeric kernels with the constructions; membership is checked
-    through the conditional expectation.
+    ``np.sum(..., axis=0)`` over its terms' products.  The unitarity and
+    membership residuals are computed block by block, each block at most
+    ``_BLOCK`` entries (or one matrix where that is more), and a
+    NaN-propagating running max over the block maxima gives each, so no
+    temporary holds more than a block of the pool.  Shares only the numeric
+    kernels with the constructions; membership is checked through the
+    conditional expectation.
     """
     x = as_stack(x)
     if x.ndim == 2:
@@ -929,15 +984,21 @@ def verify_decomposition(spec, x, d) -> VerificationReport:
         raise DimensionMismatch("term dimension differs from the target")
     recon = _reconstructions(coeffs, us, offsets).reshape(x.shape)
     recon_residual = float(np.max(hs_norm(recon - x), initial=0.0))
+    unitarity = member = 0.0
+    step = max(1, _BLOCK // us.shape[-1] ** 2)  # the matrices of one block
     # as in _reconstructions, an overflow is a residual the gate rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        member = 0.0 if spec is None else algebra.membership_residual(spec, us)
-        unitarity = float(np.max(unitarity_residual(us), initial=0.0))
+        for lo in range(0, len(us), step):
+            b = us[lo : lo + step]
+            # np.maximum propagates a NaN from any block
+            unitarity = np.maximum(unitarity, unitarity_residual(b).max())
+            if spec is not None:
+                member = np.maximum(member, algebra.membership_residual(spec, b).max())
     moduli = list(map(abs, coeffs.tolist()))
     return VerificationReport(
         recon_residual=recon_residual,
-        max_unitarity_residual=unitarity,
-        max_membership_residual=float(np.max(member, initial=0.0)),
+        max_unitarity_residual=float(unitarity),
+        max_membership_residual=float(member),
         term_count=len(us),
         coeff_sum=max((float(sum(moduli[lo:hi])) for lo, hi in zip(offsets, offsets[1:])),
                       default=0.0),

@@ -10,6 +10,7 @@ import dataclasses
 import inspect
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -385,6 +386,50 @@ class TestZeroPieceOracle:
             assert got.labels == want.labels, name
 
 
+def concat_gather_cat(n, parts):
+    """The concatenate-then-stable-gather ``_cat``, kept as the reference
+    for the one that scatters each part into its sorted slots."""
+    parts = [p for p in parts if len(p.coeffs)]
+    owner = np.concatenate([np.empty(0, dtype=np.intp)] + [p.owner for p in parts])
+    order = np.argsort(owner, kind="stable")
+    coeffs = np.concatenate([np.empty(0, dtype=np.complex128)] + [p.coeffs for p in parts])
+    unitaries = np.concatenate([np.empty((0, n, n), dtype=np.complex128)]
+                               + [p.unitaries for p in parts])
+    labels = sum((p.labels for p in parts), ())
+    return decompose._Terms(coeffs[order], unitaries[order],
+                            tuple(labels[i] for i in order.tolist()), owner[order])
+
+
+class TestCat:
+    def random_part(self, rng, n, tag, count=None):
+        count = int(rng.choice([0, 1, 3, 6])) if count is None else count
+        unitaries = random_complex(rng, (count, n, n))
+        unitaries[rng.random((count, n, n)) < 0.2] = -0.0  # signed zeros keep their bits
+        return decompose._Terms(
+            random_complex(rng, count), unitaries,
+            tuple((Provenance.MASTER, f"{tag}-{i}") for i in range(count)),
+            np.sort(rng.integers(0, 4, count)).astype(np.intp))
+
+    def test_matches_concatenate_then_gather(self, rng):
+        for n in (2, 5):
+            for _ in range(100):
+                parts = [self.random_part(rng, n, f"part{j}")
+                         for j in range(int(rng.integers(2, 6)))]
+                got = decompose._cat(n, parts)
+                want = concat_gather_cat(n, parts)
+                for field in ("coeffs", "unitaries", "owner"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert a.dtype == b.dtype and a.shape == b.shape, field
+                    assert a.tobytes() == b.tobytes(), field
+                assert got.labels == want.labels
+
+    def test_one_part_is_returned_as_it_is(self, rng):
+        part, empty = self.random_part(rng, 2, "one", 3), self.random_part(rng, 2, "none", 0)
+        assert decompose._cat(2, [empty, part, empty]) is part
+        none = decompose._cat(2, [empty, empty])
+        assert none.unitaries.shape == (0, 2, 2) and none.owner.dtype == np.intp
+
+
 def merge_input(raw, owner=0):
     """``_merge_raw``'s arguments for a list of ``(coeff, unitary, prov,
     stage)`` whose terms all belong to ``owner``."""
@@ -561,6 +606,36 @@ class TestMerge:
         assert kept.tolist() == [i for _, i in ref]
         assert coeffs.tobytes() == np.array([c for c, _ in ref], dtype=complex).tobytes()
         assert len(ref) < len(raw) - 100  # the run does merge
+
+
+class TestMergeKeys:
+    def test_keys_match_the_canonical_row_sums(self, rng, monkeypatch):
+        """The keys ``_merge_raw`` sorts on, ``Re(p) (u @ w) + Im(p) (u @
+        w')``, are ``c @ w`` of the phase-canonical rows ``c`` within the
+        rounding slack of its docstring: each is within
+        ``8 (n**2 + 2) 2**-53 L`` of the exact value."""
+        seen = []
+        lexsort = np.lexsort
+
+        def spy(keys):
+            seen.append(keys[0].copy())
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", spy)
+        for n in (2, 8, 32):
+            us = np.array([np.exp(1j * rng.uniform(0, 2 * np.pi)) * random_unitary(rng, n)
+                           for _ in range(40)])
+            flat = us.reshape(len(us), n * n)
+            mags = np.abs(flat)
+            pivots = np.argmax(mags >= 0.5 * mags.max(axis=1)[:, None], axis=1)
+            lead = flat[np.arange(len(us)), pivots]
+            canon = flat * np.conj(lead / np.hypot(lead.real, lead.imag))[:, None]
+            want = canon.view(np.float64) @ decompose._merge_key_weights(n * n)[:, 0]
+            seen.clear()
+            decompose._merge_raw(np.ones(len(us), dtype=complex), us,
+                                 np.zeros(len(us), dtype=np.intp))
+            slack = 16 * (n * n + 2) * 2.0**-53 * np.abs(flat.view(np.float64)).sum(axis=1)
+            assert len(seen) == 1 and np.all(np.abs(seen[0] - want) < slack), n
 
 
 class TestCornerDilation:
@@ -1689,6 +1764,89 @@ class TestVerify:
         )
         with pytest.raises(DimensionMismatch):
             verify_decomposition(None, np.zeros((2, 2)), d)
+
+
+class TestBlockedVerify:
+    """The verifier's residuals over a pool of several blocks, against the
+    whole-stack formulas."""
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        # the c3-atoms-4-6 certificate pool: 876 terms of 10 x 10
+        spec = TypeISubalgebraSpec.atoms([4, 6])
+        basis = algebra.complement_basis(spec)
+        return spec, basis, decompose.type_one_stack(spec, basis)
+
+    def test_report_matches_whole_stack_formulas(self, pool):
+        spec, basis, ds = pool
+        us = ds.unitaries
+        assert us.shape == (876, 10, 10)
+        assert len(us) > 2 * (decompose._BLOCK // 100)  # at least three blocks
+        products = ds.coeffs[:, None, None] * us
+        recon = np.array([np.sum(products[lo:hi], axis=0)
+                          for lo, hi in zip(ds.offsets, ds.offsets[1:])])
+        want = (np.max(linalg.hs_norm(recon - basis)),
+                np.max(linalg.unitarity_residual(us)),
+                np.max(linalg.hs_norm(algebra.conditional_expectation(spec, us))))
+        rep = verify_decomposition(spec, basis, ds)
+        got = (rep.recon_residual, rep.max_unitarity_residual, rep.max_membership_residual)
+        assert [np.float64(v).tobytes() for v in got] == [v.tobytes() for v in want]
+        assert report_within(rep)
+
+    def test_reconstructions_match_pooled_products(self, rng):
+        """The products are formed for runs of whole targets; empty targets,
+        targets of one block, one term more, or several blocks, and a run
+        that ends at a block's edge sum like slices of the pooled products."""
+        for n in (2, 10, 64):
+            cap = max(1, decompose._BLOCK // n**2)
+            sizes = [0, 1, cap, cap + 1, 3 * cap, 0, cap - 1, 1, 0] + rng.integers(0, cap, 20).tolist()
+            offsets = tuple(np.cumsum([0] + sizes).tolist())
+            coeffs = random_complex(rng, offsets[-1])
+            us = random_complex(rng, (offsets[-1], n, n))
+            products = coeffs[:, None, None] * us
+            want = np.array([np.sum(products[lo:hi], axis=0)
+                             for lo, hi in zip(offsets, offsets[1:])])
+            assert decompose._reconstructions(coeffs, us, offsets).tobytes() == want.tobytes(), n
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("term", [0, -1], ids=["first-block", "last-block"])
+    def test_nonfinite_entry_in_any_block_fails_the_gate(self, pool, value, term):
+        spec, basis, ds = pool
+        us = ds.unitaries.copy()
+        us[term, 0, 0] = value  # a diagonal entry, so E_A sees it too
+        rep = verify_decomposition(spec, basis, dataclasses.replace(ds, unitaries=us))
+        assert not np.isfinite(rep.max_unitarity_residual)
+        assert not np.isfinite(rep.max_membership_residual)
+        assert not report_within(rep)
+
+    def test_empty_pool_reports_zero(self, pool):
+        spec, _, _ = pool
+        zeros = np.zeros((2, 10, 10))
+        ds = decompose.type_one_stack(spec, zeros)
+        assert len(ds.unitaries) == 0
+        rep = verify_decomposition(spec, zeros, ds)
+        assert rep == VerificationReport(0.0, 0.0, 0.0, 0, 0.0)
+
+
+class TestMemoryGuard:
+    def test_spancert_traced_peak(self):
+        """The c3-atoms-4-6 certificate, after a warm-up call, allocates at
+        most 5.0 MB at its traced peak; the allocation sizes are
+        deterministic, so the bound does not depend on timing."""
+        spec = TypeISubalgebraSpec.atoms([4, 6])
+        harness.run_spancert(spec)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert harness.run_spancert(spec).passed
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 5.0e6, f"traced peak {peak / 1e6:.2f} MB"
 
 
 class TestReadOnlyStorage:
